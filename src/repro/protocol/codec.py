@@ -1,22 +1,38 @@
-"""Wire codec: protocol messages to/from JSON-safe dictionaries.
+"""Wire codec (format v2): protocol messages to/from positional JSON arrays.
 
-Used by the TCP transport of the asyncio runtime.  The format is
-deliberately simple: ``{"type": <class name>, ...fields}`` with
+A message travels as ``[<class name>, field1, ..., fieldN]`` in dataclass
+field order.  There is no per-class code: each class's encoder and decoder
+are compiled once, at import, from ``dataclasses.fields()`` and the single
+table :data:`_WIRE` mapping a field's annotation to its wire form —
 
-* ``DatumId`` encoded as ``[kind, ident]``,
-* ``bytes`` encoded as base64 strings (marked by field name),
-* ``inf`` terms encoded as the string ``"inf"``,
-* nested ``ExtendGrant`` records encoded recursively,
-* nested messages (batch members) tagged ``__msg__``; batches never nest,
-  and decode enforces that so a hostile frame cannot recurse unboundedly.
+* ``int``/``str``/``bool`` (and their ``| None`` variants) as themselves,
+  type-checked exactly on decode (``int`` never accepts a ``bool``),
+* ``DatumId`` as the ``kind:ident`` string ``str(DatumId)`` prints,
+* declared ``bytes`` as a bare base64 string,
+* ``float`` terms as numbers, with ``math.inf`` as the string ``"inf"``
+  (``-inf`` and NaN have no wire form),
+* ``ExtendRequest.items`` as ``[[datum, version], ...]``,
+* ``ExtendGrant`` as a flat array of its six fields,
+* batch members as nested message arrays; batches never nest, and the
+  member's tag is checked *before* its decoder runs, so a hostile frame
+  cannot recurse,
+* the untyped fields (``payload``, ``NamespaceRequest.args``,
+  ``NamespaceReply.result``) through a small recursive fallback in which
+  ``bytes`` are tagged ``{"b64": <base64>}`` and sequences are arrays.
+
+A field whose annotation is missing from the table fails at import, not
+on the wire.  Anything that is not exactly a well-formed frame —
+unknown tag, wrong arity, ill-typed field, at any depth — is a
+:class:`ProtocolError`, and nothing else escapes :func:`decode_message`.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import dataclasses
 import math
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, NoReturn
 
 from repro.errors import ProtocolError
 from repro.protocol.messages import (
@@ -79,128 +95,294 @@ _MESSAGE_TYPES: dict[str, type] = {
     )
 }
 
-#: Wire field names per class — real dataclass fields only (``kind`` is a
-#: ClassVar pseudo-field and must never hit the wire), precomputed so the
-#: encode path does no per-message reflection.
-_FIELDS_BY_TYPE: dict[str, tuple[str, ...]] = {
-    name: tuple(f.name for f in dataclasses.fields(cls))
-    for name, cls in _MESSAGE_TYPES.items()
-}
+#: A field encoder maps a field value to its JSON-safe wire form; ``None``
+#: in its place means the value already is its wire form.  A field decoder
+#: maps a wire value back, raising ProtocolError unless it is well formed.
+Encoder = Callable[[Any], Any]
+Decoder = Callable[[Any], Any]
 
-#: Fields added to the wire format after v1, omitted when at their default
-#: so that frames from a new peer stay byte-identical to — and decodable
-#: by — an unbatched (pre-pipeline) peer.  Maps class name -> {field:
-#: default}.
-_OPTIONAL_FIELDS: dict[str, dict[str, Any]] = {
-    "WriteRequest": {"cas": None},
-}
+_INF = math.inf
+
+#: DatumKind <-> the ``kind`` part of a datum string.  Two dict probes
+#: replace ``.kind.value`` and ``DatumKind(value)``, both Python-level
+#: enum calls, on the most frequent conversion of all.
+_DATUM_PREFIX = {kind: f"{kind.value}:" for kind in DatumKind}
+_DATUM_KINDS = {kind.value: kind for kind in DatumKind}
 
 
-def _encode_value(value: Any) -> Any:
-    # Scalars first: most wire fields are ints, strings, None or bools,
-    # and exact-type checks keep them off the isinstance chain below.
-    # Anything these miss (e.g. an int or float subclass) falls through
-    # to the original chain, so dispatch is unchanged — only faster.
+def _reject(expected: str, value: Any) -> NoReturn:
+    raise ProtocolError(f"expected {expected}, got {type(value).__name__}")
+
+
+def _scalar(tp: type, optional: bool = False) -> Decoder:
+    """Decoder accepting exactly ``tp`` (no subclasses), or also None."""
+    expected = f"{tp.__name__} or null" if optional else tp.__name__
+
+    def decode(value: Any) -> Any:
+        if type(value) is tp or (optional and value is None):
+            return value
+        _reject(expected, value)
+
+    return decode
+
+
+_dec_int = _scalar(int)
+_dec_str = _scalar(str)
+
+
+def _enc_float(value: float) -> Any:
+    if -_INF < value < _INF:
+        return value
+    if value == _INF:
+        return "inf"
+    raise ProtocolError(f"no wire form for the term {value!r}")
+
+
+def _dec_float(value: Any) -> float:
+    tp = type(value)
+    if tp is float or tp is int:
+        # json.loads accepts the bare literals Infinity and NaN.
+        if -_INF < value < _INF:
+            return value
+    elif tp is str and value == "inf":
+        return _INF
+    _reject('a finite number or "inf"', value)
+
+
+def _enc_bytes(value: bytes) -> str:
+    return binascii.b2a_base64(value, newline=False).decode("ascii")
+
+
+def _dec_bytes(value: Any) -> bytes:
+    if type(value) is str:
+        return binascii.a2b_base64(value)
+    _reject("a base64 string", value)
+
+
+def _enc_datum(datum: DatumId) -> str:
+    return _DATUM_PREFIX[datum[0]] + datum[1]
+
+
+def _dec_datum(value: Any) -> DatumId:
+    if type(value) is str:
+        name, colon, ident = value.partition(":")
+        kind = _DATUM_KINDS.get(name)
+        if colon and kind is not None:
+            return DatumId(kind, ident)
+    _reject("a kind:ident datum string", value)
+
+
+def _enc_items(items: Any) -> list:
+    # _enc_datum inlined: a 256-lease extend runs this loop 256 times.
+    prefix = _DATUM_PREFIX
+    return [[prefix[datum[0]] + datum[1], version] for datum, version in items]
+
+
+def _dec_items(value: Any) -> tuple:
+    if type(value) is not list:
+        _reject("an array of [datum, version] pairs", value)
+    items = []
+    for pair in value:
+        if type(pair) is not list or len(pair) != 2:
+            _reject("a [datum, version] pair", pair)
+        items.append((_dec_datum(pair[0]), _dec_int(pair[1])))
+    return tuple(items)
+
+
+def _enc_any(value: Any) -> Any:
+    """The untyped fallback: scalars, tagged bytes and nested sequences."""
     tp = type(value)
     if value is None or tp is str or tp is int or tp is bool:
         return value
-    if tp is float:
-        return {"__float__": "inf"} if math.isinf(value) else value
     if tp is bytes:
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, Message):
-        return {"__msg__": encode_message(value)}
-    if isinstance(value, DatumId):
-        return {"__datum__": [value.kind.value, value.ident]}
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, float) and math.isinf(value):
-        return {"__float__": "inf"}
-    if isinstance(value, ExtendGrant):
-        return {
-            "__grant__": {
-                "datum": _encode_value(value.datum),
-                "term": _encode_value(value.term),
-                "version": value.version,
-                "payload": _encode_value(value.payload),
-                "changed": value.changed,
-                "cover": value.cover,
-            }
-        }
-    if isinstance(value, (tuple, list)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)):
+        return {"b64": _enc_bytes(value)}
+    if tp is tuple or tp is list:
+        return [_enc_any(v) for v in value]
+    if tp is float and -_INF < value < _INF:
         return value
-    raise ProtocolError(f"cannot encode {type(value).__name__}: {value!r}")
+    raise ProtocolError(f"cannot encode {tp.__name__}: {value!r}")
 
 
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__datum__" in value:
-            kind, ident = value["__datum__"]
-            return DatumId(DatumKind(kind), ident)
-        if "__bytes__" in value:
-            return base64.b64decode(value["__bytes__"])
-        if "__float__" in value:
-            return math.inf
-        if "__msg__" in value:
-            return decode_message(value["__msg__"])
-        if "__grant__" in value:
-            g = value["__grant__"]
-            return ExtendGrant(
-                datum=_decode_value(g["datum"]),
-                term=_decode_value(g["term"]),
-                version=g["version"],
-                payload=_decode_value(g["payload"]),
-                changed=g["changed"],
-                cover=g.get("cover"),
+def _dec_any(value: Any) -> Any:
+    tp = type(value)
+    if value is None or tp is str or tp is int or tp is bool:
+        return value
+    if tp is dict:
+        if len(value) == 1 and "b64" in value:
+            return _dec_bytes(value["b64"])
+    elif tp is list:
+        return tuple([_dec_any(v) for v in value])
+    elif tp is float and -_INF < value < _INF:
+        return value
+    _reject("a scalar, an array or tagged bytes", value)
+
+
+def _optional(encode: Encoder, decode: Decoder) -> tuple[Encoder, Decoder]:
+    return (
+        lambda value: None if value is None else encode(value),
+        lambda value: None if value is None else decode(value),
+    )
+
+
+def _seq(encode: Encoder | None, decode: Decoder) -> tuple[Encoder, Decoder]:
+    """Wire form of a homogeneous tuple: an array, decoded back to a tuple."""
+
+    def decode_seq(value: Any) -> tuple:
+        if type(value) is list:
+            return tuple(map(decode, value))
+        _reject("an array", value)
+
+    if encode is None:
+        return list, decode_seq
+    return (lambda values: list(map(encode, values))), decode_seq
+
+
+#: The annotation of a batch's members.
+_MEMBERS = "tuple[Message, ...]"
+
+
+def _enc_members(members: Any) -> list:
+    return [_MEMBER_ENCODERS[type(member)](member) for member in members]
+
+
+def _dec_members(value: Any) -> tuple:
+    if type(value) is not list:
+        _reject("an array of messages", value)
+    members = []
+    for frame in value:
+        # The tag is looked up before anything recurses: a batch tag is
+        # not in the member table, so nesting depth is bounded at two.
+        if type(frame) is not list or not frame or type(frame[0]) is not str:
+            _reject("a message array", frame)
+        decode = _MEMBER_DECODERS.get(frame[0])
+        if decode is None:
+            raise ProtocolError(f"invalid batch member: {frame[0][:64]!r}")
+        members.append(decode(frame))
+    return tuple(members)
+
+
+#: The one place a wire form is declared: field annotation, exactly as
+#: written in :mod:`repro.protocol.messages` -> ``(encode, decode)``.
+_WIRE: dict[str, tuple[Encoder | None, Decoder]] = {
+    "int": (None, _dec_int),
+    "Version": (None, _dec_int),
+    "Version | None": (None, _scalar(int, optional=True)),
+    "str": (None, _dec_str),
+    "str | None": (None, _scalar(str, optional=True)),
+    "bool": (None, _scalar(bool)),
+    "float": (_enc_float, _dec_float),
+    "bytes": (_enc_bytes, _dec_bytes),
+    "bytes | None": _optional(_enc_bytes, _dec_bytes),
+    "DatumId": (_enc_datum, _dec_datum),
+    "object": (_enc_any, _dec_any),
+    "tuple": _seq(_enc_any, _dec_any),
+    "tuple[str, ...]": _seq(None, _dec_str),
+    "tuple[DatumId, ...]": _seq(_enc_datum, _dec_datum),
+    "tuple[tuple[DatumId, Version], ...]": (_enc_items, _dec_items),
+    _MEMBERS: (_enc_members, _dec_members),
+}
+
+
+def _compile(cls: type, tag: str | None = None) -> tuple[Encoder, Decoder]:
+    """Build one dataclass's array codec from its field annotations.
+
+    With a ``tag`` the array is ``[tag, *fields]`` (a message); without,
+    just the fields (a record nested inside one).
+    """
+    fields = dataclasses.fields(cls)
+    wire = []
+    for field in fields:
+        if field.type not in _WIRE:
+            raise TypeError(
+                f"{cls.__name__}.{field.name}: no wire form for the "
+                f"annotation {field.type!r} (add it to codec._WIRE)"
             )
-        raise ProtocolError(f"unknown tagged value: {value!r}")
-    if isinstance(value, list):
-        return tuple(_decode_value(v) for v in value)
-    return value
+        wire.append(_WIRE[field.type])
+    head = [] if tag is None else [tag]
+    first = len(head)
+    arity = first + len(fields)
+    # One C call fetches every field; only the fields that are not their
+    # own wire form are then converted, in place.
+    fetch = attrgetter(*(field.name for field in fields))
+    single = len(fields) == 1  # attrgetter then returns the bare value
+    converts = tuple(
+        (index, enc) for index, (enc, _) in enumerate(wire, first) if enc is not None
+    )
+    decoders = tuple(dec for _, dec in wire)
+
+    def encode(obj: Any) -> list:
+        out = [*head, fetch(obj)] if single else [*head, *fetch(obj)]
+        for index, convert in converts:
+            out[index] = convert(out[index])
+        return out
+
+    def decode(frame: Any) -> Any:
+        if type(frame) is not list or len(frame) != arity:
+            _reject(f"{cls.__name__} as an array of {arity}", frame)
+        return cls(*[dec(value) for dec, value in zip(decoders, frame[first:])])
+
+    return encode, decode
 
 
-def encode_message(msg: Message) -> dict:
-    """Encode a protocol message as a JSON-safe dict."""
-    name = type(msg).__name__
-    fields = _FIELDS_BY_TYPE.get(name)
-    if fields is None:
-        raise ProtocolError(f"not a wire message: {name}")
-    out: dict[str, Any] = {"type": name}
-    optional = _OPTIONAL_FIELDS.get(name)
-    if optional is None:
-        for field in fields:
-            out[field] = _encode_value(getattr(msg, field))
-    else:
-        for field in fields:
-            value = getattr(msg, field)
-            if field in optional and value == optional[field]:
-                continue
-            out[field] = _encode_value(value)
-    return out
+_WIRE["tuple[ExtendGrant, ...]"] = _seq(*_compile(ExtendGrant))
+
+_ENCODERS: dict[type, Encoder] = {}
+_DECODERS: dict[str, Decoder] = {}
+#: The same, minus the classes that themselves carry messages: batches
+#: never nest, so a batch is not a legal batch member in either direction.
+_MEMBER_ENCODERS: dict[type, Encoder] = {}
+_MEMBER_DECODERS: dict[str, Decoder] = {}
+for _name, _cls in _MESSAGE_TYPES.items():
+    _enc, _dec = _compile(_cls, _name)
+    _ENCODERS[_cls], _DECODERS[_name] = _enc, _dec
+    if not any(f.type == _MEMBERS for f in dataclasses.fields(_cls)):
+        _MEMBER_ENCODERS[_cls], _MEMBER_DECODERS[_name] = _enc, _dec
+del _name, _cls, _enc, _dec
+
+#: What an encoder or decoder may raise on an ill-typed value besides
+#: ProtocolError itself; translated so only ProtocolError ever escapes.
+_RAW_ERRORS = (TypeError, ValueError, LookupError, AttributeError, RecursionError)
 
 
-def decode_message(data: dict) -> Message:
-    """Decode a dict produced by :func:`encode_message`.
+def wire_tag(value: Any) -> str:
+    """The class name a wire value claims to be, or ``"?"`` if none we know."""
+    if type(value) is list and value:
+        tag = value[0]
+        if type(tag) is str and tag in _DECODERS:
+            return tag
+    return "?"
+
+
+def encode_message(msg: Message) -> list:
+    """Encode a protocol message as a JSON-safe array.
+
+    Raises:
+        ProtocolError: not a wire message, or a field value its converter
+            has no wire form for (a ``-inf``/NaN term, a nested batch, an
+            object in ``payload``).
+    """
+    encode = _ENCODERS.get(type(msg))
+    if encode is None:
+        raise ProtocolError(f"not a wire message: {type(msg).__name__}")
+    try:
+        return encode(msg)
+    except _RAW_ERRORS as exc:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}: {exc!r}") from exc
+
+
+def decode_message(value: Any) -> Message:
+    """Decode a value produced by :func:`encode_message`.
 
     Raises:
         ProtocolError: unknown type or malformed fields.
     """
+    tag = wire_tag(value)
+    decode = _DECODERS.get(tag)
+    if decode is None:
+        raise ProtocolError("unknown message type")
     try:
-        cls = _MESSAGE_TYPES[data["type"]]
-    except (KeyError, TypeError) as exc:
-        raise ProtocolError(f"unknown message type in {data!r}") from exc
-    try:
-        kwargs = {k: _decode_value(v) for k, v in data.items() if k != "type"}
-        msg = cls(**kwargs)
-    except (TypeError, ValueError, KeyError, RecursionError) as exc:
-        raise ProtocolError(f"malformed {data.get('type')}: {exc}") from exc
-    if isinstance(msg, (BatchRequest, BatchReply)):
-        inner = msg.ops if isinstance(msg, BatchRequest) else msg.replies
-        for op in inner:
-            if not isinstance(op, Message) or isinstance(
-                op, (BatchRequest, BatchReply)
-            ):
-                raise ProtocolError(f"invalid batch member: {op!r}")
-    return msg
+        return decode(value)
+    except ProtocolError as exc:
+        raise ProtocolError(f"malformed {tag}: {exc}") from exc
+    except _RAW_ERRORS as exc:
+        raise ProtocolError(f"malformed {tag}: {exc!r}") from exc

@@ -27,28 +27,25 @@ import struct
 
 from repro.errors import ProtocolError, RuntimeTransportError
 from repro.obs.events import CONN_DOWN, CONN_RETRY, CONN_UP, TRANSPORT_DROP
-from repro.protocol.codec import decode_message, encode_message
+from repro.protocol.codec import decode_message, encode_message, wire_tag
 from repro.protocol.messages import Message
 from repro.runtime import resilience
 from repro.runtime.resilience import BackoffPolicy, FrameQueue
-from repro.runtime.transport import MessageHandler, _ObsMixin
+from repro.runtime.transport import MessageHandler, _dumps, _ObsMixin
 from repro.types import HostId
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME = 16 * 1024 * 1024
 
-#: Exceptions that mean "this frame (or peer) is speaking garbage".
-_DECODE_ERRORS = (ProtocolError, KeyError, TypeError, ValueError)
 
-
-def _frame(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def _frame(payload: list | dict) -> bytes:
+    body = _dumps(payload).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise RuntimeTransportError(f"frame too large: {len(body)} bytes")
     return _HEADER.pack(len(body)) + body
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> dict | None:
+async def _read_frame(reader: asyncio.StreamReader) -> list | dict | None:
     """Read one frame; None on orderly EOF/reset, raises on garbage.
 
     Raises:
@@ -66,7 +63,7 @@ async def _read_frame(reader: asyncio.StreamReader) -> dict | None:
         return None
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise RuntimeTransportError(f"malformed frame: {exc}") from exc
 
 
@@ -170,9 +167,10 @@ class TcpServerTransport(_ObsMixin):
                     break
                 try:
                     message = decode_message(frame)
-                except _DECODE_ERRORS:
-                    kind = frame.get("type", "?") if isinstance(frame, dict) else "?"
-                    self._emit(TRANSPORT_DROP, dst=self._name, kind=kind, reason="malformed")
+                except ProtocolError:
+                    self._emit(
+                        TRANSPORT_DROP, dst=self._name, kind=wire_tag(frame), reason="malformed"
+                    )
                     reason = "malformed"
                     break
                 if self._handler is not None:
@@ -422,9 +420,10 @@ class TcpClientTransport(_ObsMixin):
                 return "eof"
             try:
                 message = decode_message(frame)
-            except _DECODE_ERRORS:
-                kind = frame.get("type", "?") if isinstance(frame, dict) else "?"
-                self._emit(TRANSPORT_DROP, dst=self._name, kind=kind, reason="malformed")
+            except ProtocolError:
+                self._emit(
+                    TRANSPORT_DROP, dst=self._name, kind=wire_tag(frame), reason="malformed"
+                )
                 return "malformed"
             if self._handler is not None:
                 self._handler(message, self._server_name)

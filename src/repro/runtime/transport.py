@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 from typing import Callable, Protocol
 
@@ -14,6 +15,11 @@ from repro.types import HostId
 
 #: Inbound message handler installed by a node.
 MessageHandler = Callable[[Message, HostId], None]
+
+#: The one JSON encoder behind every TCP frame and UDP datagram.
+#: ``json.dumps`` with non-default arguments constructs a fresh
+#: ``JSONEncoder`` per call; this binds one for the life of the process.
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 class _ObsMixin:

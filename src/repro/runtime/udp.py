@@ -28,7 +28,7 @@ from repro.errors import RuntimeTransportError
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import Message
-from repro.runtime.transport import MessageHandler, _ObsMixin
+from repro.runtime.transport import MessageHandler, _dumps, _ObsMixin
 from repro.types import HostId
 
 #: Stay under the common 64 KiB UDP limit with headroom for JSON framing.
@@ -60,9 +60,7 @@ class _Endpoint(asyncio.DatagramProtocol):
 
 
 def _encode(src: HostId, message: Message) -> bytes:
-    data = json.dumps(
-        {"src": src, "msg": encode_message(message)}, separators=(",", ":")
-    ).encode("utf-8")
+    data = _dumps({"src": src, "msg": encode_message(message)}).encode("utf-8")
     if len(data) > MAX_DATAGRAM:
         raise RuntimeTransportError(
             f"message of {len(data)} bytes exceeds the {MAX_DATAGRAM}-byte "

@@ -1,11 +1,10 @@
-"""Batch-frame codec: round trips, wire compatibility, hostile frames.
+"""Batch-frame codec: round trips, the pinned write frame, hostile frames.
 
 The pipeline's ``BatchRequest``/``BatchReply`` are the only messages
 that nest other messages, so they get their own robustness sweep:
 malformed, truncated and oversized frames in both directions, plus the
-compatibility guarantee that a client with batching off (and a server
-answering it) puts bytes on the wire that a pre-pipeline peer decodes
-unchanged.
+pinned v2 frame of a write (``cas`` always travels, as ``null`` when
+unset) and the rule that a v1 frame is simply a malformed one.
 """
 
 import asyncio
@@ -71,10 +70,13 @@ class TestRoundTrip:
 
 
 class TestWireCompatibility:
-    """An unbatched peer must not notice this PR happened."""
+    """There is one wire format; these are its bytes for a write."""
 
-    #: The exact pre-pipeline encoding of a plain write: no ``cas`` key.
-    LEGACY_WRITE = {
+    #: The exact v2 frame of an unconditional write: ``cas`` is ``null``.
+    PLAIN_WRITE = ["WriteRequest", 5, "file:file:1", "Y29udGVudA==", 9, None]
+
+    #: The same write as format v1 spelled it.
+    V1_WRITE = {
         "type": "WriteRequest",
         "req_id": 5,
         "datum": {"__datum__": ["file", "file:1"]},
@@ -82,47 +84,57 @@ class TestWireCompatibility:
         "write_seq": 9,
     }
 
-    def test_write_without_cas_encodes_to_legacy_format(self):
+    def test_write_without_cas_carries_null(self):
         msg = WriteRequest(5, F, b"content", write_seq=9)
-        assert encode_message(msg) == self.LEGACY_WRITE
+        assert encode_message(msg) == self.PLAIN_WRITE
+        assert decode_message(self.PLAIN_WRITE) == msg
 
-    def test_legacy_write_frame_decodes(self):
-        msg = decode_message(self.LEGACY_WRITE)
-        assert msg == WriteRequest(5, F, b"content", write_seq=9)
-        assert msg.cas is None
+    def test_v1_write_frame_is_malformed(self):
+        with pytest.raises(ProtocolError):
+            decode_message(self.V1_WRITE)
 
     def test_cas_write_carries_the_guard(self):
         wire = encode_message(WriteRequest(5, F, b"content", write_seq=9, cas=3))
-        assert wire["cas"] == 3
+        assert wire == self.PLAIN_WRITE[:-1] + [3]
         assert decode_message(wire).cas == 3
 
 
 class TestHostileFrames:
     def test_nested_batch_request_rejected(self):
         wire = encode_message(BatchRequest(1, (ReadRequest(2, F),)))
-        nested = {"type": "BatchRequest", "batch_id": 9, "ops": [{"__msg__": wire}]}
         with pytest.raises(ProtocolError):
-            decode_message(nested)
+            decode_message(["BatchRequest", 9, [wire]])
 
     def test_nested_batch_reply_rejected(self):
         wire = encode_message(BatchReply(1, ()))
-        nested = {"type": "BatchReply", "batch_id": 9, "replies": [{"__msg__": wire}]}
         with pytest.raises(ProtocolError):
-            decode_message(nested)
+            decode_message(["BatchReply", 9, [wire]])
+
+    def test_nested_batch_rejected_at_encode(self):
+        inner = BatchRequest(1, (ReadRequest(2, F),))
+        with pytest.raises(ProtocolError):
+            encode_message(BatchRequest(9, (inner,)))
 
     def test_non_message_batch_member_rejected(self):
-        wire = {"type": "BatchRequest", "batch_id": 1, "ops": [42, "x"]}
+        with pytest.raises(ProtocolError):
+            decode_message(["BatchRequest", 1, [42, "x"]])
+
+    def test_deeply_nested_msg_tags_do_not_blow_the_stack(self):
+        """A hostile frame nesting batch arrays thousands deep must come
+        back as ProtocolError, never RecursionError: a member's tag is
+        checked before anything recurses into it."""
+        wire = encode_message(ReadRequest(1, F))
+        for _ in range(5000):
+            wire = ["BatchRequest", 1, [wire]]
         with pytest.raises(ProtocolError):
             decode_message(wire)
 
-    def test_deeply_nested_msg_tags_do_not_blow_the_stack(self):
-        """A hostile frame nesting ``__msg__`` thousands deep must come
-        back as ProtocolError, never RecursionError."""
-        wire = encode_message(ReadRequest(1, F))
+    def test_deeply_nested_untyped_payload_does_not_blow_the_stack(self):
+        payload = []
         for _ in range(5000):
-            wire = {"type": "BatchRequest", "batch_id": 1, "ops": [{"__msg__": wire}]}
+            payload = [payload]
         with pytest.raises(ProtocolError):
-            decode_message(wire)
+            decode_message(["ReadReply", 1, "file:f", 1, payload, 0.0, None, None])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -131,14 +143,14 @@ class TestHostileFrames:
                 st.integers(),
                 st.text(max_size=8),
                 st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+                st.lists(st.one_of(st.integers(), st.text(max_size=12)), max_size=4),
             ),
             max_size=4,
         )
     )
     def test_garbage_members_never_leak_raw_exceptions(self, ops):
-        wire = {"type": "BatchRequest", "batch_id": 1, "ops": ops}
         try:
-            msg = decode_message(wire)
+            msg = decode_message(["BatchRequest", 1, ops])
         except ProtocolError:
             return
         # An empty ops list is the only garbage-free outcome.
@@ -171,6 +183,15 @@ class TestFraming:
         import struct
 
         body = b"\xff{not json"
+        with pytest.raises(RuntimeTransportError):
+            read_frame(struct.pack(">I", len(body)) + body)
+
+    def test_body_nested_past_the_json_parser_limit_rejected(self):
+        """json.loads raises RecursionError, not ValueError, on this; it
+        must surface as a malformed frame, not kill the read task."""
+        import struct
+
+        body = b"[" * 100_000 + b"]" * 100_000
         with pytest.raises(RuntimeTransportError):
             read_frame(struct.pack(">I", len(body)) + body)
 

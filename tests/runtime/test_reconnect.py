@@ -10,7 +10,6 @@ killing the read loop.
 """
 
 import asyncio
-import json
 import struct
 
 import pytest
@@ -323,21 +322,73 @@ class TestFrameFuzz:
         run(scenario())
 
     def test_valid_json_invalid_message_drops_connection(self):
+        """Valid JSON, not a valid message: the drop event names the class
+        the frame claimed to be, or ``?`` when it claimed none we know."""
+
         async def scenario():
             bus = TraceBus(capacity=None)
             store = FileStore()
             server = await start_server(store, bus)
             port = server.transport.port
-            reader, writer = await open_raw(port, hello="evil")
-            body = json.dumps({"type": "lease/nonsense"}).encode()
-            writer.write(struct.pack(">I", len(body)) + body)
-            await writer.drain()
-            assert await reader.read() == b""
+            frames = {
+                "ReadRequest": ["ReadRequest", "x", 5, [1]],  # ill-typed fields
+                "?": ["lease/nonsense", 1],  # unknown tag
+            }
+            for frame in frames.values():
+                reader, writer = await open_raw(port, hello="evil")
+                writer.write(_frame(frame))
+                await writer.drain()
+                assert await reader.read() == b""
+                await close_raw(writer)
+            kinds = [
+                e["kind"] for e in bus.events(TRANSPORT_DROP) if e["reason"] == "malformed"
+            ]
+            assert kinds == list(frames)
+            await server.close()
+
+        run(scenario())
+
+    def test_ill_typed_reply_drops_connection_and_client_recovers(self):
+        """Regression: a well-formed JSON frame with ill-typed fields used
+        to decode, raise inside the engine and kill the client's
+        supervisor — transport ``UP``, nobody reading, no reconnect ever."""
+
+        async def scenario():
+            bus = TraceBus(capacity=None)
+            store = FileStore()
+            store.create_file("/doc", b"v1")
+            datum = store.file_datum("/doc")
+            sent = asyncio.Event()
+
+            async def hostile(reader, writer):
+                try:
+                    header = await reader.readexactly(4)
+                    await reader.readexactly(struct.unpack(">I", header)[0])  # the hello
+                    writer.write(_frame(["ReadReply", "x", 5, 1, None, 0.0, None, None]))
+                    await writer.drain()
+                    sent.set()
+                    await reader.read()  # until the client hangs up
+                finally:
+                    await close_raw(writer)
+
+            hostile_server = await asyncio.start_server(hostile, "127.0.0.1", 0)
+            port = hostile_server.sockets[0].getsockname()[1]
+            transport, client = await make_client("c0", port, bus)
+            await asyncio.wait_for(sent.wait(), 5.0)
+            hostile_server.close()
+            await hostile_server.wait_closed()
+            # From here the same address serves normally.
+            server = await start_server(store, bus, port=port)
+
+            assert await asyncio.wait_for(client.read(datum), 5.0) == (1, b"v1")
+            assert transport.connects >= 2
+            drops = [e for e in bus.events(TRANSPORT_DROP) if e["host"] == "c0"]
+            assert [(e["reason"], e["kind"]) for e in drops] == [("malformed", "ReadReply")]
             assert any(
-                e["reason"] == "malformed" and e["kind"] == "lease/nonsense"
-                for e in bus.events(TRANSPORT_DROP)
+                e["reason"] == "malformed" and e["host"] == "c0"
+                for e in bus.events(CONN_DOWN)
             )
-            await close_raw(writer)
+            await client.close()
             await server.close()
 
         run(scenario())
