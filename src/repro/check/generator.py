@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from repro.check.scenario import Fault, Op, Scenario
+from repro.topology import Topology, client_host
 from repro.workload.models import WorkloadSpec, preset, scenario_ops, with_capacity_ratio
 
 #: Adversarial scenario families (:func:`adversarial_config`): a flash
@@ -211,14 +212,14 @@ class ScenarioGenerator:
             window = rng.uniform(1.0, 6.0)
             start = rng.uniform(1.0, max(1.5, duration - window - 1.0))
             faults.append(
-                Fault("crash", at=start, host=f"c{victim}", duration=window)
+                Fault("crash", at=start, host=client_host(victim), duration=window)
             )
         for _ in range(rng.randint(0, cfg.max_partitions)):
             victim = rng.randrange(n_clients)
             window = rng.uniform(1.0, 6.0)
             start = rng.uniform(1.0, max(1.5, duration - window - 1.0))
             faults.append(
-                Fault("partition", at=start, hosts=(f"c{victim}",), duration=window)
+                Fault("partition", at=start, hosts=(client_host(victim),), duration=window)
             )
         if rng.random() < cfg.p_server_crash:
             window = rng.uniform(1.0, 3.0)
@@ -249,17 +250,14 @@ class ScenarioGenerator:
     def _server_victim(self, rng) -> str:
         """The host name a server-targeting fault hits.
 
-        Single-server configs name it without consuming randomness (the
-        frozen legacy draw order); sharded configs draw a victim shard,
-        replicated ones additionally a victim replica.
+        A dimension of size one is named without consuming randomness
+        (the frozen draw order: 1x1 configs draw nothing); otherwise the
+        victim shard is drawn first, then the victim replica.
         """
-        shard = ""
-        if self.config.shards > 1:
-            shard = f"s{rng.randrange(self.config.shards)}"
-        if self.config.replicas > 1:
-            replica = f"r{rng.randrange(self.config.replicas)}"
-            return shard + replica
-        return shard or "server"
+        cfg = self.config
+        shard = rng.randrange(cfg.shards) if cfg.shards > 1 else 0
+        replica = rng.randrange(cfg.replicas) if cfg.replicas > 1 else 0
+        return Topology(cfg.shards, cfg.replicas).group(shard)[replica]
 
     def _sample_clock_fault(self, rng, n_clients, duration):
         """One clock fault, dangerous or safe per the configured weight.
@@ -271,7 +269,7 @@ class ScenarioGenerator:
         """
         dangerous = rng.random() < self.config.p_dangerous
         on_server = rng.random() < 0.4
-        host = self._server_victim(rng) if on_server else f"c{rng.randrange(n_clients)}"
+        host = self._server_victim(rng) if on_server else client_host(rng.randrange(n_clients))
         at = rng.uniform(1.0, duration * 0.6)
         if rng.random() < 0.5:  # step fault
             magnitude = rng.uniform(2.0, 8.0) if not on_server else rng.uniform(2.0, 5.0)
@@ -397,7 +395,7 @@ def stress_scenario(
             victim = rng.randrange(n_clients)
             start = rng.uniform(5.0, duration - 20.0)
             fault_events.append(
-                Fault("crash", at=start, host=f"c{victim}", duration=rng.uniform(2.0, 10.0))
+                Fault("crash", at=start, host=client_host(victim), duration=rng.uniform(2.0, 10.0))
             )
         for _ in range(2):
             victim = rng.randrange(n_clients)
@@ -406,7 +404,7 @@ def stress_scenario(
                 Fault(
                     "partition",
                     at=start,
-                    hosts=(f"c{victim}",),
+                    hosts=(client_host(victim),),
                     duration=rng.uniform(2.0, 8.0),
                 )
             )

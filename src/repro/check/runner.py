@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from repro.check.scenario import Fault, Scenario
 from repro.lease.policy import FixedTermPolicy, TermPolicy
 from repro.protocol.client import ClientConfig
-from repro.replica.sim import build_replicated_cluster, build_sharded_replicated_cluster
-from repro.shard.sim import build_sharded_cluster
 from repro.sim.driver import Cluster, build_cluster
 from repro.sim.network import NetworkParams
 from repro.storage.store import FileStore
@@ -124,8 +122,10 @@ def build_scenario_cluster(scenario: Scenario, obs=None, policy: TermPolicy | No
         for i in range(scenario.n_files):
             store.create_file(f"/file{i}", b"init")
 
-    common = dict(
+    return build_cluster(
         n_clients=scenario.n_clients,
+        shards=scenario.shards,
+        replicas=scenario.replicas,
         policy=policy or FixedTermPolicy(scenario.term),
         setup_store=setup_store,
         network_params=NetworkParams(
@@ -143,20 +143,6 @@ def build_scenario_cluster(scenario: Scenario, obs=None, policy: TermPolicy | No
         strict_oracle=False,
         obs=obs,
     )
-    if scenario.replicas > 1:
-        # Replicated authority (repro.replica): PaxosLease-elected master
-        # per group, hosts r{j} (or s{k}r{j} per shard).
-        if scenario.shards > 1:
-            return build_sharded_replicated_cluster(
-                scenario.shards, scenario.replicas, **common
-            )
-        return build_replicated_cluster(scenario.replicas, **common)
-    if scenario.shards > 1:
-        # The sharded build path is taken only above one shard, so
-        # ``shards: 1`` scenarios run the legacy wiring verbatim and
-        # reproduce their golden digests and traces byte-for-byte.
-        return build_sharded_cluster(scenario.shards, **common)
-    return build_cluster(**common)
 
 
 def apply_fault(cluster: Cluster, scenario: Scenario, fault: Fault) -> None:

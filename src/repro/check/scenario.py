@@ -23,7 +23,7 @@ from typing import IO, Iterable
 
 from repro.cache.eviction import EVICTION_KINDS
 from repro.errors import ScenarioError
-from repro.shard.router import is_replica_host, is_server_host, replica_hosts, shard_hosts
+from repro.topology import Topology, is_replica_host, is_server_host
 from repro.workload.models import WorkloadSpec
 
 #: Serialization format version, embedded in every scenario file.
@@ -230,18 +230,9 @@ class Scenario:
     @property
     def hosts(self) -> tuple[str, ...]:
         """Every host name in the cluster (servers first)."""
-        if self.replicas > 1:
-            if self.shards > 1:
-                servers: tuple[str, ...] = ()
-                for k in range(self.shards):
-                    servers += replica_hosts(self.replicas, shard=k)
-            else:
-                servers = replica_hosts(self.replicas)
-        elif self.shards > 1:
-            servers = shard_hosts(self.shards)
-        else:
-            servers = ("server",)
-        return servers + tuple(f"c{i}" for i in range(self.n_clients))
+        return Topology(
+            shards=self.shards, replicas=self.replicas, clients=self.n_clients
+        ).hosts()
 
     @property
     def event_count(self) -> int:
@@ -276,11 +267,7 @@ class Scenario:
             raise ValueError(f"need at least one client, got {self.n_clients}")
         if self.n_files < 1:
             raise ValueError(f"need at least one file, got {self.n_files}")
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard, got {self.shards}")
-        if self.replicas < 1:
-            raise ValueError(f"need at least one replica, got {self.replicas}")
-        hosts = set(self.hosts)
+        hosts = set(self.hosts)  # the topology rejects shards/replicas < 1
         for op in self.ops:
             if op.kind not in OP_KINDS:
                 raise ValueError(f"unknown op kind {op.kind!r}")

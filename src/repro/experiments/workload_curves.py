@@ -32,8 +32,7 @@ from repro.lease.policy import FixedTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.workload.models import generate_trace, preset, with_capacity_ratio
 
-#: The pinned workload seed (the paper's publication year, like the
-#: runtime bench schedule).
+#: The pinned workload seed (the paper's publication year).
 SEED = 1989
 
 #: The two model presets whose curves the experiment reports.

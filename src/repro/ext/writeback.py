@@ -26,6 +26,7 @@ rest of the vocabulary in :mod:`repro.protocol.messages`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -573,15 +574,16 @@ def build_writeback_cluster(
 
     kwargs.setdefault("server_engine_factory", WriteBackServerEngine)
     cluster = build_cluster(n_clients=0, **kwargs)
+    cluster.topology = dataclasses.replace(cluster.topology, clients=n_clients)
     config = client_config or WriteBackClientConfig()
-    for i in range(n_clients):
-        host = Host(f"c{i}", cluster.kernel)
+    for name in cluster.topology.client_hosts():
+        host = Host(name, cluster.kernel)
         cluster.network.attach(host)
         cluster.clients.append(
             WriteBackSimClient(
                 host,
                 cluster.network,
-                "server",
+                cluster.topology.server_address(),
                 config=config,
                 oracle=cluster.oracle,
             )

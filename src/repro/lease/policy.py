@@ -44,6 +44,31 @@ class TermPolicy(Protocol):
         """Return the lease term in seconds (0 = no lease, inf = callback)."""
         ...
 
+    def longest_term(self) -> float:
+        """The longest term :meth:`term` can ever return (inf if unbounded).
+
+        Anything that must out-wait every lease this policy granted — a
+        new master's handoff wait, a restarted replica's abstention —
+        is sized by this, so it must be an upper bound, never a guess.
+        """
+        ...
+
+
+def longest_finite_term(policy: TermPolicy) -> float:
+    """``policy.longest_term()``, required to exist and be finite.
+
+    Raises:
+        ValueError: the policy does not state a bound, or grants leases
+            that never expire — there is no wait that out-waits those.
+    """
+    bound = getattr(policy, "longest_term", None)
+    if bound is None:
+        raise ValueError(f"{policy!r} does not state its longest_term()")
+    longest = float(bound())
+    if not math.isfinite(longest):
+        raise ValueError(f"{policy!r} has no finite longest term: {longest}")
+    return longest
+
 
 class FixedTermPolicy:
     """Always grant the same term."""
@@ -55,6 +80,10 @@ class FixedTermPolicy:
 
     def term(self, datum, client, now, stats=None, file_class=FileClass.NORMAL) -> float:
         """The configured term, regardless of datum or client."""
+        return self.seconds
+
+    def longest_term(self) -> float:
+        """The configured term."""
         return self.seconds
 
     def __repr__(self) -> str:
@@ -95,6 +124,10 @@ class PerClassPolicy:
         policy = self.by_class.get(file_class, self.default)
         return policy.term(datum, client, now, stats=stats, file_class=file_class)
 
+    def longest_term(self) -> float:
+        """The longest term of any sub-policy."""
+        return max(p.longest_term() for p in (self.default, *self.by_class.values()))
+
 
 class DistanceCompensatingPolicy:
     """Wrap a policy, enlarging terms for distant clients (§4).
@@ -121,9 +154,18 @@ class DistanceCompensatingPolicy:
     def term(self, datum, client, now, stats=None, file_class=FileClass.NORMAL) -> float:
         """The inner policy's term, padded for this client's distance."""
         base = self.inner.term(datum, client, now, stats=stats, file_class=file_class)
+        return self._pad(base, self.overhead_of.get(client, 0.0))
+
+    def longest_term(self) -> float:
+        """The inner bound, padded for the most distant client."""
+        return self._pad(
+            self.inner.longest_term(), max(self.overhead_of.values(), default=0.0)
+        )
+
+    def _pad(self, base: float, overhead: float) -> float:
         if base == 0 or math.isinf(base):
             return base
-        return base + self.overhead_of.get(client, 0.0) + self.epsilon
+        return base + overhead + self.epsilon
 
 
 class AdaptiveTermPolicy:
@@ -182,3 +224,7 @@ class AdaptiveTermPolicy:
             datum_params, self.target_reduction
         )
         return min(self.max_term, max(self.min_term, term))
+
+    def longest_term(self) -> float:
+        """The clamp ceiling, or the no-statistics default if that is longer."""
+        return max(self.max_term, self.default_term)

@@ -15,11 +15,14 @@ under §5 clock faults.  This package replicates the authority:
   an inner :class:`~repro.protocol.server.ServerEngine` that serves the
   ordinary lease protocol until deposed.  Non-masters redirect clients
   with :class:`~repro.protocol.messages.NotMaster`.
-* :mod:`repro.replica.sim` — the DES driver:
-  :func:`build_replicated_cluster` wires N replicas, the shared store and
-  the consistency oracle into a :class:`~repro.sim.driver.Cluster`.
 * :mod:`repro.replica.node` — the asyncio runtime replica,
   SIGKILL-able for chaos testing.
+
+The DES binding is :class:`repro.sim.driver.SimReplica`, assembled by
+``repro.sim.driver.build_cluster(replicas=N)`` over a **shared** store
+per shard: the replicas replicate the *lease authority* (who may grant
+and commit), not the data plane, exactly as PaxosLease replicates the
+master lease and nothing else.
 
 The handoff invariant (DESIGN.md §17): a newly elected master may not
 grant or commit anything until the prior master's outstanding file leases

@@ -21,15 +21,16 @@ Layers:
 * :mod:`repro.shard.client` — a sharded client engine multiplexing one
   inner :class:`~repro.protocol.client.ClientEngine` per shard (the
   pipelined batching layer then splits batches per shard for free);
-* :mod:`repro.shard.sim` — the sharded DES cluster used by
-  ``repro.check`` scenarios with ``shards > 1``;
 * :mod:`repro.shard.transport` — a fan-out transport composing one real
   (TCP/UDP/hub) client transport per shard for the asyncio runtime.
+
+The simulated sharded cluster is ``repro.sim.driver.build_cluster(shards=N)``;
+shard host names come from :mod:`repro.topology`.
 """
 
 from repro.shard.client import ShardedClientEngine
 from repro.shard.ring import HashRing
-from repro.shard.router import SHARD_ID_SPAN, ShardRouter, shard_hosts
+from repro.shard.router import SHARD_ID_SPAN, ShardRouter
 from repro.shard.store import ShardedStore
 
 __all__ = [
@@ -38,5 +39,4 @@ __all__ = [
     "ShardedClientEngine",
     "ShardedStore",
     "SHARD_ID_SPAN",
-    "shard_hosts",
 ]

@@ -1,7 +1,7 @@
 """Datum-to-shard routing.
 
 A :class:`ShardRouter` is built independently by every party — each
-client, the sharded store, the DES cluster builder, the bench harness —
+client, the sharded store, the DES cluster builder —
 from nothing but the shard count, and all of them agree on placement by
 construction: the underlying :class:`~repro.shard.ring.HashRing` is a
 pure function of ``n_shards``, and the routed key is ``str(datum)``
@@ -11,6 +11,7 @@ pure function of ``n_shards``, and the routed key is ``str(datum)``
 from __future__ import annotations
 
 from repro.shard.ring import DEFAULT_REPLICAS, HashRing
+from repro.topology import Topology
 from repro.types import DatumId, HostId
 
 #: Width of each shard's slice of a client's op/request/write-seq id
@@ -19,52 +20,6 @@ from repro.types import DatumId, HostId
 #: keys derived from them) never collide across shards; drivers step
 #: ``id_base`` by at most 1e6 per incarnation/client, far below this.
 SHARD_ID_SPAN = 1_000_000_000
-
-
-def shard_hosts(n_shards: int) -> tuple[HostId, ...]:
-    """The canonical shard server host names, ``("s0", ..., "s{N-1}")``."""
-    return tuple(f"s{k}" for k in range(n_shards))
-
-
-def replica_hosts(n_replicas: int, shard: int | None = None) -> tuple[HostId, ...]:
-    """The canonical replica host names of one lease-authority group.
-
-    ``("r0", ..., "r{N-1}")`` for the unsharded authority, or
-    ``("s{k}r0", ...)`` for shard ``k`` of a sharded one.
-    """
-    prefix = "r" if shard is None else f"s{shard}r"
-    return tuple(f"{prefix}{j}" for j in range(n_replicas))
-
-
-def is_replica_host(host: str) -> bool:
-    """True for replica host names: ``r{j}`` or ``s{k}r{j}``.
-
-    Replica hosts are *dual-role* for the §5 clock-fault analysis: the
-    master both grants file leases (fast clock dangerous) and holds the
-    PaxosLease master lease (slow/backward clock dangerous), so — unlike
-    plain server hosts — a clock fault on a replica is dangerous in both
-    directions.
-    """
-    if len(host) > 1 and host[0] == "r" and host[1:].isdigit():
-        return True
-    if len(host) > 3 and host[0] == "s":
-        shard_part, sep, rep_part = host[1:].partition("r")
-        return bool(sep) and shard_part.isdigit() and rep_part.isdigit()
-    return False
-
-
-def is_server_host(host: str) -> bool:
-    """True for lease-authority host names: ``"server"``, a shard
-    ``s{k}``, or a replica ``r{j}`` / ``s{k}r{j}``.
-
-    Client hosts are ``c{i}``; the §5 clock-fault danger directions flip
-    between server and client hosts, so fault classification needs this.
-    """
-    return (
-        host == "server"
-        or (len(host) > 1 and host[0] == "s" and host[1:].isdigit())
-        or is_replica_host(host)
-    )
 
 
 class ShardRouter:
@@ -77,7 +32,9 @@ class ShardRouter:
         replicas: int = DEFAULT_REPLICAS,
     ):
         self.n_shards = n_shards
-        self.hosts = tuple(hosts) if hosts is not None else shard_hosts(n_shards)
+        self.hosts = (
+            tuple(hosts) if hosts is not None else Topology(shards=n_shards).servers()
+        )
         if len(self.hosts) != n_shards:
             raise ValueError(
                 f"{n_shards} shards but {len(self.hosts)} hosts: {self.hosts}"

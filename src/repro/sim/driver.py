@@ -1,32 +1,41 @@
 """Binds the sans-io protocol engines to the simulated network.
 
-:class:`SimServer` and :class:`SimClient` execute engine effects against
-the :class:`~repro.sim.network.Network`, convert engine timer requests into
-kernel events (compensating for clock drift), model crash/restart state
-loss, and surface completed operations to workloads and tests.
+:class:`SimServer`, :class:`SimReplica` and :class:`SimClient` execute
+engine effects against the :class:`~repro.sim.network.Network`, convert
+engine timer requests into kernel events (compensating for clock drift),
+model crash/restart state loss, and surface completed operations to
+workloads and tests.
 
-:func:`build_cluster` assembles a ready-to-run world: kernel, network,
-server, clients, oracle, fault injector.
+:func:`build_cluster` is the one assembler: kernel, network, store,
+oracle, one authority group per shard, clients, fault injector.  The
+cluster's shape is a :class:`~repro.topology.Topology`; the classic
+one-server cluster is its smallest case, not a separate path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.lease.installed import InstalledFileManager
-from repro.lease.policy import FixedTermPolicy, TermPolicy
+from repro.lease.policy import FixedTermPolicy, TermPolicy, longest_finite_term
 from repro.obs.events import TIMER_FIRE
 from repro.protocol.client import ClientConfig, ClientEngine
 from repro.protocol.effects import Broadcast, CancelTimer, Complete, Effect, Send, SetTimer
 from repro.protocol.messages import Message
 from repro.protocol.server import ServerConfig, ServerEngine
+from repro.replica.engine import ReplicaConfig, ReplicaEngine, restart_join_delay
+from repro.shard.client import ShardedClientEngine
+from repro.shard.router import ShardRouter
+from repro.shard.store import ShardedStore
 from repro.sim.faults import FaultInjector
 from repro.sim.host import Host
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import Network, NetworkParams
 from repro.sim.oracle import ConsistencyOracle
 from repro.storage.store import FileStore
+from repro.topology import ServerAddress, Topology
 from repro.types import DatumId, FileClass, HostId
 
 
@@ -69,7 +78,65 @@ class _TimerBank:
             self._on_fire(key)
 
 
-class SimServer:
+class _SimNode:
+    """A protocol engine bound to a simulated host.
+
+    Owns what every node kind shares: the timer bank, message and timer
+    dispatch into the engine, and effect execution.  Subclasses decide
+    what a boot builds and what a crash loses.
+    """
+
+    #: False fans a :class:`Broadcast` out as unicasts (footnote-6 ablation).
+    use_multicast = True
+
+    def __init__(self, host: Host, network: Network, obs=None):
+        self.host = host
+        self.network = network
+        self.obs = obs
+        self.engine = None
+        self._timers = _TimerBank(host, self._on_timer, obs=obs)
+        host.set_handler(self._on_message)
+        host.on_crash(self._on_crash)
+        host.on_restart(self._on_restart)
+
+    def _on_crash(self) -> None:
+        self.engine = None
+        self._timers.cancel_all()
+
+    def _on_message(self, payload: Message, src: HostId) -> None:
+        self._run_effects(
+            self.engine.handle_message(payload, src, self.host.clock.now())
+        )
+
+    def _on_timer(self, key: str) -> None:
+        self._run_effects(self.engine.handle_timer(key, self.host.clock.now()))
+
+    def _run_effects(self, effects: list[Effect]) -> None:
+        name, network = self.host.name, self.network
+        for effect in effects:
+            if isinstance(effect, Send):
+                network.unicast(name, effect.dst, effect.message, kind=effect.message.kind)
+            elif isinstance(effect, SetTimer):
+                self._timers.set(effect.key, effect.delay)
+            elif isinstance(effect, CancelTimer):
+                self._timers.cancel(effect.key)
+            elif isinstance(effect, Complete):
+                self._on_complete(effect)
+            elif isinstance(effect, Broadcast):
+                message = effect.message
+                if self.use_multicast:
+                    network.multisend(name, effect.dsts, message, kind=message.kind)
+                else:
+                    for dst in effect.dsts:
+                        network.unicast(name, dst, message, kind=message.kind)
+            else:
+                raise TypeError(f"{name} cannot execute effect {effect!r}")
+
+    def _on_complete(self, effect: Complete) -> None:
+        raise TypeError(f"{self.host.name} cannot execute effect {effect!r}")
+
+
+class SimServer(_SimNode):
     """The file server bound to a simulated host."""
 
     def __init__(
@@ -84,13 +151,11 @@ class SimServer:
         engine_factory: Callable[..., ServerEngine] | None = None,
         obs=None,
     ):
-        self.host = host
-        self.network = network
+        super().__init__(host, network, obs=obs)
         self.store = store
         self.policy = policy
         self.config = config or ServerConfig()
         self.use_multicast = use_multicast
-        self.obs = obs
         #: Builds the protocol engine; baseline protocols (§6) substitute
         #: their own engines with the same duck interface.
         self._engine_factory = engine_factory or ServerEngine
@@ -99,29 +164,21 @@ class SimServer:
         #: which bounds the post-crash write delay (paper §2).
         self._persisted_max_term = 0.0
         self.engine: ServerEngine | None = None
-        self._timers = _TimerBank(host, self._on_timer, obs=obs)
-        host.set_handler(self._on_message)
-        host.on_crash(self._on_crash)
-        host.on_restart(self._on_restart)
         self._boot(recovery_delay=0.0)
+
+    def is_master(self) -> bool:
+        """An unreplicated server is its shard's authority whenever it is up."""
+        return self.engine is not None
 
     # -- lifecycle -------------------------------------------------------------
 
     def _boot(self, recovery_delay: float) -> None:
-        config = ServerConfig(
-            epsilon=self.config.epsilon,
-            announce_period=self.config.announce_period,
-            announce_grace=self.config.announce_grace,
-            recovery_delay=recovery_delay,
-            sweep_period=self.config.sweep_period,
-        )
-        installed = self._rebuild_installed()
         self.engine = self._engine_factory(
             self.host.name,
             self.store,
             self.policy,
-            config=config,
-            installed=installed,
+            config=dataclasses.replace(self.config, recovery_delay=recovery_delay),
+            installed=self._rebuild_installed(),
             now=self.host.clock.now(),
             obs=self.obs,
         )
@@ -157,47 +214,60 @@ class SimServer:
                 self._persisted_max_term = max(
                     self._persisted_max_term, self.engine.installed.term
                 )
-        self.engine = None
-        self._timers.cancel_all()
+        super()._on_crash()
 
     def _on_restart(self) -> None:
         self._boot(recovery_delay=self._persisted_max_term)
 
-    # -- plumbing ----------------------------------------------------------------
 
-    def _on_message(self, payload: Message, src: HostId) -> None:
-        self._run_effects(
-            self.engine.handle_message(payload, src, self.host.clock.now())
+class SimReplica(_SimNode):
+    """One lease-authority replica bound to a simulated host.
+
+    A replica crash loses *everything* (the engines are diskless:
+    promised ballots, the accepted lease, the master lease, the inner
+    engine's lease table).  Safety does not depend on any of it
+    surviving; it depends on the restarted replica abstaining for
+    :func:`~repro.replica.engine.restart_join_delay` — the PaxosLease
+    rule that makes disklessness safe.
+    """
+
+    def __init__(
+        self,
+        host: Host,
+        network: Network,
+        store: FileStore,
+        policy: TermPolicy,
+        config: ReplicaConfig,
+        use_multicast: bool = True,
+        obs=None,
+    ):
+        super().__init__(host, network, obs=obs)
+        self.store = store
+        self.policy = policy
+        self.config = config
+        self.use_multicast = use_multicast
+        self.engine: ReplicaEngine | None = None
+        self._boot(join_delay=config.join_delay)
+
+    def is_master(self) -> bool:
+        """True while this replica holds a valid master lease on its own clock."""
+        return self.engine is not None and self.engine.master_valid(
+            self.host.clock.now()
         )
 
-    def _on_timer(self, key: str) -> None:
-        self._run_effects(self.engine.handle_timer(key, self.host.clock.now()))
+    def _boot(self, join_delay: float) -> None:
+        self.engine = ReplicaEngine(
+            self.host.name,
+            self.store,
+            self.policy,
+            dataclasses.replace(self.config, join_delay=join_delay),
+            now=self.host.clock.now(),
+            obs=self.obs,
+        )
+        self._run_effects(self.engine.startup_effects(self.host.clock.now()))
 
-    def _run_effects(self, effects: list[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, Send):
-                self.network.unicast(
-                    self.host.name, effect.dst, effect.message, kind=effect.message.kind
-                )
-            elif isinstance(effect, Broadcast):
-                if self.use_multicast:
-                    self.network.multisend(
-                        self.host.name,
-                        effect.dsts,
-                        effect.message,
-                        kind=effect.message.kind,
-                    )
-                else:
-                    for dst in effect.dsts:
-                        self.network.unicast(
-                            self.host.name, dst, effect.message, kind=effect.message.kind
-                        )
-            elif isinstance(effect, SetTimer):
-                self._timers.set(effect.key, effect.delay)
-            elif isinstance(effect, CancelTimer):
-                self._timers.cancel(effect.key)
-            else:
-                raise TypeError(f"server cannot execute effect {effect!r}")
+    def _on_restart(self) -> None:
+        self._boot(join_delay=restart_join_delay(self.config))
 
 
 @dataclass
@@ -217,36 +287,30 @@ class OpResult:
         return self.completed_at - self.submitted_at
 
 
-class SimClient:
+class SimClient(_SimNode):
     """A client cache bound to a simulated host."""
 
     def __init__(
         self,
         host: Host,
         network: Network,
-        server: HostId,
+        server: ServerAddress,
         config: ClientConfig | None = None,
         oracle: ConsistencyOracle | None = None,
         engine_cls: type[ClientEngine] = ClientEngine,
         obs=None,
     ):
-        self.host = host
-        self.network = network
+        super().__init__(host, network, obs=obs)
         self.server = server
         self.config = config or ClientConfig()
         self.oracle = oracle
-        self.obs = obs
         self._engine_cls = engine_cls
         self.engine: ClientEngine | None = None
         self.results: dict[int, OpResult] = {}
         self._submit_times: dict[int, float] = {}
         self._op_datum: dict[int, DatumId] = {}
         self._callbacks: dict[int, Callable[[OpResult], None]] = {}
-        self._timers = _TimerBank(host, self._on_timer, obs=obs)
         self._incarnation = 0
-        host.set_handler(self._on_message)
-        host.on_crash(self._on_crash)
-        host.on_restart(self._on_restart)
         self._boot()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -268,8 +332,7 @@ class SimClient:
     def _on_crash(self) -> None:
         """A crash loses every piece of volatile state: cache, leases,
         pending operations (their results will never arrive)."""
-        self.engine = None
-        self._timers.cancel_all()
+        super()._on_crash()
         self._submit_times.clear()
         self._op_datum.clear()
         self._callbacks.clear()
@@ -334,31 +397,6 @@ class SimClient:
         # _run_effects is invoked after registration by the caller, but a
         # synchronous Complete was already part of the returned effects.
 
-    # -- plumbing ---------------------------------------------------------------------
-
-    def _on_message(self, payload: Message, src: HostId) -> None:
-        self._run_effects(
-            self.engine.handle_message(payload, src, self.host.clock.now())
-        )
-
-    def _on_timer(self, key: str) -> None:
-        self._run_effects(self.engine.handle_timer(key, self.host.clock.now()))
-
-    def _run_effects(self, effects: list[Effect]) -> None:
-        for effect in effects:
-            if isinstance(effect, Send):
-                self.network.unicast(
-                    self.host.name, effect.dst, effect.message, kind=effect.message.kind
-                )
-            elif isinstance(effect, SetTimer):
-                self._timers.set(effect.key, effect.delay)
-            elif isinstance(effect, CancelTimer):
-                self._timers.cancel(effect.key)
-            elif isinstance(effect, Complete):
-                self._on_complete(effect)
-            else:
-                raise TypeError(f"client cannot execute effect {effect!r}")
-
     def _on_complete(self, effect: Complete) -> None:
         now = self.host.kernel.now
         submitted = self._submit_times.pop(effect.op_id, now)
@@ -384,20 +422,47 @@ class SimClient:
 
 @dataclass
 class Cluster:
-    """A fully wired simulated world."""
+    """A fully wired simulated world.
+
+    ``groups[k]`` is shard ``k``'s lease authority: one :class:`SimServer`,
+    or the :class:`SimReplica` members of its PaxosLease group.  ``store``
+    is a plain :class:`FileStore` for one shard and the
+    :class:`~repro.shard.store.ShardedStore` facade (with ``router``)
+    for several.
+    """
 
     kernel: Kernel
     network: Network
-    server: SimServer
+    topology: Topology
+    groups: list[list[SimServer | SimReplica]]
     clients: list[SimClient]
-    store: FileStore
+    store: FileStore | ShardedStore
     oracle: ConsistencyOracle
+    router: ShardRouter | None = None
     #: The cluster-wide trace bus (None when tracing is off).
     obs: object | None = None
     faults: FaultInjector = field(init=False)
 
     def __post_init__(self) -> None:
         self.faults = FaultInjector(self.network)
+
+    @property
+    def server(self) -> SimServer | SimReplica:
+        """The first authority node — *the* server of a 1x1 cluster."""
+        return self.groups[0][0]
+
+    @property
+    def servers(self) -> list[SimServer | SimReplica]:
+        """Every authority node, flat: shard-major, replica-minor."""
+        return [node for group in self.groups for node in group]
+
+    def master_of(self, shard: int = 0) -> SimServer | SimReplica | None:
+        """The node currently serving shard ``shard`` (None while it is
+        down or mid-election)."""
+        for node in self.groups[shard]:
+            if node.host.up and node.is_master():
+                return node
+        return None
 
     def client(self, index: int) -> SimClient:
         """The index-th client (``c<index>``)."""
@@ -450,6 +515,10 @@ class Cluster:
 
 def build_cluster(
     n_clients: int = 2,
+    *,
+    shards: int = 1,
+    replicas: int = 1,
+    master_term: float = 2.0,
     policy: TermPolicy | None = None,
     network_params: NetworkParams | None = None,
     client_config: ClientConfig | None = None,
@@ -458,72 +527,153 @@ def build_cluster(
     use_multicast: bool = True,
     seed: int = 0,
     strict_oracle: bool = True,
-    setup_store: Callable[[FileStore], None] | None = None,
+    setup_store: Callable[[FileStore | ShardedStore], None] | None = None,
     client_clock_params: Callable[[int], tuple[float, float]] | None = None,
     server_clock_params: tuple[float, float] = (0.0, 0.0),
     server_engine_factory: Callable[..., ServerEngine] | None = None,
     obs=None,
 ) -> Cluster:
-    """Assemble a simulated cluster.
+    """Assemble a simulated cluster of any :class:`~repro.topology.Topology`.
+
+    What varies with the topology is host naming (see
+    :mod:`repro.topology`), the node class (:class:`SimReplica` when
+    ``replicas > 1``), the store (one :class:`FileStore` per shard, behind
+    a :class:`ShardedStore` when ``shards > 1``) and the client engine
+    (:class:`ShardedClientEngine` when ``shards > 1``).  Everything else —
+    kernel, network, oracle, clocks, fault surface — is the same code for
+    every shape.
 
     Args:
-        n_clients: number of client hosts (named ``c0 .. c{n-1}``).
-        policy: server term policy (default: fixed 10 s — the paper's pick).
+        n_clients: number of client hosts (``c0 .. c{n-1}``).
+        shards: lease authorities the namespace is consistent-hashed
+            across; each has its own store, lease table and recovery.
+        replicas: members of each authority's PaxosLease group over that
+            shard's store (the *authority* is replicated, not the data).
+        master_term: duration of the PaxosLease master lease
+            (``replicas > 1`` only).
+        policy: term policy shared by every authority node (default:
+            fixed 10 s — the paper's pick).  With ``replicas > 1`` it must
+            state a finite :meth:`~repro.lease.policy.TermPolicy.
+            longest_term`: the handoff wait-out is sized by it.
         network_params: message timing (default: the V parameter set).
+        server_config: config of every server engine; under replication
+            its ``recovery_delay`` is ignored (the handoff wait-out
+            subsumes crash recovery).
         installed: optional installed-files manager (register datums on it
             after the store is set up, or pass a preconfigured one).
         use_multicast: False fans approvals/announcements out as unicasts
             (the paper's footnote-6 ablation).
         strict_oracle: raise on the first stale read (set False in clock-
             failure experiments that *expect* violations).
-        setup_store: callback to populate the store before clients start.
+        setup_store: callback to populate the store before clients start;
+            through the sharded facade, files land on their hash-owned
+            shards.
         client_clock_params: maps client index to (offset, drift).
-        server_clock_params: (offset, drift) of the server clock.
+        server_clock_params: (offset, drift) of every authority host;
+            per-host clock faults go through the fault injector.
+        server_engine_factory: substitute server engine (baselines, §6).
         obs: optional :class:`~repro.obs.bus.TraceBus` threaded through
             every layer (kernel, network, engines, timers, oracle) so one
             stream observes the whole cluster.
+
+    Raises:
+        ValueError: a combination the nodes cannot honour — installed
+            files on more than one authority node, a substitute engine or
+            an unbounded term policy under replication.
     """
+    topology = Topology(shards=shards, replicas=replicas, clients=n_clients)
+    policy = policy or FixedTermPolicy(10.0)
+    if installed is not None and shards * replicas > 1:
+        raise ValueError(
+            "installed files need a single authority node (shards=1, replicas=1)"
+        )
+    if replicas > 1:
+        if server_engine_factory is not None:
+            raise ValueError("replicas build their own inner server engine")
+        clocks = client_config or ClientConfig()
+        replica_knobs = dict(
+            master_term=master_term,
+            max_file_term=longest_finite_term(policy),
+            epsilon=clocks.epsilon,
+            drift_bound=clocks.drift_bound,
+            server=server_config or ServerConfig(),
+        )
+
     kernel = Kernel(seed=seed, obs=obs)
     network = Network(kernel, network_params or NetworkParams(), obs=obs)
-    store = FileStore()
+    if shards == 1:
+        store, router = FileStore(), None
+        shard_stores = [store]
+    else:
+        store = ShardedStore(shards)
+        router, shard_stores = store.router, store.shards
     if setup_store is not None:
         setup_store(store)
-    oracle = ConsistencyOracle(kernel, store, strict=strict_oracle, obs=obs)
+    # Shard 0 seeds the oracle's history; the rest attach with prefixed
+    # directory ids (every shard's namespace has its own root and counter).
+    oracle = ConsistencyOracle(kernel, shard_stores[0], strict=strict_oracle, obs=obs)
+    for k in range(1, shards):
+        oracle.attach_store(shard_stores[k], dir_prefix=f"s{k}/")
 
     offset, drift = server_clock_params
-    server_host = Host("server", kernel, clock_offset=offset, clock_drift=drift)
-    network.attach(server_host)
-    server = SimServer(
-        server_host,
-        network,
-        store,
-        policy or FixedTermPolicy(10.0),
-        config=server_config,
-        installed=installed,
-        use_multicast=use_multicast,
-        engine_factory=server_engine_factory,
-        obs=obs,
-    )
+    groups = []
+    for shard_store, group_hosts in zip(shard_stores, topology.groups()):
+        group = []
+        for index, name in enumerate(group_hosts):
+            host = Host(name, kernel, clock_offset=offset, clock_drift=drift)
+            network.attach(host)
+            if replicas > 1:
+                node = SimReplica(
+                    host,
+                    network,
+                    shard_store,
+                    policy,
+                    ReplicaConfig(hosts=group_hosts, index=index, **replica_knobs),
+                    use_multicast=use_multicast,
+                    obs=obs,
+                )
+            else:
+                node = SimServer(
+                    host,
+                    network,
+                    shard_store,
+                    policy,
+                    config=server_config,
+                    installed=installed,
+                    use_multicast=use_multicast,
+                    engine_factory=server_engine_factory,
+                    obs=obs,
+                )
+            group.append(node)
+        groups.append(group)
 
     clients = []
-    for i in range(n_clients):
+    for i, name in enumerate(topology.client_hosts()):
         offset, drift = (0.0, 0.0)
         if client_clock_params is not None:
             offset, drift = client_clock_params(i)
-        host = Host(f"c{i}", kernel, clock_offset=offset, clock_drift=drift)
+        host = Host(name, kernel, clock_offset=offset, clock_drift=drift)
         network.attach(host)
         clients.append(
             SimClient(
-                host, network, "server", config=client_config, oracle=oracle, obs=obs
+                host,
+                network,
+                topology.server_address(),
+                config=client_config,
+                oracle=oracle,
+                engine_cls=ClientEngine if shards == 1 else ShardedClientEngine,
+                obs=obs,
             )
         )
     return Cluster(
         kernel=kernel,
         network=network,
-        server=server,
+        topology=topology,
+        groups=groups,
         clients=clients,
         store=store,
         oracle=oracle,
+        router=router,
         obs=obs,
     )
 

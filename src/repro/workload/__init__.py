@@ -21,7 +21,6 @@ from repro.workload.events import TraceRecord, load_trace, save_trace, trace_sta
 from repro.workload.models import (
     PRESETS,
     WorkloadSpec,
-    bench_schedule,
     generate_trace,
     preset,
     sample_events,
@@ -45,7 +44,6 @@ __all__ = [
     "TraceSimResult",
     "PRESETS",
     "WorkloadSpec",
-    "bench_schedule",
     "generate_trace",
     "preset",
     "sample_events",

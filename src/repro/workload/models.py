@@ -8,7 +8,7 @@ and lease-term / eviction-policy choices only differentiate under exactly
 this kind of skewed, contended access.
 
 :class:`WorkloadSpec` captures one such model as plain, serializable
-data.  A single spec drives all four consumers of workload in this
+data.  A single spec drives all three consumers of workload in this
 repository through the adapters below:
 
 * :func:`sample_events` — the canonical seeded event stream (the other
@@ -17,9 +17,7 @@ repository through the adapters below:
   lists for the trace-driven simulator and the experiment grids;
 * :func:`scenario_ops` — ``(at, client, kind, file)`` tuples for the
   ``repro.check`` scenario grammar (wrapped into
-  :class:`~repro.check.scenario.Op` by the generator);
-* :func:`bench_schedule` — per-client op lists in the shape the asyncio
-  load harness (:mod:`repro.runtime.bench`) drives.
+  :class:`~repro.check.scenario.Op` by the generator).
 
 Determinism contract: every adapter is a pure function of
 ``(spec, shape, seed)``.  Each client's arrival stream is drawn from its
@@ -399,45 +397,6 @@ def scenario_ops(
     return sample_events(spec, n_clients, duration, seed)
 
 
-def bench_schedule(
-    spec: WorkloadSpec,
-    clients: int,
-    ops: int,
-    seed: int,
-) -> list[list[tuple]]:
-    """Per-client op lists for the asyncio load harness.
-
-    The harness submits each client's ops concurrently (no virtual
-    time), so the time axis collapses: the mix shift and flash window
-    are applied over the *op index* instead, and reads carry the pool
-    index drawn from the popularity sampler.  Writes keep the harness's
-    own convention (the client's private file), so the lease economics
-    under measurement stay comparable with the pinned schedule.
-    """
-    spec.validate()
-    if clients < 1 or ops < 1:
-        raise ValueError(f"need at least one client and one op: {clients}, {ops}")
-    sampler = spec.sampler()
-    schedule = []
-    for client in range(clients):
-        rng = random.Random(f"{_NS}/bench/{seed}/{client}")
-        plan: list[tuple] = []
-        for i in range(ops):
-            frac = i / ops
-            in_flash = spec.has_flash and (
-                spec.flash_at <= frac < spec.flash_at + spec.flash_width
-            )
-            p_write = spec.p_write_at(frac, 1.0)
-            if not in_flash and rng.random() < p_write:
-                plan.append(("write",))
-            elif in_flash:
-                plan.append(("read", spec.flash_file))
-            else:
-                plan.append(("read", sampler.sample(rng)))
-        schedule.append(plan)
-    return schedule
-
-
 # -- presets -------------------------------------------------------------------
 
 #: Named model definitions shared by the CLI, the adversarial scenario
@@ -494,7 +453,6 @@ __all__ = [
     "UniformSampler",
     "WorkloadSpec",
     "ZipfSampler",
-    "bench_schedule",
     "generate_trace",
     "preset",
     "sample_events",

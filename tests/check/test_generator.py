@@ -2,9 +2,16 @@
 
 from collections import Counter
 
+import pytest
+
 from repro.check import GeneratorConfig, ScenarioGenerator
+from tests.sim import equivalence
 
 N_SAMPLE = 60
+
+#: Schedule digests of the 32 ``des_sweep`` scenarios, generated before
+#: host naming moved into ``repro.topology``.
+DES_SWEEP_GOLDEN = equivalence.load_golden(equivalence.SCENARIO_GOLDEN_PATH)
 
 
 class TestDeterminism:
@@ -28,6 +35,23 @@ class TestDeterminism:
     def test_different_indices_differ(self):
         gen = ScenarioGenerator(1)
         assert gen.generate(0) != gen.generate(1)
+
+
+class TestDesSweepPin:
+    """The benchmark's scenario set is a fixed point of generator refactors:
+    same RNG draws in the same order, same host names, same JSON."""
+
+    def test_pin_covers_the_benchmark_set(self):
+        labels = [label for label, _, _ in equivalence.DES_SWEEP_CASES]
+        assert len(labels) == 32 and set(labels) == set(DES_SWEEP_GOLDEN)
+
+    @pytest.mark.parametrize("group", ["single", "sharded", "replicated"])
+    def test_schedules_are_byte_identical(self, group):
+        cases = [c for c in equivalence.DES_SWEEP_CASES if c[0].startswith(group)]
+        assert cases
+        for label, config, index in cases:
+            scenario = equivalence.scenario_for(config, index)
+            assert scenario.digest() == DES_SWEEP_GOLDEN[label], label
 
 
 class TestGrammarCoverage:

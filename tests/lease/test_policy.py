@@ -14,6 +14,7 @@ from repro.lease import (
     PerClassPolicy,
     ZeroTermPolicy,
 )
+from repro.lease.policy import longest_finite_term
 from repro.types import DatumId, FileClass
 
 F = DatumId.file("f1")
@@ -132,3 +133,54 @@ class TestAdaptive:
             AdaptiveTermPolicy(v_params(), target_reduction=1.0)
         with pytest.raises(ValueError):
             AdaptiveTermPolicy(v_params(), min_term=5.0, max_term=1.0)
+
+
+class TestLongestTerm:
+    """Every policy states an upper bound on what it grants: the replica
+    handoff wait-out is sized by it, so a low answer is unsafe."""
+
+    def test_fixed_policy_exposes_seconds(self):
+        assert FixedTermPolicy(7.5).longest_term() == 7.5
+        assert longest_finite_term(FixedTermPolicy(7.5)) == 7.5
+        assert longest_finite_term(ZeroTermPolicy()) == 0.0
+
+    def test_distance_compensation_pads_the_bound(self):
+        policy = DistanceCompensatingPolicy(FixedTermPolicy(10), {"c0": 5.0}, 0.1)
+        assert policy.term(F, "c0", 0.0) == pytest.approx(15.1)
+        assert longest_finite_term(policy) == pytest.approx(15.1)
+        # zero and infinite inner terms pass through unpadded, as term() does
+        assert DistanceCompensatingPolicy(ZeroTermPolicy(), {"c0": 5.0}, 0.1).longest_term() == 0
+        assert math.isinf(
+            DistanceCompensatingPolicy(InfiniteTermPolicy(), {}, 0.1).longest_term()
+        )
+
+    def test_per_class_takes_the_longest_sub_policy(self):
+        assert longest_finite_term(PerClassPolicy(FixedTermPolicy(30))) == 30
+        policy = PerClassPolicy(
+            FixedTermPolicy(10.0), {FileClass.INSTALLED: FixedTermPolicy(120.0)}
+        )
+        assert longest_finite_term(policy) == 120.0
+
+    def test_adaptive_bound_covers_clamp_and_default(self):
+        assert AdaptiveTermPolicy(v_params(), max_term=30.0).longest_term() == 30.0
+        assert (
+            AdaptiveTermPolicy(v_params(), max_term=5.0, default_term=10.0).longest_term()
+            == 10.0
+        )
+
+    def test_infinite_policy_has_no_finite_bound(self):
+        assert math.isinf(InfiniteTermPolicy().longest_term())
+        with pytest.raises(ValueError, match="finite"):
+            longest_finite_term(InfiniteTermPolicy())
+        with pytest.raises(ValueError, match="finite"):
+            longest_finite_term(
+                PerClassPolicy(FixedTermPolicy(5), {FileClass.INSTALLED: InfiniteTermPolicy()})
+            )
+
+    def test_opaque_policy_is_rejected(self):
+        class Weird:
+            def term(self, *args, **kwargs):
+                return 3.0
+
+        with pytest.raises(ValueError, match="longest_term"):
+            longest_finite_term(Weird())

@@ -21,7 +21,7 @@ from repro.obs.bus import TraceBus
 from repro.obs.events import REPLICA_ELECTED, REPLICA_SERVE
 from repro.protocol.client import ClientConfig
 from repro.replica.engine import restart_join_delay
-from repro.replica.sim import build_replicated_cluster
+from repro.sim.driver import build_cluster
 from repro.storage.store import FileStore
 
 MASTER_TERM = 1.0
@@ -37,9 +37,9 @@ def setup_basic(store: FileStore) -> None:
 
 
 def make_cluster(n_clients=2, obs=None, seed=0):
-    return build_replicated_cluster(
-        3,
-        n_clients=n_clients,
+    return build_cluster(
+        n_clients,
+        replicas=3,
         policy=FixedTermPolicy(FILE_TERM),
         master_term=MASTER_TERM,
         client_config=CLIENT_CONFIG,
@@ -98,13 +98,13 @@ class TestCrashFailover:
         # For the whole join delay the corpse is up but abstains.
         for frac in (0.25, 0.6, 0.95):
             cluster.run(until=now + 0.5 + delay * frac)
-            revived = next(r for r in cluster.replicas if r.host.name == dead)
+            revived = next(r for r in cluster.servers if r.host.name == dead)
             assert revived.host.up
             assert revived.engine.state == "follower"
         # The failover still completes and yields exactly one master.
         assert cluster.run_until_complete(b, b.write(datum, b"v2"), limit=60.0).ok
         masters = [
-            r.host.name for r in cluster.replicas
+            r.host.name for r in cluster.servers
             if r.host.up and r.engine is not None
             and r.engine.master_valid(r.host.clock.now())
         ]

@@ -39,6 +39,13 @@ CLIENT_CONFIG = ClientConfig(
 )
 
 
+#: Wall-clock budget per op in the SIGKILL test.  A write lost to the 20%
+#: chaos (or sent to the corpse) is retransmitted only after
+#: ``write_timeout`` = 10 s, so two unlucky legs used to overrun a 20 s
+#: budget about one run in eight; 60 s covers five.
+OP_BUDGET = 60.0
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -192,7 +199,7 @@ class TestReplicaRuntime:
 
             async def checked_read(expect_version=None):
                 invoked = clock.now()
-                version, payload = await asyncio.wait_for(client.read(datum), 20.0)
+                version, payload = await asyncio.wait_for(client.read(datum), OP_BUDGET)
                 oracle.check_read(client.name, datum, version, invoked, clock.now())
                 if expect_version is not None:
                     assert version == expect_version
@@ -200,11 +207,11 @@ class TestReplicaRuntime:
 
             master = await wait_for_master(nodes)
             await checked_read(expect_version=1)
-            assert await asyncio.wait_for(client.write(datum, b"v2"), 20.0) == 2
+            assert await asyncio.wait_for(client.write(datum, b"v2"), OP_BUDGET) == 2
 
             master.kill()  # SIGKILL: no goodbye, the group must fail over
 
-            assert await asyncio.wait_for(client.write(datum, b"v3"), 20.0) == 3
+            assert await asyncio.wait_for(client.write(datum, b"v3"), OP_BUDGET) == 3
             await checked_read(expect_version=3)
 
             survivors = [n for n in nodes if n.alive]
@@ -213,7 +220,7 @@ class TestReplicaRuntime:
 
             # The corpse reboots mid-workload and must abstain, not usurp.
             master.restart()
-            assert await asyncio.wait_for(client.write(datum, b"v4"), 20.0) == 4
+            assert await asyncio.wait_for(client.write(datum, b"v4"), OP_BUDGET) == 4
             await checked_read(expect_version=4)
             assert not master.is_master()
 

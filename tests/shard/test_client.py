@@ -5,10 +5,11 @@ from repro.protocol.client import ClientConfig
 from repro.protocol.effects import Send, SetTimer
 from repro.protocol.messages import BatchRequest, ReadRequest, WriteRequest
 from repro.shard.client import ShardedClientEngine
-from repro.shard.router import SHARD_ID_SPAN, ShardRouter, shard_hosts
+from repro.shard.router import SHARD_ID_SPAN, ShardRouter
+from repro.topology import Topology
 from repro.types import DatumId
 
-HOSTS = shard_hosts(4)
+HOSTS = Topology(shards=4).servers()
 
 
 def datums_on_shards(router: ShardRouter, *shards: int) -> list[DatumId]:

@@ -14,10 +14,12 @@ from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime.node import LeaseClientNode, LeaseServerNode
 from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
-from repro.shard import ShardedClientEngine, ShardedStore, shard_hosts
+from repro.shard import ShardedClientEngine, ShardedStore
 from repro.shard.transport import FanoutTransport
+from repro.topology import Topology
 
 N_SHARDS = 2
+SHARD_HOSTS = Topology(shards=N_SHARDS).servers()
 
 
 def run(coro):
@@ -30,7 +32,7 @@ async def start_sharded_world(n_files=6):
         store.create_file(f"/file{i}", b"init")
     servers = []
     ports = {}
-    for k, host in enumerate(shard_hosts(N_SHARDS)):
+    for k, host in enumerate(SHARD_HOSTS):
         transport = TcpServerTransport(host)
         await transport.start()
         ports[host] = transport.port
@@ -56,7 +58,7 @@ async def connect_client(name, ports):
     transport = FanoutTransport(name, legs)
     return LeaseClientNode(
         transport,
-        shard_hosts(N_SHARDS),
+        SHARD_HOSTS,
         config=ClientConfig(epsilon=0.01, rpc_timeout=1.0, write_timeout=3.0),
         engine_cls=ShardedClientEngine,
     )

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.shard.router import SHARD_ID_SPAN, ShardRouter, is_server_host, shard_hosts
+from repro.shard.router import SHARD_ID_SPAN, ShardRouter
 from repro.shard.store import ShardedStore
+from repro.topology import Topology, is_server_host
 from repro.types import DatumId
 
 
 class TestShardHosts:
     def test_canonical_names(self):
-        assert shard_hosts(3) == ("s0", "s1", "s2")
+        assert Topology(shards=3).servers() == ("s0", "s1", "s2")
+        assert ShardRouter(3).hosts == ("s0", "s1", "s2")
 
     def test_is_server_host(self):
         assert is_server_host("server")

@@ -4,9 +4,9 @@ import json
 import pathlib
 
 from repro.check.generator import GeneratorConfig, ScenarioGenerator
-from repro.check.runner import build_scenario_cluster, run_scenario
+from repro.check.runner import run_scenario
 from repro.check.scenario import Fault, Op, Scenario
-from repro.shard.sim import ShardedCluster, build_sharded_cluster
+from repro.sim.driver import build_cluster
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "check" / "golden"
 
@@ -16,12 +16,12 @@ def _files(store, n):
         store.create_file(f"/file{i}", b"init")
 
 
-class TestShardedCluster:
+class TestShardedSim:
     def test_oracle_spans_all_shards(self):
         """A write on one shard must be visible to reads routed there,
         and the oracle must merge histories without datum-id collisions."""
-        cluster = build_sharded_cluster(
-            4, n_clients=3, setup_store=lambda s: _files(s, 8), seed=3
+        cluster = build_cluster(
+            3, shards=4, setup_store=lambda s: _files(s, 8), seed=3
         )
         datums = [cluster.store.file_datum(f"/file{i}") for i in range(8)]
         assert {cluster.store.shard_of(d) for d in datums} == {0, 1, 2, 3}
@@ -35,13 +35,6 @@ class TestShardedCluster:
         cluster.run(until=60.0)
         assert cluster.oracle.violations == []
         assert cluster.oracle.reads_checked >= 8
-
-    def test_cluster_shape(self):
-        cluster = build_sharded_cluster(3, n_clients=2, seed=0)
-        assert isinstance(cluster, ShardedCluster)
-        assert cluster.n_shards == 3
-        assert cluster.server is cluster.servers[0]
-        assert [s.host.name for s in cluster.servers] == ["s0", "s1", "s2"]
 
 
 class TestShardedScenarios:
@@ -85,12 +78,6 @@ class TestShardedScenarios:
         """``shards=1`` serializes identically to a pre-shard scenario."""
         assert "shards" not in Scenario(name="s").to_json()
         assert Scenario(name="s").digest() == Scenario(name="s", shards=1).digest()
-
-    def test_single_shard_takes_legacy_build_path(self):
-        cluster = build_scenario_cluster(Scenario(name="s", shards=1))
-        assert not isinstance(cluster, ShardedCluster)
-        sharded = build_scenario_cluster(Scenario(name="s", shards=2))
-        assert isinstance(sharded, ShardedCluster)
 
     def test_stress_goldens_unchanged(self):
         """A committed pre-shard scenario file loads with ``shards == 1``

@@ -17,13 +17,23 @@ code by running this file as a script::
 
 Regenerate it only for an *intentional* behaviour change, never to make
 a perf refactor pass.
+
+:data:`TOPOLOGY_CASES` extends the same byte-level contract to the
+multi-server topologies (4 shards, 3 replicas, 2 shards x 3 replicas).
+``tests/check/golden/topology_digests.json`` was generated from the
+four-assembler code, before the assemblers were collapsed into
+:func:`repro.sim.driver.build_cluster`, by::
+
+    PYTHONPATH=src python tests/sim/equivalence.py topology
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import sys
 
 from repro.check.generator import GeneratorConfig, ScenarioGenerator
 from repro.check.runner import run_scenario
@@ -64,6 +74,42 @@ CASES: list[tuple[str, GeneratorConfig, int]] = (
 )
 
 
+#: Where the multi-server digests live (beside the other check goldens).
+TOPOLOGY_GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "check", "golden", "topology_digests.json"
+)
+
+#: The multi-server set: smoke grammar at each topology, batching on for
+#: the sharded runs and clock faults on for the replicated ones.
+TOPOLOGY_CASES: list[tuple[str, GeneratorConfig, int]] = (
+    [
+        (f"4x1-{i}", dataclasses.replace(GeneratorConfig.smoke(batching=True), shards=4), i)
+        for i in range(6)
+    ]
+    + [
+        (f"1x3-{i}", dataclasses.replace(CLOCK, replicas=3), i)
+        for i in (0, 1, 2, 3, 4, 5, 13)  # 13: a clock step on a crashing replica
+    ]
+    + [(f"2x3-{i}", dataclasses.replace(SMOKE, shards=2, replicas=3), i) for i in range(4)]
+)
+
+
+#: The 32 scenarios ``benchmarks/stack`` runs as ``des_sweep`` (16 single,
+#: 8 sharded, 8 replicated).  Pinned by schedule digest only, so the
+#: benchmark keeps measuring the same work across generator refactors.
+SCENARIO_GOLDEN_PATH = os.path.join(
+    os.path.dirname(TOPOLOGY_GOLDEN_PATH), "des_sweep_scenarios.json"
+)
+DES_SWEEP_CASES: list[tuple[str, GeneratorConfig, int]] = (
+    [(f"single-{i}", SMOKE, i) for i in range(16)]
+    + [
+        (f"sharded-{i}", dataclasses.replace(GeneratorConfig.smoke(batching=True), shards=4), i)
+        for i in range(8)
+    ]
+    + [(f"replicated-{i}", dataclasses.replace(SMOKE, replicas=3), i) for i in range(8)]
+)
+
+
 def scenario_for(config: GeneratorConfig, index: int) -> Scenario:
     """The pinned scenario for one equivalence case."""
     return ScenarioGenerator(BASE_SEED, config).generate(index)
@@ -92,25 +138,34 @@ def core_digest(scenario: Scenario) -> dict:
     }
 
 
-def load_golden() -> dict:
+def load_golden(path: str = GOLDEN_PATH) -> dict:
     """The committed pre-PR digests, keyed by case label."""
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def main() -> None:
-    """(Re)generate the golden file from the current code."""
+def main(which: str = "core") -> None:
+    """(Re)generate one golden file from the current code.
+
+    ``core`` and ``topology`` write run digests; ``scenarios`` writes the
+    schedule digests of the ``des_sweep`` set.
+    """
+    cases, path, digest = {
+        "core": (CASES, GOLDEN_PATH, core_digest),
+        "topology": (TOPOLOGY_CASES, TOPOLOGY_GOLDEN_PATH, core_digest),
+        "scenarios": (DES_SWEEP_CASES, SCENARIO_GOLDEN_PATH, Scenario.digest),
+    }[which]
+    path = os.path.normpath(path)
     digests = {}
-    for label, config, index in CASES:
-        digests[label] = core_digest(scenario_for(config, index))
-        print(f"{label}: executed={digests[label]['executed']} "
-              f"verdict={digests[label]['verdict']}")
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+    for label, config, index in cases:
+        digests[label] = digest(scenario_for(config, index))
+        print(f"{label}: {digests[label]}")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(digests)} digests -> {GOLDEN_PATH}")
+    print(f"wrote {len(digests)} digests -> {path}")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

@@ -54,6 +54,32 @@ class TestGoldenDigests:
         assert digest == GOLDEN[label]
 
 
+TOPOLOGY_GOLDEN = equivalence.load_golden(equivalence.TOPOLOGY_GOLDEN_PATH)
+
+_TOPOLOGY_BY_LABEL = {
+    label: (config, index) for label, config, index in equivalence.TOPOLOGY_CASES
+}
+
+
+class TestTopologyDigests:
+    """The multi-server topologies, pinned from the four-assembler code:
+    the single assembler must reproduce every byte."""
+
+    @pytest.mark.parametrize("label", list(_TOPOLOGY_BY_LABEL))
+    def test_topology_matches_golden(self, label):
+        config, index = _TOPOLOGY_BY_LABEL[label]
+        scenario = equivalence.scenario_for(config, index)
+        assert (scenario.shards, scenario.replicas) == tuple(
+            int(n) for n in label.split("-")[0].split("x")
+        )
+        assert equivalence.core_digest(scenario) == TOPOLOGY_GOLDEN[label]
+
+    def test_golden_file_covers_every_case(self):
+        assert set(TOPOLOGY_GOLDEN) == set(_TOPOLOGY_BY_LABEL)
+        for shape in ("4x1", "1x3", "2x3"):
+            assert sum(label.startswith(shape) for label in _TOPOLOGY_BY_LABEL) >= 4
+
+
 class TestCaseSet:
     def test_golden_file_covers_every_case(self):
         assert set(GOLDEN) == {label for label, _, _ in equivalence.CASES}

@@ -12,7 +12,6 @@ from repro.workload.models import (
     UniformSampler,
     WorkloadSpec,
     ZipfSampler,
-    bench_schedule,
     generate_trace,
     preset,
     sample_events,
@@ -208,34 +207,6 @@ class TestTraceAdapter:
         records = generate_trace(WorkloadSpec(n_files=4), 2, 20.0, seed=0)
         assert all(r.client in ("c0", "c1") for r in records)
         assert all(r.path.startswith("/wl/f") for r in records)
-
-
-class TestBenchAdapter:
-    def test_shape_and_ops(self):
-        schedule = bench_schedule(preset("zipf"), clients=4, ops=10, seed=0)
-        assert len(schedule) == 4
-        for plan in schedule:
-            assert len(plan) == 10
-            for op in plan:
-                assert op[0] in ("read", "write")
-                if op[0] == "read":
-                    assert 0 <= op[1] < preset("zipf").n_files
-
-    def test_deterministic_in_seed(self):
-        spec = preset("pareto")
-        assert bench_schedule(spec, 3, 8, seed=1) == bench_schedule(spec, 3, 8, seed=1)
-        assert bench_schedule(spec, 3, 8, seed=1) != bench_schedule(spec, 3, 8, seed=2)
-
-    def test_flash_ops_pinned_to_flash_file(self):
-        spec = preset("flash-crowd")
-        plan = bench_schedule(spec, 1, 100, seed=0)[0]
-        lo = int(spec.flash_at * 100)
-        hi = int((spec.flash_at + spec.flash_width) * 100)
-        assert all(op == ("read", spec.flash_file) for op in plan[lo:hi])
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            bench_schedule(WorkloadSpec(), 0, 5, seed=0)
 
 
 class TestCapacityRatio:
