@@ -1,15 +1,15 @@
-"""Single-run core benchmark; emits/gates ``BENCH_core.json``.
+"""Single-run core measurement: kernel/network storms and the serial
+pinned scenario mix, in events/sec.
 
-Thin entry point over :mod:`repro.profile.core`: measures the kernel/
-network storm workload and the serial pinned scenario mix, reports
-events/sec for each, and (with ``--check``) enforces the committed
-baseline at the repository root.
+Thin entry point over :mod:`repro.profile.core`.  There is no committed
+baseline to gate against (``benchmarks/stack`` is the repo's benchmark);
+``--speedup-vs`` compares two runs made on the same runner, which is how
+the CI ``compiled`` job checks the compiled build against the pure one.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_core.py                 # measure
-    PYTHONPATH=src python benchmarks/bench_core.py --check         # CI gate
-    PYTHONPATH=src python benchmarks/bench_core.py --pin           # re-pin
+    PYTHONPATH=src python benchmarks/bench_core.py --out pure.json
+    PYTHONPATH=src python benchmarks/bench_core.py --speedup-vs pure.json --min-speedup 2.0
 """
 
 from __future__ import annotations

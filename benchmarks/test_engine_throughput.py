@@ -7,7 +7,10 @@ codec speed, and end-to-end simulated operations per second.
 
 import json
 
+import pytest
+
 from repro.lease.policy import FixedTermPolicy
+from repro.obs import TraceBus
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import ReadReply
 from repro.sim.driver import build_cluster
@@ -81,14 +84,28 @@ class TestRuntimeThroughput:
 
 
 class TestEndToEnd:
-    def test_simulated_reads_per_second(self, benchmark):
-        """Wall-clock cost of driving 2000 leased reads end to end."""
+    @pytest.mark.parametrize(
+        "make_obs",
+        [
+            lambda: None,
+            lambda: TraceBus(active=False),
+            lambda: TraceBus(capacity=65536),
+        ],
+        ids=["obs-disabled", "obs-inactive-bus", "obs-enabled"],
+    )
+    def test_simulated_reads_per_second(self, benchmark, make_obs):
+        """Wall-clock cost of driving 2000 leased reads end to end, under
+        the three observability modes side by side: no bus (one
+        ``None`` check per emission site — must stay ~free), a bus that
+        is switched off (held, but no payload built), and a bounded
+        active bus recording everything."""
 
         def run_reads():
             cluster = build_cluster(
                 n_clients=4,
                 policy=FixedTermPolicy(10.0),
                 setup_store=lambda store: store.create_file("/f", b"v1"),
+                obs=make_obs(),
             )
             datum = cluster.store.file_datum("/f")
             for k in range(500):

@@ -57,8 +57,8 @@ class RunResult:
             comparable with externally driven runs of the same schedule.
         events_executed: simulation-kernel events fired over the whole
             run *including* convergence probes — the work metric the
-            sweep benchmark (``repro.parallel.baseline``) normalizes
-            wall-clock time by.
+            ``des_sweep`` workload of ``benchmarks/stack`` normalizes
+            wall-clock time by (``check.runner.events_per_s``).
     """
 
     scenario: Scenario

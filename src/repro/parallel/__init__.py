@@ -10,8 +10,6 @@ Public surface:
   warm-worker executor with a deterministic in-order merge;
 * :func:`~repro.parallel.pool.resolve_workers` — ``--workers N|auto``
   spec resolution;
-* :mod:`repro.parallel.baseline` — the pinned sweep benchmark and the
-  baseline comparison the CI perf gate consumes;
 * :class:`~repro.parallel.pool.SweepError` /
   :class:`~repro.parallel.pool.SweepJobError` /
   :class:`~repro.parallel.pool.WorkerCrashError` — sweep-level failures

@@ -14,9 +14,9 @@ Two entry points:
   ``profile.json`` (the attribution, machine-readable) and
   ``profile.pstats`` (the full :mod:`pstats` dump for drill-down with
   ``python -m pstats``).
-* :mod:`repro.profile.core` — the single-run core benchmark behind
-  ``benchmarks/bench_core.py`` and the committed ``BENCH_core.json``
-  baseline.
+* :mod:`repro.profile.core` — the pinned workloads themselves (the
+  kernel/network storms ``benchmarks/stack`` also times) and the
+  unprofiled single-run measurement behind ``benchmarks/bench_core.py``.
 
 Attribution is by *self time* (``tottime``): cumulative time would
 charge the kernel for every callback it dispatches, making the loop look
@@ -290,8 +290,8 @@ def profile_run(
     Note the observer effect: cProfile adds per-call overhead (roughly
     3× wall time on this codebase's call-dense hot paths), inflating the
     apparent weight of call-heavy layers relative to loop-heavy ones.
-    Shares are for *steering*; the committed throughput numbers come
-    from the unprofiled ``benchmarks/bench_core.py``.
+    Shares are for *steering*; throughput numbers come from the
+    unprofiled ``benchmarks/stack`` (or ``benchmarks/bench_core.py``).
     """
     profiler = cProfile.Profile()
     profiler.enable()

@@ -1,8 +1,6 @@
-"""Single-run core benchmark; emits and gates ``BENCH_core.json``.
+"""The core workloads and their single-run measurement.
 
-``BENCH_sweep.json`` tracks the *sweep executor* (many scenarios, worker
-pools).  This benchmark tracks the **single-run hot path** the PR-4 work
-optimized, with two pinned workloads:
+Two pinned, deterministic workloads for the **single-run hot path**:
 
 * ``core`` — synthetic storms that spend nearly all their time in the
   kernel and network layers: a lease-renewal timer churn (arm, cancel,
@@ -10,53 +8,43 @@ optimized, with two pinned workloads:
   through the simulated network.  Both use only the API surface that
   predates the fast paths (``schedule``/``cancel``/``unicast``), so the
   same workload runs unchanged against any revision.
-* ``scenario`` — the same 32-scenario pinned smoke mix as the sweep
-  benchmark, run serially: the end-to-end number, diluted by the driver
-  and oracle layers the hot-path work deliberately left alone.
+  ``benchmarks/stack`` times the two storms as
+  ``sim.kernel.events_per_s`` and ``sim.network.events_per_s``.
+* ``scenario`` — a 32-scenario pinned smoke mix run serially: the
+  end-to-end number, diluted by the driver and oracle layers.
 
-Both workloads are deterministic: the gate checks the exact event counts
-against the baseline before comparing throughput, so a semantic change
-cannot masquerade as a perf swing.
+``python -m repro.profile`` attributes both per subsystem.  The CLI here
+(also ``benchmarks/bench_core.py``) measures events/sec and, with
+``--speedup-vs``, compares against a report written on the *same
+runner* — the compiled-vs-pure check of the CI ``compiled`` job.  There
+is no committed baseline: a number pinned on one machine gates nothing
+on another, and the repo's perf evidence is ``benchmarks/stack``.
 
-Usage (also via ``benchmarks/bench_core.py``)::
+Usage::
 
-    PYTHONPATH=src python -m repro.profile.core            # measure
-    PYTHONPATH=src python -m repro.profile.core --check    # CI gate
-    PYTHONPATH=src python -m repro.profile.core --pin      # re-pin
+    PYTHONPATH=src python -m repro.profile.core --out pure.json
+    PYTHONPATH=src python -m repro.profile.core --speedup-vs pure.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from repro.parallel.baseline import (
-    PINNED_BASE_SEED,
-    PINNED_JOBS,
-    BaselineComparison,
-    bench_job,
-    build_block,
-    build_drift,
-    load_report,
-    machine_block,
-    machine_drift,
-    pinned_mix_sha,
-    save_report,
-)
+import repro
+from repro.check.generator import GeneratorConfig, ScenarioGenerator
+from repro.check.runner import run_scenario
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network, NetworkParams
 
-#: Allowed fractional events/sec drop before the gate fails.  Wider than
-#: the sweep gate's 25 %: single-run numbers see more scheduler noise
-#: than a 32-job aggregate.
-TOLERANCE = 0.30
+#: Seed namespace of the pinned scenario mix (the paper's publication year).
+PINNED_BASE_SEED = 1989
 
-#: Committed baseline path (repository root).
-BASELINE_PATH = "BENCH_core.json"
+#: Scenarios in the pinned mix (~3 s serial on one 2020s core).
+PINNED_JOBS = 32
 
 #: Timed passes per workload; the best is reported.  Best-of damps
 #: box-load noise without the bias of averaging in a cold pass.
@@ -130,13 +118,29 @@ def ping_storm(clients: int = 48, rounds: int = 300) -> int:
 
 
 def core_workload() -> int:
-    """The gated core workload: both storms; returns total events."""
+    """The core workload: both storms; returns total events."""
     return timer_storm() + ping_storm()
 
 
 def scenario_workload(jobs: int = PINNED_JOBS) -> int:
-    """The pinned smoke mix, serial; returns total events."""
-    return sum(bench_job(index)["events"] for index in range(jobs))
+    """The pinned smoke mix, serial; returns total events.
+
+    The mix uses the smoke grammar without clock faults, so every
+    scenario doubles as a correctness probe: a non-``pass`` verdict
+    means the protocol or harness regressed, and the workload refuses to
+    produce a number for broken work.
+    """
+    generator = ScenarioGenerator(PINNED_BASE_SEED, GeneratorConfig.smoke())
+    events = 0
+    for index in range(jobs):
+        result = run_scenario(generator.generate(index))
+        if result.verdict != "pass":
+            raise RuntimeError(
+                f"pinned scenario {index} verdict={result.verdict}: "
+                "refusing to benchmark a failing protocol"
+            )
+        events += result.events_executed
+    return events
 
 
 def _best_of(workload, trials: int) -> tuple[int, float]:
@@ -162,40 +166,29 @@ def _best_of(workload, trials: int) -> tuple[int, float]:
 
 
 def run_benchmark(jobs: int = PINNED_JOBS, trials: int = TRIALS) -> dict:
-    """Measure both workloads; return the ``BENCH_core.json`` report.
+    """Measure both workloads; return the report.
 
     Schema::
 
         {
           "benchmark": "core_hot_path",
-          "job_mix":  {"base_seed", "jobs", "mode", "mix_sha"},
-          "workers":  1,                     # single-run by definition
+          "jobs":     scenario-mix size,
           "workloads": {
             "core":     {"events", "wall_s", "events_per_sec"},
             "scenario": {"events", "wall_s", "events_per_sec"}
           },
-          "machine":  {"cpus", "python", "platform"}   # informational
+          "build":    {"build": "pure" | "pure-twin" | "compiled"}
         }
-
-    The ``job_mix`` and ``machine`` blocks match ``BENCH_sweep.json``
-    (same helpers), so the two baselines stay comparable side by side.
     """
-    # Untimed warmup (imports, allocator growth), as in the sweep bench.
+    # Untimed warmup (imports, allocator growth).
     core_workload()
-    bench_job(0)
+    scenario_workload(1)
 
     report: dict = {
         "benchmark": "core_hot_path",
-        "job_mix": {
-            "base_seed": PINNED_BASE_SEED,
-            "jobs": jobs,
-            "mode": "smoke",
-            "mix_sha": pinned_mix_sha(jobs),
-        },
-        "workers": 1,
+        "jobs": jobs,
         "workloads": {},
-        "machine": machine_block(),
-        "build": build_block(),
+        "build": {"build": repro.build_info()["build"]},
     }
     for name, workload in (
         ("core", core_workload),
@@ -210,96 +203,19 @@ def run_benchmark(jobs: int = PINNED_JOBS, trials: int = TRIALS) -> dict:
     return report
 
 
-def compare(
-    current: dict, baseline: dict, tolerance: float = TOLERANCE
-) -> BaselineComparison:
-    """Gate a fresh report against the committed ``BENCH_core.json``.
-
-    Fails when the job mix changed (stale baseline — re-pin), when a
-    workload's event count differs from the baseline's (the workloads
-    are deterministic; a count change is a semantic change), or when a
-    workload's events/sec dropped more than ``tolerance``.  Throughput
-    drops are demoted to warnings when the ``machine`` block differs
-    from the baseline's (see
-    :func:`repro.parallel.baseline.machine_drift`) or when the hot-core
-    build differs (:func:`repro.parallel.baseline.build_drift` — a
-    compiled run is never gated against a pure pin); the event-count and
-    mix checks still fail hard, since the equivalence contract makes
-    counts byte-identical across builds.
-    """
-    verdict = BaselineComparison()
-    drift = machine_drift(current, baseline)
-    if drift:
-        verdict.warn(
-            f"{drift}: throughput deltas are suspect until the baseline is "
-            "re-pinned on this runner with `python benchmarks/bench_core.py "
-            "--pin`"
-        )
-    bdrift = build_drift(current, baseline)
-    if bdrift:
-        verdict.warn(
-            f"{bdrift}: a compiled run is never gated against a pure pin "
-            "(nor the reverse); compare like-for-like or re-pin with the "
-            "matching build"
-        )
-        drift = drift or bdrift
-    if current.get("job_mix") != baseline.get("job_mix"):
-        verdict.fail(
-            f"job mix changed (baseline {baseline.get('job_mix')}, "
-            f"current {current.get('job_mix')}): re-pin with "
-            "`python benchmarks/bench_core.py --pin`"
-        )
-        return verdict
-    for name, now in current.get("workloads", {}).items():
-        then = baseline.get("workloads", {}).get(name)
-        if then is None:
-            verdict.fail(f"workload {name!r} missing from baseline: re-pin")
-            continue
-        if now["events"] != then["events"]:
-            verdict.fail(
-                f"{name} event count changed ({then['events']} -> "
-                f"{now['events']}): deterministic workload diverged"
-            )
-            continue
-        ratio = now["events_per_sec"] / then["events_per_sec"]
-        verdict.ratios[name] = ratio
-        if ratio < 1.0 - tolerance:
-            message = (
-                f"{name} events/sec regressed {100 * (1 - ratio):.1f}% "
-                f"({then['events_per_sec']:.0f} -> "
-                f"{now['events_per_sec']:.0f}, "
-                f"tolerance {100 * tolerance:.0f}%)"
-            )
-            if drift:
-                verdict.warn(f"{message} — on a drifted machine; re-pin")
-            else:
-                verdict.fail(message)
-    return verdict
-
-
 def main(argv: list[str] | None = None) -> int:
-    """CLI driver; exit 0 on success, 1 on gate failure, 2 on usage."""
+    """CLI driver; exit 0 on success, 1 when ``--speedup-vs`` is not met."""
     parser = argparse.ArgumentParser(
         prog="bench_core",
-        description="Single-run core hot-path benchmark: kernel/network "
-        "storm and serial scenario-mix events/sec, with a baseline gate.",
+        description="Single-run core hot-path measurement: kernel/network "
+        "storm and serial scenario-mix events/sec.",
     )
     parser.add_argument("--jobs", type=int, default=PINNED_JOBS,
-                        help="scenario-mix size (gate requires the default)")
+                        help=f"scenario-mix size (default {PINNED_JOBS})")
     parser.add_argument("--trials", type=int, default=TRIALS,
                         help=f"timed passes per workload (default {TRIALS})")
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the fresh report here")
-    parser.add_argument("--baseline", default=BASELINE_PATH, metavar="PATH",
-                        help=f"committed baseline (default {BASELINE_PATH})")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the baseline; exit 1 on "
-                        f">{100 * TOLERANCE:.0f}%% events/sec regression")
-    parser.add_argument("--pin", action="store_true",
-                        help="write the fresh report over the baseline "
-                        "(commit the result)")
-    parser.add_argument("--tolerance", type=float, default=TOLERANCE,
-                        help="allowed fractional events/sec drop for --check")
+                        help="write the report here")
     parser.add_argument("--speedup-vs", default=None, metavar="PATH",
                         help="reference report (e.g. a pure-path --out run): "
                         "require this run's core events/sec to be at least "
@@ -313,37 +229,19 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
 
     if args.out:
-        save_report(report, args.out)
-    if args.pin:
-        save_report(report, args.baseline)
-        print(f"baseline pinned -> {args.baseline}", file=sys.stderr)
-    if args.check:
-        if not os.path.exists(args.baseline):
-            print(f"no baseline at {args.baseline}; pin one with --pin",
-                  file=sys.stderr)
-            return 2
-        verdict = compare(report, load_report(args.baseline),
-                          tolerance=args.tolerance)
-        for name, ratio in sorted(verdict.ratios.items()):
-            print(f"{name}: {100 * ratio:.1f}% of baseline events/sec",
-                  file=sys.stderr)
-        for line in verdict.warnings:
-            print(f"PERF GATE WARN: {line}", file=sys.stderr)
-        if not verdict.ok:
-            for line in verdict.regressions:
-                print(f"PERF GATE FAIL: {line}", file=sys.stderr)
-            return 1
-        print("perf gate ok", file=sys.stderr)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if args.speedup_vs:
-        reference = load_report(args.speedup_vs)
+        with open(args.speedup_vs, encoding="utf-8") as fh:
+            reference = json.load(fh)
         ref = reference["workloads"]["core"]["events_per_sec"]
         cur = report["workloads"]["core"]["events_per_sec"]
         speedup = cur / ref
-        ref_build = (reference.get("build") or {}).get("build", "pure")
-        cur_build = (report.get("build") or {}).get("build", "pure")
         print(
             f"core speedup vs {args.speedup_vs} "
-            f"({ref_build} -> {cur_build}): {speedup:.2f}x",
+            f"({reference['build']['build']} -> {report['build']['build']}): "
+            f"{speedup:.2f}x",
             file=sys.stderr,
         )
         if speedup < args.min_speedup:

@@ -14,16 +14,18 @@ stops before reaching the payload.  The wheel buckets events by
 as a sorted list consumed by index (``_due``/``_due_pos``), future
 buckets are unsorted append-only lists adopted (and sorted once) in slot
 order, and a plain heap (``_far``) catches deadlines past the wheel's
-horizon.  With the wheel disabled every entry takes the ``_far`` heap,
-which is the classic event-heap the wheel replaced — the equivalence
-suite runs both and demands byte-identical traces.
+horizon (``inf`` included).  Every wheel deadline is below the horizon
+and every ``_far`` deadline at or above it, so ``_far`` is consulted
+only once the wheel is empty.
 
 Two scheduling fast paths exist for hot, never-cancelled events:
-:meth:`Kernel.post_at` skips the :class:`EventHandle` allocation, and
-:meth:`Kernel.defer` additionally *executes inline* — consuming a
+:meth:`Kernel.post_args` skips the :class:`EventHandle` allocation, and
+:meth:`Kernel.defer_args` additionally *executes inline* — consuming a
 ``seq``, advancing ``now`` and incrementing ``executed`` exactly as a
 queued event would — when it can prove no other pending event precedes
-it (see the method docstring for the soundness argument).
+it (see the method docstring for the soundness argument).  The
+specification all of this is checked against is the ~20-line reference
+heap in ``tests/sim/test_kernel.py``.
 
 Cancellation is lazy (a cancelled handle is skipped when consumed),
 which keeps ``cancel`` O(1) — but cancelled entries must not be allowed
@@ -43,35 +45,6 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.obs.events import KERNEL_COMPACT
-
-#: Process-wide fast-path defaults, captured by each :class:`Kernel` at
-#: construction.  Module globals (not class attributes) on purpose: the
-#: compiled build forbids class-attribute monkeypatching, so the
-#: equivalence suite flips these through :func:`set_fast_paths` instead.
-_default_inline = True
-_default_wheel = True
-
-
-def set_fast_paths(
-    inline: bool | None = None, wheel: bool | None = None
-) -> tuple[bool, bool]:
-    """Set the fast-path defaults for kernels built after this call.
-
-    ``None`` leaves a flag unchanged.  Returns the previous
-    ``(inline, wheel)`` pair so callers can restore it.
-    """
-    global _default_inline, _default_wheel
-    previous = (_default_inline, _default_wheel)
-    if inline is not None:
-        _default_inline = inline
-    if wheel is not None:
-        _default_wheel = wheel
-    return previous
-
-
-def get_fast_paths() -> tuple[bool, bool]:
-    """The current ``(inline, wheel)`` fast-path defaults."""
-    return (_default_inline, _default_wheel)
 
 #: Minimum number of cancelled entries before compaction is considered;
 #: below this the dead weight is cheaper than a rebuild.
@@ -101,7 +74,7 @@ class EventHandle:
     notified so it can keep live/cancelled counts and compact when dead
     entries pile up.  The callback itself lives in the kernel's entry
     tuple, not here — hot paths that never cancel skip this object
-    entirely (:meth:`Kernel.post_at`).
+    entirely (:meth:`Kernel.post_args`).
     """
 
     __slots__ = ("time", "seq", "cancelled", "_kernel")
@@ -137,13 +110,8 @@ class Kernel:
             events (queue compactions).
         executed: total events fired so far — the denominator of the
             harness's throughput metric (simulated events per wall
-            second, see ``repro.parallel.baseline``).
-        inline: arm the :meth:`defer` inline continuation (captured from
-            :func:`set_fast_paths` at construction; the equivalence
-            suite flips it to pit the fast path against plain
-            scheduling).
-        wheel: use the timer wheel (captured at construction; when
-            False every entry takes the fallback heap).
+            second: ``sim.kernel.events_per_s`` and
+            ``check.runner.events_per_s`` in ``benchmarks/stack``).
     """
 
     def __init__(self, seed: int = 0, obs: Any = None):
@@ -157,11 +125,6 @@ class Kernel:
         self.executed = 0
         self.rng = random.Random(seed)
         self.obs = obs
-        #: Fast-path switches, captured from the module defaults (see
-        #: :func:`set_fast_paths`) so one kernel's configuration is
-        #: immutable for its lifetime.
-        self.inline = _default_inline
-        self.wheel = _default_wheel
         # -- timer wheel state (see module docstring) --
         self._due: list[tuple] = []  # draining bucket, sorted
         self._due_pos = 0  # next index to consume in _due
@@ -169,15 +132,14 @@ class Kernel:
         self._buckets: dict[int, list[tuple]] = {}  # future slots, unsorted
         self._slots: list[int] = []  # heap of occupied future slot ids
         self._far: list[tuple] = []  # heap for beyond-horizon deadlines
-        self._cutoff = _FAR_CUTOFF if self.wheel else 0.0
         self._horizon: float | None = None  # run(until=...) bound
-        self._in_run = False  # inside run()'s loop (defer may inline)
+        self._in_run = False  # inside run()'s loop (defer_args may inline)
 
     # -- scheduling -----------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         handle = EventHandle(time, self._seq)
@@ -188,7 +150,7 @@ class Kernel:
         entry = (time, self._seq, handle, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -209,7 +171,7 @@ class Kernel:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # past or NaN
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
@@ -218,106 +180,25 @@ class Kernel:
         self._insert(time, handle, fn, args)
         return handle
 
-    def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule without a cancellation handle (hot never-cancelled paths).
-
-        Identical ordering and counters to :meth:`schedule_at`; the only
-        difference is that no :class:`EventHandle` is allocated, so the
-        event cannot be cancelled.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self.now}"
-            )
-        # _insert, inlined: this is the hottest scheduling entry point (every
-        # network leg), and the extra frame is measurable at this call volume.
-        entry = (time, self._seq, None, fn, args)
-        self._seq += 1
-        self._live += 1
-        if time < self._cutoff:
-            slot = int(time * _INV_GRANULARITY)
-            if slot > self._cur_slot:
-                bucket = self._buckets.get(slot)
-                if bucket is None:
-                    self._buckets[slot] = [entry]
-                    heappush(self._slots, slot)
-                else:
-                    bucket.append(entry)
-                return
-            pos = self._due_pos
-            if pos > _DUE_TRIM:
-                del self._due[:pos]
-                self._due_pos = pos = 0
-            insort(self._due, entry, lo=pos)
-        else:
-            heappush(self._far, entry)
-
-    def defer(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """:meth:`post_at`, executed inline when provably next.
-
-        The head of the draining bucket answers the quiet question
-        directly in the common cases (clearly later → quiet, live and not
-        later → not quiet); only a cancelled head needs the pruning walk
-        in :meth:`_quiet_until`.
-
-        Inline execution consumes the next ``seq``, advances ``now`` to
-        ``time`` and increments ``executed`` — byte-identical to queueing
-        the event and consuming it on the next loop iteration.  That is
-        sound only when nothing else may run in between, so it requires
-        *all* of:
-
-        * the kernel is inside :meth:`run` (``step()`` must return after
-          one event, and its callers meter progress by call count);
-        * ``time`` does not exceed the active ``until`` horizon (the
-          queued event would have been left pending);
-        * no queued entry precedes ``(time, next_seq)`` — since
-          ``next_seq`` is larger than every queued seq, this reduces to
-          ``head.time > time``.
-
-        Otherwise it degrades to a normal handle-less insertion.
-        """
-        if self._in_run and self.inline and time >= self.now:
-            horizon = self._horizon
-            if horizon is None or time <= horizon:
-                due = self._due
-                pos = self._due_pos
-                if pos < len(due):
-                    e = due[pos]
-                    if e[0] > time:
-                        quiet = True
-                    else:
-                        h = e[2]
-                        if h is None or not h.cancelled:
-                            quiet = False
-                        else:
-                            quiet = self._quiet_until(time)
-                else:
-                    quiet = self._quiet_until(time)
-                if quiet:
-                    self._seq += 1
-                    self.now = time
-                    self.executed += 1
-                    fn(*args)
-                    return
-        self.post_at(time, fn, *args)
-
     def post_args(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
-        """:meth:`post_at` taking a prebuilt argument tuple.
+        """Schedule ``fn(*args)`` at ``time`` without a cancellation handle.
 
-        ``*args`` packing allocates a fresh tuple on every call; hot
+        For hot never-cancelled paths: identical ordering and counters to
+        :meth:`schedule_at`, but no :class:`EventHandle` is allocated, so
+        the event cannot be cancelled.  ``args`` is a prebuilt tuple
+        because ``*args`` packing allocates a fresh one on every call;
         callers that carry one message through several hops (the
         network's send → arrive → deliver chain) build the tuple once
-        and pool it across the hops instead.  Ordering and counters are
-        identical to :meth:`post_at`.
+        and pool it across the hops instead.
         """
-        if time < self.now:
+        if not time >= self.now:  # past or NaN
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
         entry = (time, self._seq, None, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -336,10 +217,38 @@ class Kernel:
             heappush(self._far, entry)
 
     def defer_args(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
-        """:meth:`defer` taking a prebuilt argument tuple (see
-        :meth:`post_args`).  The inline-execution soundness argument is
-        :meth:`defer`'s, unchanged."""
-        if self._in_run and self.inline and time >= self.now:
+        """:meth:`post_args`, executed inline when provably next.
+
+        **This is a tail call.**  After inline execution ``now`` stays
+        advanced to ``time`` (and whatever ``fn`` did has happened), so
+        the caller must do nothing time-dependent — read ``now``,
+        schedule, touch state ``fn`` may have changed — after this
+        returns.  :meth:`Network._arrive
+        <repro.sim.network.Network._arrive>` ends on it for that reason,
+        and the model test in ``tests/sim/test_kernel.py`` drives it in
+        tail position only.
+
+        Inline execution consumes the next ``seq``, advances ``now`` to
+        ``time`` and increments ``executed`` — byte-identical to queueing
+        the event and consuming it on the next loop iteration.  That is
+        sound only when nothing else may run in between, so it requires
+        *all* of:
+
+        * the kernel is inside :meth:`run` (``step()`` must return after
+          one event, and its callers meter progress by call count);
+        * ``time`` does not exceed the active ``until`` horizon (the
+          queued event would have been left pending);
+        * no queued entry precedes ``(time, next_seq)`` — since
+          ``next_seq`` is larger than every queued seq, this reduces to
+          ``head.time > time``.
+
+        Otherwise it degrades to :meth:`post_args`.  The head of the
+        draining bucket answers the quiet question directly in the
+        common cases (clearly later → quiet, live and not later → not
+        quiet); only a cancelled head or an exhausted bucket needs the
+        pruning walk in :meth:`_quiet_until`.
+        """
+        if self._in_run and time >= self.now:
             horizon = self._horizon
             if horizon is None or time <= horizon:
                 due = self._due
@@ -367,7 +276,7 @@ class Kernel:
     def _insert(
         self,
         time: float,
-        handle: EventHandle | None,
+        handle: EventHandle,
         fn: Callable[..., Any],
         args: tuple,
     ) -> None:
@@ -375,7 +284,7 @@ class Kernel:
         entry = (time, self._seq, handle, fn, args)
         self._seq += 1
         self._live += 1
-        if time < self._cutoff:
+        if time < _FAR_CUTOFF:
             slot = int(time * _INV_GRANULARITY)
             if slot > self._cur_slot:
                 bucket = self._buckets.get(slot)
@@ -419,33 +328,39 @@ class Kernel:
                 pos += 1
                 self._cancelled -= 1
             self._due_pos = pos
-            # draining bucket exhausted: adopt the next occupied slot
-            slots = self._slots
-            while slots:
-                slot = heappop(slots)
-                bucket = self._buckets.pop(slot, None)
-                if bucket is None:  # emptied by compaction
-                    continue
-                bucket.sort()
-                self._due = bucket
-                self._due_pos = 0
-                self._cur_slot = slot
-                break
-            else:
-                far = self._far
-                while far:
-                    entry = far[0]
-                    handle = entry[2]
-                    if handle is None or not handle.cancelled:
-                        return entry
-                    heappop(far)
-                    self._cancelled -= 1
-                return None
+            if self._adopt_bucket():
+                continue
+            far = self._far
+            while far:
+                entry = far[0]
+                handle = entry[2]
+                if handle is None or not handle.cancelled:
+                    return entry
+                heappop(far)
+                self._cancelled -= 1
+            return None
+
+    def _adopt_bucket(self) -> bool:
+        """The draining bucket is exhausted: make the next occupied future
+        slot the draining bucket, sorting it exactly once.  Returns False
+        when the wheel is empty (only ``_far`` can hold anything)."""
+        slots = self._slots
+        while slots:
+            slot = heappop(slots)
+            bucket = self._buckets.pop(slot, None)
+            if bucket is None:  # emptied by compaction
+                continue
+            bucket.sort()
+            self._due = bucket
+            self._due_pos = 0
+            self._cur_slot = slot
+            return True
+        return False
 
     def _quiet_until(self, time: float) -> bool:
         """True when no live entry precedes ``(time, next_seq)``.
 
-        Used by :meth:`defer`'s inline check.  Prunes cancelled entries
+        Used by :meth:`defer_args`' inline check.  Prunes cancelled entries
         strictly before the bound — exactly the set the run loop would
         have pruned before consuming a queued event at that key — and
         deliberately no further, so the live/cancelled counters (and
@@ -468,29 +383,19 @@ class Kernel:
                 pos += 1
                 self._cancelled -= 1
             self._due_pos = pos
-            slots = self._slots
-            while slots:
-                slot = heappop(slots)
-                bucket = self._buckets.pop(slot, None)
-                if bucket is None:
-                    continue
-                bucket.sort()
-                self._due = bucket
-                self._due_pos = 0
-                self._cur_slot = slot
-                break
-            else:
-                far = self._far
-                while far:
-                    entry = far[0]
-                    if entry[0] > time:
-                        return True
-                    handle = entry[2]
-                    if handle is None or not handle.cancelled:
-                        return False
-                    heappop(far)
-                    self._cancelled -= 1
-                return True
+            if self._adopt_bucket():
+                continue
+            far = self._far
+            while far:
+                entry = far[0]
+                if entry[0] > time:
+                    return True
+                handle = entry[2]
+                if handle is None or not handle.cancelled:
+                    return False
+                heappop(far)
+                self._cancelled -= 1
+            return True
 
     def _consume(self, entry: tuple) -> None:
         """Take the entry :meth:`_advance` just exposed off its queue."""

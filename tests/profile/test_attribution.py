@@ -49,7 +49,7 @@ class TestClassifyEntry:
         # mypyc-compiled functions profile builtin-style: filename "~",
         # the module or native-class name embedded in the entry name.
         assert (
-            profile.classify_entry("~", "<built-in method repro._hot.kernel.set_fast_paths>")
+            profile.classify_entry("~", "<built-in method repro._hot.kernel.Kernel>")
             == "kernel"
         )
         assert (
