@@ -82,6 +82,9 @@ class FileCache:
         self._entries: OrderedDict[DatumId, CacheEntry] = OrderedDict()
         #: datum -> minimum admissible version; never evicted.
         self._floors: dict[DatumId, Version] = {}
+        #: Resident datums whose entry is invalid: what a batched extension
+        #: refetches along with the lease (read it, do not mutate it).
+        self.invalidated: set[DatumId] = set()
         self.stats = CacheStats()
 
     def get(self, datum: DatumId) -> CacheEntry | None:
@@ -132,6 +135,7 @@ class FileCache:
             entry.version = version
             entry.payload = payload
             entry.valid = True
+            self.invalidated.discard(datum)
             self._entries.move_to_end(datum)
             if self.policy is not None:
                 self.policy.touch(datum)
@@ -165,6 +169,7 @@ class FileCache:
             floor = max(floor, entry.version + 1)
         if entry is not None:
             entry.valid = False
+            self.invalidated.add(datum)
         self._floors[datum] = floor
         self.stats.invalidations += 1
 
@@ -184,6 +189,7 @@ class FileCache:
         """Remove an entry and its floor entirely (unlink semantics)."""
         self._entries.pop(datum, None)
         self._floors.pop(datum, None)
+        self.invalidated.discard(datum)
         if self.policy is not None:
             self.policy.forget(datum)
 
@@ -191,6 +197,7 @@ class FileCache:
         """Client crash: all volatile cache state is gone."""
         self._entries.clear()
         self._floors.clear()
+        self.invalidated.clear()
         if self.policy is not None:
             self.policy.clear()
 
@@ -222,6 +229,7 @@ class FileCache:
                 evicted = self.policy.select_victim(pool)
                 del self._entries[evicted]
                 self.policy.forget(evicted)
+            self.invalidated.discard(evicted)
             self.stats.evictions += 1
 
 

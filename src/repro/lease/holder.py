@@ -4,13 +4,16 @@ A cache must hold a *valid* lease on a datum (besides the datum itself)
 before serving a read or accepting a write.  :class:`LeaseSet` tracks the
 client's conservative view of each lease's expiry — computed with
 :func:`repro.clock.sync.safe_local_expiry` from the request's send time —
-and supports the batching rule of §3.1: "a cache should extend together all
-leases over all files that it still holds".
+and answers the one question the batching rule of §3.1 ("a cache should
+extend together all leases over all files that it still holds") comes down
+to on a miss: *which* holdings are worth a place in the request
+(:meth:`LeaseSet.refresh_set`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container
 
 from repro.types import DatumId
 
@@ -23,34 +26,82 @@ class Holding:
         datum: covered datum.
         expires_local: local-clock time after which the lease must not be
             used (already includes the epsilon/drift safety margins).
+        renew_local: local-clock time from which the lease is *due* — worth
+            re-requesting whenever an extension is sent anyway (see
+            :class:`LeaseSet`).  Never later than ``expires_local``.
         cover: id of the installed-files cover lease this datum rides on,
             or None for an ordinary per-client lease.
     """
 
     datum: DatumId
     expires_local: float
+    renew_local: float
     cover: str | None = None
 
 
 class LeaseSet:
-    """All leases a client currently knows about."""
+    """All leases a client currently knows about.
+
+    **What an extension asks for.**  §3.1 batches extensions so that the
+    cache pays one round trip per term, not one per file.  Taken literally
+    ("all leases it still holds") every miss would re-request every lease,
+    fresh or not; the server and the codec then do work proportional to the
+    holdings for a request that needed one datum.  :meth:`refresh_set`
+    instead selects the holdings that *lack something*: a lease that is
+    **due**, or a resident copy that has been invalidated.
+
+    A lease is due once it has expired or passed the midpoint between the
+    local send time of the request that granted it and its local expiry (an
+    infinite term has no midpoint and is never due).  The half is derived,
+    not tuned.  Let T be the term.  An extension sent at t0 renews every
+    lease in its last half-term, so afterwards every holding expires either
+    at t0 + T (just renewed) or in (t0 + T/2, t0 + T] (was in its first
+    half, left alone).  The next expiry-driven miss therefore falls at some
+    t1 in (t0 + T/2, t0 + T], and at t1 *every* holding expires before
+    t1 + T/2 — all of them are due and ride on that one request.  From then
+    on the whole set shares one expiry and the traffic is the paper's one
+    request per term; from any starting state it takes at most those two
+    rounds to get there.  A smaller fraction would re-grant leases with
+    most of their term left on every miss; a larger one would leave
+    holdings just short of due at t1 to expire on their own, each costing a
+    request of its own.
+
+    The rule selects only what to *ask for*.  What may be *served* is still
+    :meth:`valid` — ``now < expires_local`` — and nothing else.
+    """
 
     def __init__(self) -> None:
         self._holdings: dict[DatumId, Holding] = {}
         self._covers: dict[str, set[DatumId]] = {}
 
-    def add(self, datum: DatumId, expires_local: float, cover: str | None = None) -> Holding:
+    def add(
+        self,
+        datum: DatumId,
+        expires_local: float,
+        cover: str | None = None,
+        sent_local: float | None = None,
+    ) -> Holding:
         """Record a granted or extended lease.
 
         Extension never moves expiry backward: a shorter re-grant keeps the
-        longer previously promised validity (mirrors ``Lease.renew``).
+        longer previously promised validity (mirrors ``Lease.renew``), and
+        with it the later renew point.
+
+        Args:
+            sent_local: local send time of the request this grant answers;
+                the lease is due from the midpoint between it and
+                ``expires_local``.  Without one it is due only once expired.
         """
+        renew_local = expires_local
+        if sent_local is not None:
+            renew_local = min(expires_local, (sent_local + expires_local) / 2)
         holding = self._holdings.get(datum)
         if holding is None:
-            holding = Holding(datum, expires_local, cover)
+            holding = Holding(datum, expires_local, renew_local, cover)
             self._holdings[datum] = holding
         else:
             holding.expires_local = max(holding.expires_local, expires_local)
+            holding.renew_local = max(holding.renew_local, renew_local)
             if cover is not None:
                 holding.cover = cover
         if holding.cover is not None:
@@ -88,16 +139,22 @@ class LeaseSet:
         """Every datum with a holding, valid or expired."""
         return set(self._holdings)
 
-    def extension_batch(self, now: float) -> list[DatumId]:
-        """Datums to extend together: all currently *held* leases.
+    def refresh_set(self, now: float, stale: Container[DatumId]) -> list[DatumId]:
+        """Datums to extend together: held leases that lack something.
 
-        Per §3.1, when one lease must be extended, the cache extends all the
-        leases it still holds in one request, amortizing the round trip.
-        Cover-held (installed) datums are excluded: the server extends those
-        by multicast and explicit requests would defeat the optimization.
+        A holding is selected when its lease is due at ``now`` (see the
+        class docstring) or it is in ``stale``, the datums whose cached copy
+        needs refetching.  Cover-held (installed) datums are excluded: the
+        server extends those by multicast and explicit requests would defeat
+        the optimization.  Sorted by ``str``, so equal lease states give
+        equal batches whatever order the holdings were added in.
         """
         return sorted(
-            (d for d, h in self._holdings.items() if h.cover is None),
+            (
+                d
+                for d, h in self._holdings.items()
+                if h.cover is None and (now >= h.renew_local or d in stale)
+            ),
             key=str,
         )
 

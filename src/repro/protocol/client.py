@@ -5,8 +5,11 @@ holding the datum) before serving a read locally (paper §2).  This engine
 implements the client half of the protocol:
 
 * local read hits complete with **zero** messages while the lease is valid;
-* expired leases are extended with a **batched** request covering every
-  lease the cache still holds (§3.1), which amortizes the round trip;
+* a miss on a known datum is answered with one **batched** extension
+  (§3.1) that asks for what the cache lacks — the datum itself, every held
+  lease that is due for renewal, and every resident copy an approval or an
+  own write invalidated — and for nothing it already has
+  (:meth:`repro.lease.holder.LeaseSet.refresh_set`);
 * writes are written through with per-client sequence numbers for
   exactly-once commit under retransmission;
 * approval callbacks invalidate the local copy (with a version floor) and
@@ -76,8 +79,6 @@ class ClientConfig:
         write_timeout: retransmission timeout for writes — generous,
             because a write is *designed* to wait up to a lease term.
         max_retries: retransmissions before an operation fails.
-        batch_extensions: extend all held leases together (§3.1); off for
-            the ablation benchmark.
         batching: pipeline *all* outbound requests issued within one
             instant into :class:`~repro.protocol.messages.BatchRequest`
             frames (see :mod:`repro.protocol.pipeline`).  Off by default:
@@ -101,7 +102,6 @@ class ClientConfig:
     rpc_timeout: float = 2.0
     write_timeout: float = 45.0
     max_retries: int = 8
-    batch_extensions: bool = True
     batching: bool = False
     max_batch: int = 64
     anticipatory: bool = False
@@ -204,6 +204,9 @@ class ClientEngine:
         #: datum -> local time we last raised its cache floor by approving
         #: another client's write (see _floor_write_aborted).
         self._floor_raised_at: dict[DatumId, float] = {}
+        #: datum -> write_seqs of our outstanding write-type requests on it,
+        #: ascending (sequence numbers only grow); no key when there are none.
+        self._own_writes: dict[DatumId, list[int]] = {}
         self._next_op = id_base + 1
         self._next_req = id_base + 1
         self._next_write_seq = id_base + 1
@@ -240,7 +243,12 @@ class ClientEngine:
         """Read a datum; completes locally when lease and copy are valid."""
         op = self._new_op("read", datum, now)
         self.metrics.reads += 1
-        if self.leases.valid(datum, now) and not self._own_write_pending(datum):
+        # No local hit while a write of ours on the datum awaits its reply:
+        # the server exempts the *writer* from approval-based invalidation,
+        # trusting the WriteReply to update its cache — so if that reply is
+        # lost, our valid-lease copy may silently predate our own committed
+        # write.  Until the write resolves the read goes to the server.
+        if self.leases.valid(datum, now) and datum not in self._own_writes:
             entry = self.cache.get(datum)
             if entry is not None:
                 self.metrics.local_hits += 1
@@ -356,9 +364,7 @@ class ClientEngine:
         if in_flight is not None:
             self._requests[in_flight].waiters.setdefault(datum, []).append(op_id)
             return []
-        entry = self.cache.peek(datum)
-        holding_known = datum in self.leases
-        if self.config.batch_extensions and entry is not None and holding_known:
+        if datum in self.cache and datum in self.leases:
             return self._send_extend(datum, op_id, now)
         return self._send_read(datum, op_id, now)
 
@@ -372,16 +378,19 @@ class ClientEngine:
         return self._send_request(msg, waiters, now, self.config.rpc_timeout)
 
     def _send_extend(self, datum: DatumId, op_id: int | None, now: float) -> list[Effect]:
-        """Batched extension covering every held (non-cover) lease (§3.1).
+        """Batched extension (§3.1): ``datum`` plus the refresh set.
 
-        Batch order is the sorted (by ``str``) datum set and nothing else:
-        the triggering datum — absent from :meth:`LeaseSet.extension_batch`
-        only when it is held under a cover lease — is merged into sorted
-        position, so equivalent lease states always produce byte-identical
-        requests regardless of the op history that led to them.
+        The refresh set is what else the cache lacks — held (non-cover)
+        leases due for renewal and resident copies that were invalidated;
+        a fresh lease over a valid copy is not re-requested, and neither is
+        one whose copy the cache chose to evict.  Batch order is the sorted
+        (by ``str``) datum set and nothing else: the triggering datum is
+        merged into sorted position, so equivalent client states always
+        produce byte-identical requests regardless of the op history that
+        led to them.
         """
-        batch = self.leases.extension_batch(now)
-        if datum not in set(batch):
+        batch = self.leases.refresh_set(now, self.cache.invalidated)
+        if datum not in batch:
             insort(batch, datum, key=str)
         items = []
         waiters: dict[DatumId, list[int]] = {}
@@ -419,6 +428,8 @@ class ClientEngine:
         if op_ids:
             req.waiters.setdefault(None, []).extend(op_ids)  # type: ignore[arg-type]
         self._requests[msg.req_id] = req
+        if hasattr(msg, "content"):
+            self._own_writes.setdefault(msg.datum, []).append(msg.write_seq)
         if track_datums:
             # Only fetch-type requests (read/extend) coalesce later reads;
             # writes and namespace ops must not capture readers.
@@ -464,7 +475,7 @@ class ClientEngine:
             expires = safe_local_expiry(
                 req.sent_local, msg.term, self.config.epsilon, self.config.drift_bound
             )
-            self.leases.add(msg.datum, expires, cover=msg.cover)
+            self.leases.add(msg.datum, expires, msg.cover, req.sent_local)
         if msg.payload is not None:
             admitted = self.cache.put(msg.datum, msg.version, msg.payload)
             if not admitted and self._floor_write_aborted(msg, req):
@@ -525,7 +536,7 @@ class ClientEngine:
             expires = safe_local_expiry(
                 req.sent_local, grant.term, self.config.epsilon, self.config.drift_bound
             )
-            self.leases.add(grant.datum, expires, cover=grant.cover)
+            self.leases.add(grant.datum, expires, grant.cover, req.sent_local)
             op_ids = req.waiters.get(grant.datum, [])
             if grant.changed and grant.payload is not None:
                 self.cache.put(grant.datum, grant.version, grant.payload)
@@ -740,7 +751,11 @@ class ClientEngine:
 
     def _on_anticipate(self, now: float) -> list[Effect]:
         """Anticipatory extension (§4): renew soon-to-expire leases so
-        reads never pay the extension delay — at the cost of extra load."""
+        reads never pay the extension delay — at the cost of extra load.
+
+        One lease inside the margin triggers the request; what rides along
+        is the same refresh set a miss would send, not every holding.
+        """
         effects: list[Effect] = [
             SetTimer("anticipate", self.config.anticipate_margin / 2)
         ]
@@ -756,17 +771,6 @@ class ClientEngine:
 
     # -- helpers ----------------------------------------------------------------------------
 
-    def _own_write_pending(self, datum: DatumId) -> bool:
-        """True while any write of ours on ``datum`` awaits its reply.
-
-        The server exempts the *writer* from approval-based invalidation,
-        trusting the WriteReply to update its cache — so if that reply is
-        lost, our valid-lease copy may silently predate our own committed
-        write.  Until the write resolves, local hits on the datum are
-        unsafe; :meth:`read` falls through to a server fetch instead.
-        """
-        return self._newer_write_in_flight(datum, -1)
-
     def _newer_write_in_flight(self, datum: DatumId, write_seq: int) -> bool:
         """True when a write of ours on ``datum`` newer than ``write_seq``
         is still outstanding.
@@ -778,15 +782,8 @@ class ClientEngine:
         they must stay cacheable — ``FileCache.put`` refusing downgrades
         handles their ordering.
         """
-        for req in self._requests.values():
-            message = req.message
-            if (
-                hasattr(message, "content")
-                and getattr(message, "datum", None) == datum
-                and message.write_seq > write_seq
-            ):
-                return True
-        return False
+        seqs = self._own_writes.get(datum)
+        return seqs is not None and seqs[-1] > write_seq
 
     def _refetch(self, datum: DatumId, op_ids: list[int], now: float) -> list[Effect]:
         effects = self._send_read(datum, None, now)
@@ -813,6 +810,12 @@ class ClientEngine:
         for datum in req.waiters:
             if datum is not None and self._datum_req.get(datum) == req_id:
                 del self._datum_req[datum]
+        message = req.message
+        if hasattr(message, "content"):
+            seqs = self._own_writes[message.datum]
+            seqs.remove(message.write_seq)
+            if not seqs:
+                del self._own_writes[message.datum]
         return req
 
     def _take_req_id(self) -> int:

@@ -92,6 +92,17 @@ class CacheMachine(RuleBasedStateMachine):
             if entry is not None and entry.valid:
                 assert entry.version >= self.floors.get(datum, 0)
 
+    @invariant()
+    def invalidated_is_the_resident_invalid_entries(self):
+        """The set a batched extension refetches from is an index, kept by
+        hand at every mutation (put, invalidate, drop, eviction)."""
+        expect = set()
+        for datum in DATUMS:
+            entry = self.cache.peek(datum)
+            if entry is not None and not entry.valid:
+                expect.add(datum)
+        assert self.cache.invalidated == expect
+
 
 TestCacheMachine = CacheMachine.TestCase
 TestCacheMachine.settings = settings(

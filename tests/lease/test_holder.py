@@ -61,24 +61,87 @@ class TestDrop:
 
 
 class TestBatching:
-    def test_extension_batch_covers_all_held(self):
-        """§3.1: extend together all leases the cache still holds."""
+    """What a batched extension (§3.1) asks for: ``refresh_set``."""
+
+    def test_extension_batch_is_due_leases_not_all_held(self):
+        """A fresh lease over a valid copy is not re-requested."""
         leases = LeaseSet()
-        leases.add(F1, expires_local=5.0)
-        leases.add(F2, expires_local=500.0)
-        assert set(leases.extension_batch(now=100.0)) == {F1, F2}
+        leases.add(F1, expires_local=10.0, sent_local=0.0)
+        leases.add(F2, expires_local=20.0, sent_local=10.0)
+        assert leases.refresh_set(now=12.0, stale=()) == [F1]  # F1 expired, F2 fresh
+        assert leases.refresh_set(now=15.0, stale=()) == [F1, F2]
+        assert leases.refresh_set(now=4.0, stale=()) == []
+
+    def test_due_at_the_midpoint_exactly(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=10.0, sent_local=2.0)
+        assert leases.refresh_set(now=5.999, stale=()) == []
+        assert leases.refresh_set(now=6.0, stale=()) == [F1]
+
+    def test_without_a_send_time_due_only_once_expired(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=10.0)
+        assert leases.refresh_set(now=9.999, stale=()) == []
+        assert leases.refresh_set(now=10.0, stale=()) == [F1]
+
+    def test_lease_expiring_before_it_was_sent_is_due(self):
+        """A term shorter than epsilon: expired on arrival, so due."""
+        leases = LeaseSet()
+        leases.add(F1, expires_local=4.9, sent_local=5.0)
+        assert leases.refresh_set(now=4.9, stale=()) == [F1]
+
+    def test_infinite_term_never_due(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=float("inf"), sent_local=0.0)
+        assert leases.refresh_set(now=1e18, stale=()) == []
+
+    def test_stale_copy_rides_along_while_its_lease_is_fresh(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=10.0, sent_local=0.0)
+        leases.add(F2, expires_local=10.0, sent_local=0.0)
+        assert leases.refresh_set(now=1.0, stale={F2}) == [F2]
+
+    def test_stale_datum_without_a_holding_is_not_selected(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=10.0, sent_local=0.0)
+        assert leases.refresh_set(now=1.0, stale={F2}) == []
 
     def test_extension_batch_excludes_covered(self):
         leases = LeaseSet()
         leases.add(F1, expires_local=5.0)
         leases.add(F2, expires_local=5.0, cover="bin")
-        assert leases.extension_batch(now=100.0) == [F1]
+        leases.add(F3, expires_local=500.0, cover="bin")
+        assert leases.refresh_set(now=100.0, stale={F3}) == [F1]
 
     def test_extension_batch_deterministic_order(self):
+        """Sorted by ``str``, whatever order holdings were added in."""
+        datums = [F3, D1, F1, F2]
+        forward, backward = LeaseSet(), LeaseSet()
+        for d in datums:
+            forward.add(d, 5.0)
+        for d in reversed(datums):
+            backward.add(d, 5.0)
+        backward.drop(F1)
+        backward.add(F1, 5.0)
+        want = sorted(datums, key=str)
+        assert forward.refresh_set(5.0, stale=()) == want
+        assert backward.refresh_set(5.0, stale=()) == want
+
+    def test_shorter_regrant_never_moves_the_renew_point_backward(self):
+        """Mirrors ``add``'s expiry rule: the longer promise stands."""
         leases = LeaseSet()
-        leases.add(F2, 5.0)
-        leases.add(F1, 5.0)
-        assert leases.extension_batch(0.0) == sorted([F1, F2], key=str)
+        leases.add(F1, expires_local=100.0, sent_local=0.0)  # due from 50
+        leases.add(F1, expires_local=30.0, sent_local=10.0)  # would be due from 20
+        assert leases.expires_at(F1) == 100.0
+        assert leases.refresh_set(now=49.0, stale=()) == []
+        assert leases.refresh_set(now=50.0, stale=()) == [F1]
+
+    def test_longer_regrant_moves_the_renew_point_forward(self):
+        leases = LeaseSet()
+        leases.add(F1, expires_local=10.0, sent_local=0.0)
+        leases.add(F1, expires_local=18.0, sent_local=8.0)
+        assert leases.refresh_set(now=12.9, stale=()) == []
+        assert leases.refresh_set(now=13.0, stale=()) == [F1]
 
     def test_expiring_before(self):
         leases = LeaseSet()
@@ -125,4 +188,4 @@ class TestCovers:
         leases.add(F1, 10.0)
         leases.add(F1, 12.0, cover="bin")
         assert leases.cover_members("bin") == {F1}
-        assert leases.extension_batch(0.0) == []
+        assert leases.refresh_set(100.0, stale={F1}) == []

@@ -79,7 +79,7 @@ class TestReadPath:
         send = only(effects, Send)
         assert isinstance(send.message, ExtendRequest)
         covered = {item[0] for item in send.message.items}
-        assert covered == {F1, F2}  # §3.1: extend everything held
+        assert covered == {F1, F2}  # §3.1: extend together everything due
 
     def test_extension_grant_completes_from_cache(self):
         client = make_client()
@@ -145,8 +145,9 @@ class TestReadPath:
         assert send.message.cached_version == 1
 
     def test_unchanged_reply_completes_from_cached_payload(self):
-        client = make_client(batch_extensions=False)
+        client = make_client()
         fetch(client)
+        client.relinquish(F1)  # copy kept, lease gone: revalidate by version
         op_id, effects = client.read(F1, now=20.0)
         send = only(effects, Send)
         assert isinstance(send.message, ReadRequest)
@@ -171,6 +172,99 @@ class TestReadPath:
         reply = ReadReply(send.message.req_id, F1, version=1, payload=b"v1", term=10.0)
         client.handle_message(reply, "server", now=0.01)
         assert client.handle_message(reply, "server", now=0.02) == []
+
+
+class TestRefreshSet:
+    """An ExtendRequest carries the triggering datum plus what the cache
+    lacks — due leases and invalidated copies — not every holding."""
+
+    HELD = [DatumId.file(f"g{i:03d}") for i in range(200)]
+
+    def client_holding_200(self, **overrides):
+        client = make_client(**overrides)
+        for datum in self.HELD:
+            fetch(client, datum, term=10.0, now=0.0)
+        return client
+
+    def extend_items(self, effects):
+        message = only(effects, Send).message
+        assert isinstance(message, ExtendRequest)
+        return list(message.items)
+
+    def test_one_invalidated_copy_costs_one_item(self):
+        client = self.client_holding_200()
+        stale = self.HELD[17]
+        client.handle_message(ApprovalRequest(stale, 7, 2), "server", now=1.0)
+        _, effects = client.read(stale, now=2.0)
+        assert self.extend_items(effects) == [(stale, 0)]
+
+    def test_every_invalidated_copy_rides_along(self):
+        client = self.client_holding_200()
+        stale = [self.HELD[150], self.HELD[3], self.HELD[42]]
+        for write_id, datum in enumerate(stale):
+            client.handle_message(ApprovalRequest(datum, write_id, 2), "server", now=1.0)
+        _, effects = client.read(stale[0], now=2.0)
+        assert self.extend_items(effects) == [(d, 0) for d in sorted(stale, key=str)]
+
+    def test_after_half_a_term_every_lease_is_due(self):
+        client = self.client_holding_200()
+        stale = self.HELD[17]
+        client.handle_message(ApprovalRequest(stale, 7, 2), "server", now=1.0)
+        _, effects = client.read(stale, now=5.0)
+        items = self.extend_items(effects)
+        assert [d for d, _ in items] == sorted(self.HELD, key=str)
+        assert [v for d, v in items if d != stale] == [1] * 199
+        assert (stale, 0) in items
+
+    def test_renewed_leases_are_fresh_again(self):
+        """The reply to a full batch moves every renew point: the next
+        invalidation-driven miss is back to one item."""
+        client = self.client_holding_200()
+        _, effects = client.read(self.HELD[0], now=10.0)  # all expired
+        message = only(effects, Send).message
+        assert len(message.items) == 200
+        grants = tuple(ExtendGrant(d, 10.0, 1) for d, _ in message.items)
+        client.handle_message(ExtendReply(message.req_id, grants=grants), "server", 10.01)
+        client.handle_message(ApprovalRequest(self.HELD[5], 7, 2), "server", now=11.0)
+        _, effects = client.read(self.HELD[5], now=12.0)
+        assert self.extend_items(effects) == [(self.HELD[5], 0)]
+
+    def test_own_write_makes_the_datum_an_item(self):
+        client = self.client_holding_200()
+        datum = self.HELD[9]
+        client.write(datum, b"mine", now=1.0)
+        _, effects = client.read(datum, now=1.5)  # lease valid, write unresolved
+        assert self.extend_items(effects) == [(datum, 0)]
+
+    def test_triggering_datum_is_an_item_even_when_it_lacks_nothing(self):
+        """Own write in flight over a copy a concurrent read fetched:
+        lease fresh, copy valid, yet the read must reach the server."""
+        client = self.client_holding_200()
+        client.write(F1, b"mine", now=1.0)
+        fetch(client, F1, version=1, payload=b"v1", now=1.0)
+        assert client.cache.peek(F1).valid and client.leases.valid(F1, 2.0)
+        _, effects = client.read(F1, now=2.0)
+        assert self.extend_items(effects) == [(F1, 1)]
+
+    @pytest.mark.parametrize("read_at,others", [(2.0, "fresh"), (5.0, "due")])
+    def test_evicted_copy_absent_while_fresh_present_when_due(self, read_at, others):
+        client = make_client(cache_capacity=2)
+        a, b, c = (DatumId.file(name) for name in "abc")
+        for datum in (a, b, c):
+            fetch(client, datum, term=10.0, now=0.0)
+        assert a not in client.cache and a in client.leases  # LRU victim
+        client.handle_message(ApprovalRequest(b, 7, 2), "server", now=1.0)
+        _, effects = client.read(b, now=read_at)
+        want = [(b, 0)] if others == "fresh" else [(a, 0), (b, 0), (c, 1)]
+        assert self.extend_items(effects) == want
+
+    def test_anticipation_sends_the_due_set(self):
+        client = self.client_holding_200(anticipatory=True, anticipate_margin=2.0)
+        short = [DatumId.file(f"s{i}") for i in range(3)]
+        for datum in short:
+            fetch(client, datum, term=4.0, now=0.0)
+        effects = client.handle_timer("anticipate", now=3.0)  # s* expire at 4
+        assert self.extend_items(effects) == [(d, 1) for d in short]
 
 
 class TestLeaseExpiryBounds:

@@ -335,7 +335,7 @@ class TestExtensionBatchOrder:
             (send,) = sends(effects)
             (reply,) = sends(server.handle_message(send.message, "c0", 0.0))
             client.handle_message(reply.message, "server", 0.0)
-        # Put /m under a cover lease: extension_batch() now excludes it,
+        # Put /m under a cover lease: the refresh set now excludes it,
         # but by t=20 the cover has expired so the read still triggers an
         # extension with /m as the (batch-absent) trigger datum.
         client.leases.add(dm, expires_local=15.0, cover="cover:/m")
