@@ -1,8 +1,8 @@
 """Client-side caching substrate.
 
 * :class:`~repro.cache.filecache.FileCache` — a capacity-bounded,
-  write-through datum cache with version-floor invalidation (a client
-  that approves a write must not re-admit older data for that datum).
+  write-through datum cache, and the one rule (its docstring) for what a
+  reply may put back after an invalidation.
 * :mod:`repro.cache.eviction` — the eviction-policy axis: plain LRU (the
   default, byte-identical to the seed) or hybrid LRU+LFU score-based
   eviction (:class:`~repro.cache.eviction.LruLfuPolicy`) for skewed,

@@ -48,25 +48,55 @@ class CacheStats:
 
 
 class FileCache:
-    """Capacity-bounded cache of datums, with invalidation floors.
+    """Capacity-bounded cache of datums, and the one rule for what a reply
+    may put in it.
 
     The cache stores data only; *usability* of an entry additionally
     requires a valid lease, which the client engine checks against its
     :class:`~repro.lease.holder.LeaseSet`.
 
-    **Eviction** defaults to plain LRU (the seed behaviour, byte-for-byte:
-    the pinned golden digests run through this path).  Passing a
+    **Eviction** defaults to plain LRU (the seed behaviour).  Passing a
     :class:`~repro.cache.eviction.LruLfuPolicy` switches victim selection
     to hybrid score-based eviction for skewed workloads; the policy
     observes every access via ``touch`` and picks victims on overflow.
 
-    **Version floors** are the correctness guard: when the client approves
-    a write (invalidating its copy), a floor records the pending version so
-    that a stale in-flight reply cannot re-admit older bytes.  Floors live
-    *outside* the LRU — an early design kept them on tombstone entries,
-    and the stateful property tests demonstrated that eviction could then
-    silently discard a floor.  They are tiny (one int per datum ever
-    invalidated) and are released when the datum is dropped.
+    **Admission.**  Granting approval for a write invalidates the local
+    copy (paper §2); the guard needed beside that rule is that a reply
+    which raced the approval must not re-admit the pre-write bytes under
+    the lease the client still holds.  It is decided here, once, from two
+    facts per datum that live outside the LRU (eviction must not forget
+    them) and go only with :meth:`drop` / :meth:`clear`:
+
+    * *admitted* — the highest version ever admitted; never lowered.
+    * *awaited* — at most one write the client agreed to wait for, as
+      ``(version it will commit as, stamp of the invalidation)``.  Stamps
+      are the caller's non-decreasing issue order; the client engine uses
+      its request-id counter, so "issued after" reads no clock.
+
+    :meth:`put` admits a payload iff::
+
+        version >= admitted and (
+            nothing is awaited
+            or version >= awaited.version
+            or the reply grants a lease and answers a request
+               issued at or after awaited.stamp)
+
+    and the first admission clears the awaited record.  Why that is safe:
+
+    1. server versions are monotonic, so anything below *admitted* is
+       older than bytes this client has already seen;
+    2. a write commits as exactly one version, so a payload at or above
+       the awaited version contains the awaited write;
+    3. the server defers reads and denies extensions while a write is
+       pending on the datum, so a lease-granting reply to a request issued
+       after the invalidation was computed after that write resolved —
+       committed (then 2 holds too) or aborted (then the version it
+       predicted will never exist, and these bytes are current).
+
+    Clause 3 is also why a dead prediction cannot wedge reads: every
+    lease-granting reply to a request issued after the last invalidation
+    passes it, whatever the awaited version says.  Recording the stamp is
+    part of :meth:`invalidate`, not a second act a call site could forget.
     """
 
     def __init__(self, capacity: int = 4096, policy: Any = None):
@@ -80,8 +110,10 @@ class FileCache:
         self.capacity = capacity
         self.policy = policy
         self._entries: OrderedDict[DatumId, CacheEntry] = OrderedDict()
-        #: datum -> minimum admissible version; never evicted.
-        self._floors: dict[DatumId, Version] = {}
+        #: datum -> highest version ever admitted; never evicted or lowered.
+        self._admitted: dict[DatumId, Version] = {}
+        #: datum -> (version, stamp) of the one awaited write; never evicted.
+        self._awaited: dict[DatumId, tuple[Version, int]] = {}
         #: Resident datums whose entry is invalid: what a batched extension
         #: refetches along with the lease (read it, do not mutate it).
         self.invalidated: set[DatumId] = set()
@@ -103,34 +135,36 @@ class FileCache:
         """Return the entry regardless of validity, without stats/LRU effects."""
         return self._entries.get(datum)
 
-    def floor_of(self, datum: DatumId) -> Version:
-        """The minimum version :meth:`put` will admit for ``datum``."""
-        return self._floors.get(datum, 0)
+    def put(
+        self,
+        datum: DatumId,
+        version: Version,
+        payload: object,
+        lease_req: int | None = None,
+    ) -> bool:
+        """Offer a fetched or written payload; the class docstring's rule
+        decides, and this is the only place a payload is refused.
 
-    def put(self, datum: DatumId, version: Version, payload: object) -> bool:
-        """Admit a fetched or written payload.
+        Args:
+            lease_req: the stamp (request id) of the request this payload
+                answers, when the answer also granted a lease; None for a
+                reply that granted none and for bytes that answer nothing.
 
         Returns:
-            False when refused: the version is below the datum's
-            invalidation floor (a stale in-flight reply) or below the
-            version already cached.
+            False when refused (counted in ``stats.stale_rejects``).
         """
-        if version < self._floors.get(datum, 0):
+        awaited = self._awaited.get(datum)
+        if version < self._admitted.get(datum, 0) or (
+            awaited is not None
+            and version < awaited[0]
+            and (lease_req is None or lease_req < awaited[1])
+        ):
             self.stats.stale_rejects += 1
             return False
+        if awaited is not None:
+            del self._awaited[datum]
+        self._admitted[datum] = version
         entry = self._entries.get(datum)
-        if entry is not None and version < entry.version:
-            self.stats.stale_rejects += 1
-            return False
-        # Admission proves the server reached `version` (its versions are
-        # monotonic), so nothing older is ever admissible again.  Recording
-        # that as the floor makes the guard survive eviction: without it, a
-        # late in-flight reply carrying an older version could re-admit
-        # stale bytes after the newer entry was evicted under capacity
-        # pressure — and a still-valid lease would then serve them as
-        # local hits (found by the stampede adversarial family).
-        if version > self._floors.get(datum, 0):
-            self._floors[datum] = version
         if entry is not None:
             entry.version = version
             entry.payload = payload
@@ -146,49 +180,40 @@ class FileCache:
         self._evict(new=datum)
         return True
 
-    def invalidate(self, datum: DatumId, min_version: Version | None = None) -> None:
-        """Invalidate the cached copy (approval of a write, §2).
+    def invalidate(
+        self, datum: DatumId, stamp: int, expected: Version | None = None
+    ) -> None:
+        """Invalidate the cached copy and await a write (approval, §2).
 
         Args:
-            min_version: when known, the version below which payloads must
-                be refused by later :meth:`put` calls.  An *explicit* value
-                takes precedence over the entry-derived default — a
-                write-lease acquisition, for example, invalidates copies
-                while naming the still-current version, which must remain
-                re-admittable once the lease ends without a commit.
-                Without an entry *and* without a known version there is
-                nothing to record.
+            stamp: the caller's issue order at this instant; a request
+                whose stamp is at or above it was issued after the
+                invalidation.  Must not decrease between calls.
+            expected: the version the awaited write will commit as, when
+                the caller was told (``ApprovalRequest.new_version``).
+                Defaults to the one after the highest admitted, the least
+                it can be (the engine's own writes, during which it serves
+                no local hit anyway).  While an earlier awaited write is
+                unresolved the higher of the two versions is kept: a
+                payload must contain both.
         """
+        if expected is None:
+            expected = self._admitted.get(datum, 0) + 1
+        awaited = self._awaited.get(datum)
+        if awaited is not None and awaited[0] > expected:
+            expected = awaited[0]
+        self._awaited[datum] = (expected, stamp)
         entry = self._entries.get(datum)
-        if entry is None and min_version is None:
-            return
-        floor = self._floors.get(datum, 0)
-        if min_version is not None:
-            floor = max(floor, min_version)
-        elif entry is not None:
-            floor = max(floor, entry.version + 1)
         if entry is not None:
             entry.valid = False
             self.invalidated.add(datum)
-        self._floors[datum] = floor
-        self.stats.invalidations += 1
-
-    def lower_floor(self, datum: DatumId, version: Version) -> None:
-        """Lower (never raise) ``datum``'s admission floor to ``version``.
-
-        For when the write that raised the floor is proven to have aborted
-        at the server: its version will never commit, so keeping the floor
-        would refuse every live reply forever (a refetch livelock).  The
-        proof obligation — a post-approval reply that grants a lease yet
-        still carries a lower version — rests with the protocol engine.
-        """
-        if version < self._floors.get(datum, 0):
-            self._floors[datum] = version
+            self.stats.invalidations += 1
 
     def drop(self, datum: DatumId) -> None:
-        """Remove an entry and its floor entirely (unlink semantics)."""
+        """Forget a datum entirely, admission facts included (unlink)."""
         self._entries.pop(datum, None)
-        self._floors.pop(datum, None)
+        self._admitted.pop(datum, None)
+        self._awaited.pop(datum, None)
         self.invalidated.discard(datum)
         if self.policy is not None:
             self.policy.forget(datum)
@@ -196,7 +221,8 @@ class FileCache:
     def clear(self) -> None:
         """Client crash: all volatile cache state is gone."""
         self._entries.clear()
-        self._floors.clear()
+        self._admitted.clear()
+        self._awaited.clear()
         self.invalidated.clear()
         if self.policy is not None:
             self.policy.clear()

@@ -493,7 +493,7 @@ class WriteBackClientEngine(ClientEngine):
             req.sent_local, msg.term, self.config.epsilon, self.config.drift_bound
         )
         if msg.payload is not None:
-            self.cache.put(msg.datum, msg.version, msg.payload)
+            self.cache.put(msg.datum, msg.version, msg.payload, lease_req=req.req_id)
         entry = self.cache.peek(msg.datum)
         for op_id in op_ids:
             self._ops.pop(op_id, None)
@@ -515,9 +515,10 @@ class WriteBackClientEngine(ClientEngine):
             return []
         dirty = self._dirty.pop(msg.datum, None)
         self._wleases.pop(msg.datum, None)
-        # Our copy may be committed under a version we do not know yet;
-        # drop it and refetch on next use.
-        self.cache.invalidate(msg.datum)
+        # Our copy may be committed under a version we do not know yet
+        # (or, with nothing dirty, under none at all): invalidate it and
+        # refetch on next use.
+        self.cache.invalidate(msg.datum, stamp=self._next_req)
         return [Send(self.server, RecallReply(msg.datum, msg.recall_id, dirty=dirty))]
 
     def _on_flush_timer(self, now: float) -> list[Effect]:

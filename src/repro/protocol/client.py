@@ -12,9 +12,11 @@ implements the client half of the protocol:
   (:meth:`repro.lease.holder.LeaseSet.refresh_set`);
 * writes are written through with per-client sequence numbers for
   exactly-once commit under retransmission;
-* approval callbacks invalidate the local copy (with a version floor) and
-  reply immediately — the client never blocks an approval, so there is no
-  distributed deadlock;
+* approval callbacks invalidate the local copy and reply immediately — the
+  client never blocks an approval, so there is no distributed deadlock;
+  what a later reply may put back is one rule, stated and decided in
+  :class:`repro.cache.filecache.FileCache` — the engine only says *when*
+  it invalidated (the next request id) and *which request* a reply answers;
 * installed-file cover leases are refreshed by unsolicited multicast
   announcements;
 * optional anticipatory extension renews leases shortly before expiry (§4),
@@ -48,6 +50,7 @@ from repro.protocol.messages import (
     ApprovalRequest,
     BatchReply,
     BatchRequest,
+    ExtendGrant,
     ExtendReply,
     ExtendRequest,
     InstalledAnnounce,
@@ -201,9 +204,6 @@ class ClientEngine:
         self._requests: dict[int, _ReqCtx] = {}
         #: datum -> req_id of the in-flight read/extend covering it.
         self._datum_req: dict[DatumId, int] = {}
-        #: datum -> local time we last raised its cache floor by approving
-        #: another client's write (see _floor_write_aborted).
-        self._floor_raised_at: dict[DatumId, float] = {}
         #: datum -> write_seqs of our outstanding write-type requests on it,
         #: ascending (sequence numbers only grow); no key when there are none.
         self._own_writes: dict[DatumId, list[int]] = {}
@@ -279,11 +279,7 @@ class ClientEngine:
         # and granting approval invalidates the local copy (§2).  Without
         # this, the window between the server-side commit and the arrival of
         # the WriteReply would serve the pre-write value from our own cache.
-        # The raise is recorded like any approval's: if this write never
-        # commits (crash-era retry confusion, cas loss), the floor it
-        # prophesied must be provably lowerable or reads livelock.
-        self.cache.invalidate(datum)
-        self._floor_raised_at[datum] = now
+        self.cache.invalidate(datum, stamp=self._next_req)
         msg = WriteRequest(
             self._next_req, datum, content, write_seq=self._next_write_seq, cas=cas
         )
@@ -467,65 +463,9 @@ class ClientEngine:
         if req is None:
             return []  # duplicate or late reply
         effects: list[Effect] = [CancelTimer(f"rpc:{msg.req_id}")]
-        op_ids = req.waiters.get(msg.datum, [])
         if msg.error is not None:
-            effects.extend(self._fail_ops(op_ids, msg.error))
-            return effects
-        if msg.term > 0:
-            expires = safe_local_expiry(
-                req.sent_local, msg.term, self.config.epsilon, self.config.drift_bound
-            )
-            self.leases.add(msg.datum, expires, msg.cover, req.sent_local)
-        if msg.payload is not None:
-            admitted = self.cache.put(msg.datum, msg.version, msg.payload)
-            if not admitted and self._floor_write_aborted(msg, req):
-                self.cache.lower_floor(msg.datum, msg.version)
-                admitted = self.cache.put(msg.datum, msg.version, msg.payload)
-            if not admitted:
-                # A stale in-flight reply raced an approval we granted;
-                # refetch rather than hand the application old data.
-                effects.extend(self._refetch(msg.datum, op_ids, now))
-                return effects
-        entry = self.cache.peek(msg.datum)
-        if entry is None or not entry.valid:
-            # Server said "unchanged" but we no longer hold the payload
-            # (eviction or invalidation race): fetch the content itself.
-            effects.extend(self._refetch(msg.datum, op_ids, now))
-            return effects
-        for op_id in op_ids:
-            effects.append(self._complete_read(op_id, entry.version, entry.payload))
-        return effects
-
-    def _floor_write_aborted(self, msg: ReadReply, req: _ReqCtx) -> bool:
-        """Did the write that raised ``msg.datum``'s cache floor abort?
-
-        Approving a write raises the cache floor to the write's future
-        version so that stale in-flight replies cannot re-admit older
-        bytes.  But if the server then aborts that write (writer crashed,
-        partitioned, or hit its deadline), the floored version never
-        commits and every future reply is refused as "stale" — the client
-        refetches forever and its reads livelock.
-
-        Three facts together prove the floored write is dead, making it
-        safe to lower the floor to the reply's version:
-
-        * the request left *after* we raised the floor, so the reply
-          reflects the server's post-approval state;
-        * the reply grants a lease — the server defers reads while a
-          write is pending, so no write is pending on the datum;
-        * the version is still below the floor, so the approved write
-          did not commit (server versions are monotonic).
-
-        Genuinely stale replies (sent before the approval round) fail the
-        first test and keep the floor's protection.
-        """
-        raised_at = self._floor_raised_at.get(msg.datum)
-        return (
-            raised_at is not None
-            and req.sent_local > raised_at
-            and msg.term > 0
-            and msg.version < self.cache.floor_of(msg.datum)
-        )
+            return effects + self._fail_ops(req.waiters.get(msg.datum, []), msg.error)
+        return effects + self._settle_grant(req, msg, now)
 
     def _on_extend_reply(self, msg: ExtendReply, now: float) -> list[Effect]:
         req = self._close_request(msg.req_id)
@@ -533,21 +473,7 @@ class ClientEngine:
             return []
         effects: list[Effect] = [CancelTimer(f"rpc:{msg.req_id}")]
         for grant in msg.grants:
-            expires = safe_local_expiry(
-                req.sent_local, grant.term, self.config.epsilon, self.config.drift_bound
-            )
-            self.leases.add(grant.datum, expires, grant.cover, req.sent_local)
-            op_ids = req.waiters.get(grant.datum, [])
-            if grant.changed and grant.payload is not None:
-                self.cache.put(grant.datum, grant.version, grant.payload)
-            entry = self.cache.peek(grant.datum)
-            if entry is not None and entry.valid:
-                for op_id in op_ids:
-                    effects.append(
-                        self._complete_read(op_id, entry.version, entry.payload)
-                    )
-            elif op_ids:
-                effects.extend(self._refetch(grant.datum, op_ids, now))
+            effects.extend(self._settle_grant(req, grant, now))
         for datum in msg.denied:
             # Write pending at the server (or datum gone): our lease is not
             # renewed.  Waiting readers fall back to a ReadRequest, which
@@ -557,6 +483,42 @@ class ClientEngine:
             if op_ids:
                 effects.extend(self._refetch(datum, op_ids, now))
         return effects
+
+    def _settle_grant(
+        self, req: _ReqCtx, grant: ReadReply | ExtendGrant, now: float
+    ) -> list[Effect]:
+        """One datum of a fetch reply, read or extend alike: add the lease,
+        offer the payload, complete the waiting reads from a valid entry
+        or refetch for them.
+
+        ``grant.payload`` is None when the server found our copy unchanged.
+        The entry can still be missing or invalid then (eviction, or an
+        approval that raced the reply), and an offered payload can be
+        refused (:meth:`FileCache.put`): either way the readers are not
+        handed old data, they wait for a fresh ``ReadRequest``.
+        """
+        datum = grant.datum
+        leased = grant.term > 0
+        if leased:
+            expires = safe_local_expiry(
+                req.sent_local, grant.term, self.config.epsilon, self.config.drift_bound
+            )
+            self.leases.add(datum, expires, grant.cover, req.sent_local)
+        if grant.payload is not None:
+            self.cache.put(
+                datum, grant.version, grant.payload,
+                lease_req=req.req_id if leased else None,
+            )
+        op_ids = req.waiters.get(datum, [])
+        entry = self.cache.peek(datum)
+        if entry is not None and entry.valid:
+            return [
+                self._complete_read(op_id, entry.version, entry.payload)
+                for op_id in op_ids
+            ]
+        if op_ids:
+            return self._refetch(datum, op_ids, now)
+        return []
 
     def _on_write_reply(self, msg: WriteReply, now: float) -> list[Effect]:
         if not hasattr(getattr(self._requests.get(msg.req_id), "message", None), "content"):
@@ -577,14 +539,15 @@ class ClientEngine:
             # these bytes are already superseded at the server (writes
             # serialize per datum).  Caching them would let a valid lease
             # serve the old version as a local hit once the newer write
-            # commits — raise the floor instead; the newer reply (or a
-            # refetch) will repopulate the cache.  Recorded as a raise so
-            # the floor can be proven dead if that newer write never
-            # commits (see _floor_write_aborted).
-            self.cache.invalidate(msg.datum, min_version=msg.version + 1)
-            self._floor_raised_at[msg.datum] = now
+            # commits — await that write instead; its reply (or a refetch)
+            # will repopulate the cache.
+            self.cache.invalidate(
+                msg.datum, stamp=self._next_req, expected=msg.version + 1
+            )
         else:
             # Writes and write-back flushes both carry the committed bytes.
+            # A WriteReply grants no lease, so only the version clauses of
+            # the admission rule apply: an approval that overtook it wins.
             self.cache.put(msg.datum, msg.version, req.message.content)
         for op_id in op_ids:
             op = self._ops.pop(op_id, None)
@@ -610,8 +573,9 @@ class ClientEngine:
     def _on_approval_request(self, msg: ApprovalRequest, now: float) -> list[Effect]:
         """Grant approval for another client's write (§2): invalidate the
         local copy, keep the lease, reply immediately."""
-        self.cache.invalidate(msg.datum, min_version=msg.new_version)
-        self._floor_raised_at[msg.datum] = now
+        self.cache.invalidate(
+            msg.datum, stamp=self._next_req, expected=msg.new_version
+        )
         self.metrics.approvals_granted += 1
         return self._outbound(ApprovalReply(msg.datum, msg.write_id))
 

@@ -79,10 +79,14 @@ class ReadReply(Message):
 
 @dataclass(frozen=True, slots=True)
 class ExtendRequest(Message):
-    """Batched lease extension (§3.1: extend all held leases together).
+    """Batched lease extension (§3.1): the datum a read missed on plus
+    the sender's refresh set — held leases due for renewal and resident
+    copies that were invalidated — not every lease it holds
+    (:meth:`repro.lease.holder.LeaseSet.refresh_set`).
 
     Attributes:
-        items: tuple of (datum, cached_version) pairs.
+        items: tuple of (datum, cached_version) pairs; version 0 asks for
+            the payload whatever the server's version is.
     """
 
     kind: ClassVar[str] = "lease/extend"

@@ -209,6 +209,20 @@ class ServerEngine:
             effects.append(SetTimer("recovery", self._recovering_until - now))
         return effects
 
+    def crash(self) -> float:
+        """Drop the lease table and return the §2 crash rule's bound.
+
+        The largest term a lease of this incarnation may still run for —
+        over the table's grants and the installed-file cover term — is the
+        one datum a server must keep across a crash: the next incarnation
+        takes it as ``recovery_delay`` and commits nothing before it has
+        passed.  Computed here, once, for every driver that restarts us.
+        """
+        bound = self.table.clear()
+        if self.installed is not None:
+            bound = max(bound, self.installed.term)
+        return bound
+
     @property
     def recovering(self) -> bool:
         """True while post-crash write delay is in force.

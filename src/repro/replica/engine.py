@@ -492,13 +492,6 @@ class ReplicaEngine:
         """Authoritative: serving *and* the master lease is unexpired."""
         return self.state == MASTER and now < self.proposer.lease_expiry
 
-    def max_term_granted(self, now: float) -> float:
-        """Upper bound on outstanding lease durations granted here — what
-        a restart of this host must wait out (driver crash bookkeeping)."""
-        if self.inner is None:
-            return 0.0
-        return self.config.max_file_term
-
     def status(self, now: float) -> dict:
         """Operational snapshot for monitoring and tests."""
         snapshot = {

@@ -190,18 +190,12 @@ class LeaseServerNode(_EngineNode):
 
         Volatile state (lease table, timers, pending writes) is dropped;
         the one thing carried across — per the paper's §2 crash rule — is
-        the largest term ever granted, which ``LeaseTable.clear()`` hands
+        the largest term ever granted, which ``ServerEngine.crash()`` hands
         back and which becomes the new engine's ``recovery_delay``.  The
         restarted engine therefore refuses to commit writes until every
         lease granted by the previous incarnation has provably expired.
         """
-        self._persisted_max_term = max(
-            self._persisted_max_term, self.engine.table.clear()
-        )
-        if self.engine.installed is not None:
-            self._persisted_max_term = max(
-                self._persisted_max_term, self.engine.installed.term
-            )
+        self._persisted_max_term = max(self._persisted_max_term, self.engine.crash())
         installed = self.engine.installed
         for key in list(self._timers):
             self._cancel_timer(key)

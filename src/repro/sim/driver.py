@@ -205,15 +205,11 @@ class SimServer(_SimNode):
 
     def _on_crash(self) -> None:
         if self.engine is not None:
-            # clear() hands back the pre-crash bound — the §2 crash rule's
+            # crash() hands back the pre-crash bound — the §2 crash rule's
             # one durable datum — so dropping the table cannot lose it.
             self._persisted_max_term = max(
-                self._persisted_max_term, self.engine.table.clear()
+                self._persisted_max_term, self.engine.crash()
             )
-            if self.engine.installed is not None:
-                self._persisted_max_term = max(
-                    self._persisted_max_term, self.engine.installed.term
-                )
         super()._on_crash()
 
     def _on_restart(self) -> None:

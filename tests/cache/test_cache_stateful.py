@@ -1,15 +1,28 @@
 """Stateful property testing of the FileCache against a reference model.
 
-The safety property (single-copy consistency depends on it): once an
-invalidation *or a successful admission* establishes a version floor,
-**no payload below the floor is ever admitted or served again**, across
-any interleaving of puts, gets, invalidations, drops and LRU evictions.
-(An earlier design kept floors on tombstone entries inside the LRU; this
-machine caught eviction discarding them — floors now live outside the
-LRU.  Admissions raise the floor too: the stampede adversarial family
-caught a late stale reply re-admitting an older version after the newer
-entry was evicted.)
+The model is the two facts of the admission rule in
+:class:`~repro.cache.filecache.FileCache`'s docstring — per datum the
+highest version ever admitted and at most one awaited write
+``(version, stamp)`` — driven through any interleaving of puts, gets,
+invalidations, drops, request issue and LRU evictions.  Three properties
+are checked after every rule, on the real cache:
+
+* **liveness by construction** — a lease-granting reply stamped at or
+  after the last invalidation, carrying a version no older than the
+  highest admitted, is admitted whatever the awaited write predicted;
+* **safety** — a reply stamped before the invalidation with a version
+  below the awaited one is never admitted; the highest admitted version
+  never decreases except by ``drop``; no entry is newer than it;
+* the ``invalidated`` set is exactly the resident invalid entries.
+
+(An earlier design kept the guard on tombstone entries inside the LRU;
+this machine caught eviction discarding it — the facts now live outside
+the LRU.  Admissions count too: the stampede adversarial family caught a
+late stale reply re-admitting an older version after the newer entry was
+evicted.)
 """
+
+import copy
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -25,72 +38,103 @@ class CacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cache = FileCache(capacity=3)
-        #: datum -> floor (versions below must never be admitted/served)
-        self.floors: dict = {}
+        #: datum -> highest version ever admitted
+        self.admitted: dict = {}
+        #: datum -> (version, stamp) of the awaited write
+        self.awaited: dict = {}
+        #: the next request id: what an invalidation is stamped with
+        self.next_req = 1
+        #: datum -> the highest ``admitted`` seen since its last drop
+        self.high_water: dict = {}
 
-    @rule(datum=st.sampled_from(DATUMS), version=st.integers(0, 10))
-    def put(self, datum, version):
-        payload = f"v{version}".encode()
-        before = self.cache.peek(datum)
-        expect = version >= self.floors.get(datum, 0) and (
-            before is None or version >= before.version
+    @rule()
+    def issue_request(self):
+        self.next_req += 1
+
+    @rule(
+        datum=st.sampled_from(DATUMS),
+        version=st.integers(0, 10),
+        age=st.none() | st.integers(0, 6),
+    )
+    def put(self, datum, version, age):
+        """``age`` None: no lease granted; else a lease-granting reply to
+        the request issued ``age`` requests ago."""
+        lease_req = None if age is None else max(0, self.next_req - 1 - age)
+        awaited = self.awaited.get(datum)
+        expect = version >= self.admitted.get(datum, 0) and (
+            awaited is None
+            or version >= awaited[0]
+            or (lease_req is not None and lease_req >= awaited[1])
         )
-        admitted = self.cache.put(datum, version, payload)
-        assert admitted == expect, (datum, version, before, self.floors)
+        admitted = self.cache.put(datum, version, f"v{version}".encode(), lease_req)
+        assert admitted == expect, (datum, version, lease_req, self.admitted, awaited)
         if admitted:
-            # Admission proves the server reached `version`: the floor
-            # rises so eviction cannot reopen the door to older bytes.
-            self.floors[datum] = max(self.floors.get(datum, 0), version)
+            self.admitted[datum] = version
+            self.awaited.pop(datum, None)
 
     @rule(datum=st.sampled_from(DATUMS))
     def get(self, datum):
         entry = self.cache.get(datum)
         if entry is not None:
             assert entry.valid
-            assert entry.version >= self.floors.get(datum, 0), (
-                f"served v{entry.version} below floor for {datum}"
+            assert entry.version == self.admitted[datum], (
+                f"served v{entry.version}, not the admitted version, for {datum}"
             )
 
-    @rule(datum=st.sampled_from(DATUMS), min_version=st.integers(1, 12))
-    def invalidate(self, datum, min_version):
-        entry = self.cache.peek(datum)
-        if entry is None and min_version is None:
-            return
-        # explicit min_version takes precedence over the entry default
-        floor = max(self.floors.get(datum, 0), min_version)
-        self.cache.invalidate(datum, min_version=min_version)
-        self.floors[datum] = floor
-
-    @rule(datum=st.sampled_from(DATUMS))
-    def invalidate_plain(self, datum):
-        entry = self.cache.peek(datum)
-        self.cache.invalidate(datum)
-        if entry is not None:
-            self.floors[datum] = max(
-                self.floors.get(datum, 0), entry.version + 1
-            )
+    @rule(datum=st.sampled_from(DATUMS), expected=st.none() | st.integers(1, 12))
+    def invalidate(self, datum, expected):
+        self.cache.invalidate(datum, stamp=self.next_req, expected=expected)
+        if expected is None:
+            expected = self.admitted.get(datum, 0) + 1
+        if datum in self.awaited:
+            expected = max(expected, self.awaited[datum][0])
+        self.awaited[datum] = (expected, self.next_req)
 
     @rule(datum=st.sampled_from(DATUMS))
     def drop(self, datum):
         self.cache.drop(datum)
-        self.floors.pop(datum, None)
+        self.admitted.pop(datum, None)
+        self.awaited.pop(datum, None)
+        self.high_water.pop(datum, None)
 
     @invariant()
     def size_bounded(self):
         assert len(self.cache) <= 3
 
     @invariant()
-    def floors_match_model(self):
-        """Eviction must never erase a floor (the original bug)."""
-        for datum in DATUMS:
-            assert self.cache.floor_of(datum) == self.floors.get(datum, 0)
+    def facts_match_model(self):
+        """Eviction must never erase an admission fact (the original bug)."""
+        assert self.cache._admitted == self.admitted
+        assert self.cache._awaited == self.awaited
 
     @invariant()
-    def no_valid_entry_below_floor(self):
+    def liveness_by_construction(self):
+        """No awaited write, however dead its prediction, can wedge reads:
+        the boundary case (stamped exactly at the invalidation, carrying
+        exactly the highest admitted version) is admitted."""
         for datum in DATUMS:
+            awaited = self.awaited.get(datum)
+            stamp = awaited[1] if awaited is not None else 0
+            probe = copy.deepcopy(self.cache)
+            assert probe.put(datum, self.admitted.get(datum, 0), b"", lease_req=stamp)
+
+    @invariant()
+    def safety(self):
+        for datum in DATUMS:
+            admitted = self.admitted.get(datum, 0)
+            assert admitted >= self.high_water.get(datum, 0), "admitted went down"
+            self.high_water[datum] = admitted
             entry = self.cache.peek(datum)
-            if entry is not None and entry.valid:
-                assert entry.version >= self.floors.get(datum, 0)
+            if entry is not None:
+                assert entry.version <= admitted
+            awaited = self.awaited.get(datum)
+            if awaited is None:
+                continue
+            assert entry is None or not entry.valid
+            version, stamp = awaited
+            for lease_req in (None, stamp - 1):
+                probe = copy.deepcopy(self.cache)
+                assert not probe.put(datum, version - 1, b"", lease_req=lease_req)
 
     @invariant()
     def invalidated_is_the_resident_invalid_entries(self):

@@ -76,7 +76,7 @@ class TestCachePolicyProperties:
             elif op == "drop":
                 cache.drop(datum)
             else:
-                cache.invalidate(datum)
+                cache.invalidate(datum, stamp=0)
             assert len(cache) <= capacity
 
     @settings(max_examples=40, deadline=None)
@@ -100,7 +100,7 @@ class TestCachePolicyProperties:
             elif op == "drop":
                 cache.drop(datum)
             else:
-                cache.invalidate(datum)
+                cache.invalidate(datum, stamp=0)
             # With capacity 2 an unprotected candidate always exists at
             # overflow, so the shielded entry must still be resident.
             assert cache.peek(DATUMS[0]) is not None

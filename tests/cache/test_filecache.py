@@ -58,129 +58,112 @@ class TestBasics:
 
 
 class TestInvalidation:
+    """The admission rule in :class:`FileCache`'s docstring, clause by
+    clause.  Stamps are issue order: a reply's ``lease_req`` at or above
+    an invalidation's stamp answers a request issued after it."""
+
     def test_invalidated_entry_misses(self):
         cache = FileCache()
         cache.put(F1, 1, b"x")
-        cache.invalidate(F1)
+        cache.invalidate(F1, stamp=1)
         assert cache.get(F1) is None
         assert cache.stats.invalidations == 1
 
     def test_invalidate_unknown_is_noop(self):
+        """Nothing resident, nothing ever admitted: every real version
+        (they start at 1) is still admissible."""
         cache = FileCache()
-        cache.invalidate(F1)
+        cache.invalidate(F1, stamp=1)
         assert cache.stats.invalidations == 0
+        assert cache.put(F1, 1, b"first")
 
     def test_put_revalidates_with_newer_version(self):
         cache = FileCache()
         cache.put(F1, 1, b"old")
-        cache.invalidate(F1)
+        cache.invalidate(F1, stamp=1)
         assert cache.put(F1, 2, b"new")
         assert cache.get(F1).payload == b"new"
 
     def test_stale_put_refused_after_invalidation(self):
-        """The version floor: a late stale fetch must not resurrect data
-        the client agreed to invalidate (write-approval race)."""
+        """A late stale fetch must not resurrect data the client agreed
+        to invalidate (write-approval race): the reply answers a request
+        issued before the invalidation and carries the old version."""
         cache = FileCache()
         cache.put(F1, 3, b"v3")
-        cache.invalidate(F1)  # floor becomes 4
-        assert not cache.put(F1, 3, b"v3-late")
+        cache.invalidate(F1, stamp=7)  # awaits v4
+        assert not cache.put(F1, 3, b"v3-late", lease_req=6)
+        assert not cache.put(F1, 3, b"v3-late")  # nor without any lease
         assert cache.get(F1) is None
-        assert cache.stats.stale_rejects == 1
+        assert cache.stats.stale_rejects == 2
 
-    def test_explicit_min_version_floor(self):
+    def test_reply_issued_after_invalidation_is_admitted(self):
+        """Liveness by construction: the awaited v4 never commits, and
+        the first lease-granting reply to a request issued at or after
+        the invalidation is admitted whatever it predicted."""
         cache = FileCache()
         cache.put(F1, 3, b"v3")
-        cache.invalidate(F1, min_version=10)
+        cache.invalidate(F1, stamp=7)
+        assert cache.put(F1, 3, b"v3-current", lease_req=7)
+        assert cache.get(F1).payload == b"v3-current"
+
+    def test_first_admission_clears_the_awaited_write(self):
+        cache = FileCache()
+        cache.invalidate(F1, stamp=7, expected=5)
+        assert cache.put(F1, 2, b"v2", lease_req=8)
+        assert cache.put(F1, 3, b"v3")  # nothing awaited: version alone decides
+        cache.invalidate(F1, stamp=9, expected=8)  # a new write is awaited afresh
+        assert not cache.put(F1, 7, b"v7", lease_req=8)
+        assert cache.put(F1, 8, b"v8", lease_req=8)
+
+    def test_explicit_expected_version(self):
+        cache = FileCache()
+        cache.put(F1, 3, b"v3")
+        cache.invalidate(F1, stamp=1, expected=10)
         assert not cache.put(F1, 9, b"v9")
         assert cache.put(F1, 10, b"v10")
+
+    def test_explicit_expected_may_name_the_current_version(self):
+        """A write-lease acquisition invalidates copies while naming the
+        still-current version, which stays admissible from any reply."""
+        cache = FileCache()
+        cache.put(F1, 3, b"v3")
+        cache.invalidate(F1, stamp=9, expected=3)
+        assert cache.put(F1, 3, b"v3-again", lease_req=2)
 
     def test_older_version_never_replaces_newer(self):
         cache = FileCache()
         cache.put(F1, 5, b"v5")
         assert not cache.put(F1, 4, b"v4")
+        assert not cache.put(F1, 4, b"v4", lease_req=99)  # whoever answers
         assert cache.get(F1).version == 5
 
     def test_tombstone_floor_without_prior_entry(self):
-        """An approval can precede the first fetch; its floor must stick."""
+        """An approval can precede the first fetch; what it awaits must
+        stick although there is no entry to hang it on."""
         cache = FileCache()
-        cache.invalidate(F1, min_version=2)
-        assert not cache.put(F1, 1, b"stale")
+        cache.invalidate(F1, stamp=4, expected=2)
+        assert not cache.put(F1, 1, b"stale", lease_req=3)
         assert cache.get(F1) is None
-        assert cache.put(F1, 2, b"fresh")
+        assert cache.put(F1, 2, b"fresh", lease_req=3)
         assert cache.get(F1).payload == b"fresh"
 
-    def test_floors_survive_repeated_invalidation(self):
+    def test_awaited_version_survives_repeated_invalidation(self):
+        """Two writes awaited at once keep the higher version and the
+        later stamp: a payload must contain both or be issued after both."""
         cache = FileCache()
         cache.put(F1, 1, b"x")
-        cache.invalidate(F1, min_version=5)
-        cache.invalidate(F1, min_version=3)  # must not lower the floor
+        cache.invalidate(F1, stamp=2, expected=5)
+        cache.invalidate(F1, stamp=6, expected=3)  # must not lower the version
         assert not cache.put(F1, 4, b"v4")
+        assert not cache.put(F1, 4, b"v4", lease_req=5)  # after the first only
+        assert cache.put(F1, 4, b"v4", lease_req=6)
 
-    def test_lower_floor_releases_a_dead_floor(self):
-        """When the floored write is proven aborted, the floor comes down
-        so live replies are admissible again (anti-livelock)."""
+    def test_drop_forgets_the_admission_facts(self):
         cache = FileCache()
-        cache.invalidate(F1, min_version=5)
-        cache.lower_floor(F1, 2)
-        assert not cache.put(F1, 1, b"v1")  # still below the lowered floor
-        assert cache.put(F1, 2, b"v2")
-
-    def test_lower_floor_never_raises(self):
-        cache = FileCache()
-        cache.invalidate(F1, min_version=2)
-        cache.lower_floor(F1, 7)  # a no-op: lower only
-        assert cache.put(F1, 2, b"v2")
-        cache.lower_floor(F2, 7)  # no floor at all: also a no-op
-        assert cache.put(F2, 1, b"v1")
-
-    def test_lower_floor_to_equal_value_is_a_no_op(self):
-        cache = FileCache()
-        cache.invalidate(F1, min_version=3)
-        cache.lower_floor(F1, 3)
-        assert not cache.put(F1, 2, b"v2")
-        assert cache.put(F1, 3, b"v3")
-
-    def test_drop_discards_floor_so_lowering_after_is_inert(self):
-        """drop() releases the floor entirely; a late lower_floor on the
-        dropped datum must not resurrect admission control."""
-        cache = FileCache()
-        cache.put(F1, 1, b"x")
-        cache.invalidate(F1, min_version=9)
+        cache.put(F1, 5, b"x")
+        cache.invalidate(F1, stamp=1, expected=9)
         cache.drop(F1)
-        assert cache.floor_of(F1) == 0
-        cache.lower_floor(F1, 4)  # floor is 0: nothing to lower
         assert cache.put(F1, 1, b"reborn")
-
-    def test_put_below_lowered_floor_still_refused(self):
-        cache = FileCache()
-        cache.invalidate(F1, min_version=10)
-        cache.lower_floor(F1, 6)
-        rejects_before = cache.stats.stale_rejects
-        assert not cache.put(F1, 5, b"stale")
-        assert cache.stats.stale_rejects == rejects_before + 1
-
-    def test_invalidate_after_lower_floor_can_raise_again(self):
-        """Lowering releases one dead write; a *new* approval may floor
-        higher afterwards and must win."""
-        cache = FileCache()
-        cache.invalidate(F1, min_version=5)
-        cache.lower_floor(F1, 2)
-        cache.invalidate(F1, min_version=8)
-        assert not cache.put(F1, 7, b"v7")
-        assert cache.put(F1, 8, b"v8")
-
-    def test_lower_floor_then_entry_version_still_guards(self):
-        """The floor is one guard; the resident entry's version is the
-        other.  Lowering the floor below a cached version must not let an
-        older payload overwrite newer bytes."""
-        cache = FileCache()
-        cache.put(F1, 5, b"v5")
-        cache.invalidate(F1, min_version=6)
-        cache.lower_floor(F1, 1)
-        assert not cache.put(F1, 3, b"v3")  # floor passed, entry version not
-        assert cache.get(F1) is None  # still invalid until a fresh put
-        assert cache.put(F1, 5, b"v5-again")
-        assert cache.get(F1).payload == b"v5-again"
 
 
 class TestLru:
@@ -208,15 +191,16 @@ class TestLru:
         had been admitted *and evicted* under capacity pressure.  With the
         floor raised only by invalidations, eviction reopened the door and
         the stale bytes were served as local hits under a live lease.
-        Successful admission now raises the floor too."""
+        The highest admitted version is kept outside the LRU."""
         cache = FileCache(capacity=2)
         assert cache.put(F1, 5, b"v5")
         cache.put(F2, 1, b"2")
         cache.put(DatumId.file("f3"), 1, b"3")  # evicts F1 (LRU-oldest)
         assert F1 not in cache
-        assert cache.floor_of(F1) == 5
         assert not cache.put(F1, 4, b"v4")
-        assert cache.stats.stale_rejects == 1
+        assert not cache.put(F1, 4, b"v4", lease_req=99)
+        assert cache.stats.stale_rejects == 2
+        assert cache.put(F1, 5, b"v5")  # the admitted version itself is fine
 
     @given(ops=st.lists(st.integers(0, 9), max_size=60))
     def test_size_never_exceeds_capacity(self, ops):

@@ -174,6 +174,24 @@ class TestRecall:
         cluster.run_until_complete(b, b.read(datum), limit=30.0)
         assert cluster.store.file_at("/data").version == 1  # nothing dirty
 
+    def test_former_owner_reads_after_a_clean_recall_in_one_request(self):
+        """Regression (found by reading the invalidation sites): a recall
+        invalidates the owner's copy anticipating a commit, but with
+        nothing dirty nothing commits — the recall site never recorded
+        when it invalidated, so the former owner's next read refused the
+        still-current v1 forever (11 812 ``ReadRequest``s in 30 simulated
+        seconds, then ``TimeoutError``)."""
+        cluster = make()
+        datum = cluster.store.file_datum("/data")
+        a, b, _ = cluster.clients
+        cluster.run_until_complete(a, a.acquire_write(datum))
+        cluster.run_until_complete(b, b.read(datum), limit=30.0)
+        sent_before = sum(cluster.network.stats["c0"].sent.values())
+        r = cluster.run_until_complete(a, a.read(datum), limit=30.0)
+        assert r.value == (1, b"v1")
+        assert sum(cluster.network.stats["c0"].sent.values()) == sent_before + 1
+        assert cluster.oracle.clean
+
     def test_competing_acquirer_triggers_recall(self):
         cluster = make()
         datum = cluster.store.file_datum("/data")

@@ -45,6 +45,24 @@ def fetch(client, datum=F1, version=1, payload=b"v1", term=10.0, now=0.0):
     return op_id, effects
 
 
+def sends(effects):
+    return [e for e in effects if isinstance(e, Send)]
+
+
+def reread(client, now, datum=F1, version=1, payload=b"v1", term=10.0):
+    """Read ``datum`` again and answer whichever fetch request the miss
+    sent (read or extend) with ``version``/``payload``; returns the
+    effects of handling that answer."""
+    _, effects = client.read(datum, now)
+    request = only(effects, Send).message
+    if isinstance(request, ExtendRequest):
+        grant = ExtendGrant(datum, term, version, payload=payload, changed=True)
+        reply = ExtendReply(request.req_id, grants=(grant,))
+    else:
+        reply = ReadReply(request.req_id, datum, version=version, payload=payload, term=term)
+    return client.handle_message(reply, "server", now + 0.003)
+
+
 class TestReadPath:
     def test_first_read_sends_read_request(self):
         client = make_client()
@@ -343,61 +361,124 @@ class TestApprovals:
         effects = client.handle_message(fresh, "server", now=0.01)
         assert only(effects, Complete).value == (2, b"new")
 
+    def test_stale_extend_grant_after_approval_is_refused_and_refetched(self):
+        """The same race on the extend path: the grant was computed before
+        the approval round, so its v1 bytes must not come back."""
+        client = make_client()
+        fetch(client, term=1.0)
+        _, effects = client.read(F1, now=5.0)  # lease expired: an extension
+        extend = only(effects, Send).message
+        client.handle_message(ApprovalRequest(F1, 7, 2), "server", now=5.001)
+        grant = ExtendGrant(F1, 10.0, 1, payload=b"old", changed=True)
+        effects = client.handle_message(
+            ExtendReply(extend.req_id, grants=(grant,)), "server", now=5.002
+        )
+        assert isinstance(only(effects, Send).message, ReadRequest)
+        assert not [e for e in effects if isinstance(e, Complete)]
+        assert client.cache.get(F1) is None
+
     def test_aborted_approved_write_releases_the_floor(self):
-        """Regression: an approval raises the cache floor to the write's
+        """Regression: an approval makes the cache await the write's
         future version; if the server then aborts that write (writer
         partitioned / deadline), the version never commits and every
         fresh reply used to be refused as stale — an infinite refetch
-        loop (seed gen-0-67).  A post-approval reply that grants a lease
-        proves no write is pending, so the dead floor must come down."""
+        loop (seed gen-0-67).  A lease-granting reply to a request issued
+        after the approval reflects the datum after the write resolved,
+        so it is admitted on arrival: one request, no follow-up."""
         client = make_client()
         fetch(client)  # v1 cached, lease held
         client.handle_message(ApprovalRequest(F1, 7, 2), "server", now=1.0)
-        assert client.cache.floor_of(F1) == 2
         # The write aborts server-side; a later read still finds v1.
-        op_id, effects = client.read(F1, now=2.0)
-        send = only(effects, Send)
-        reply = ReadReply(send.message.req_id, F1, version=1, payload=b"v1", term=10.0)
-        effects = client.handle_message(reply, "server", now=2.003)
+        effects = reread(client, now=2.0)
         assert only(effects, Complete).value == (1, b"v1")
-        assert client.cache.floor_of(F1) == 1
+        assert not sends(effects)
         assert client.cache.get(F1).payload == b"v1"
+        # Nothing is awaited any more: the next read is a plain local hit.
+        _, effects = client.read(F1, now=3.0)
+        assert only(effects, Complete).value == (1, b"v1")
+        assert not sends(effects)
 
     def test_unfulfilled_write_submit_floor_releases(self):
         """Regression (stampede adversarial family, seed gen-0-31): the
-        submit-time invalidate of ``write()`` raises a floor anticipating
-        our own commit, but never recorded the raise — so when the write
-        failed to advance the server (crash-era retry/dedup confusion),
-        ``_floor_write_aborted`` could not prove the floor dead and the
-        client refetch-livelocked behind its own prophecy."""
+        submit-time invalidate of ``write()`` anticipates our own commit;
+        when the write failed to advance the server (crash-era
+        retry/dedup confusion), reads used to refetch-livelock behind
+        that prophecy because this invalidation site forgot to record
+        when it happened.  Recording is now part of ``invalidate``."""
         client = make_client()
         fetch(client)  # v1 cached, lease held
         op_id, effects = client.write(F1, b"mine", now=1.0)
         only(effects, Send)  # the WriteRequest — swallow it (never commits)
-        assert client.cache.floor_of(F1) == 2
-        # A later read: the server still serves v1 and grants a lease,
-        # proving no write is pending — the floor must come down.
-        op_id, effects = client.read(F1, now=2.0)
-        send = only(effects, Send)
-        reply = ReadReply(send.message.req_id, F1, version=1, payload=b"v1", term=10.0)
-        effects = client.handle_message(reply, "server", now=2.003)
+        # A later read: the server still serves v1 and grants a lease, so
+        # no write is pending — the read completes on that first reply.
+        effects = reread(client, now=2.0)
         assert only(effects, Complete).value == (1, b"v1")
-        assert client.cache.floor_of(F1) == 1
+        assert not sends(effects)
 
     def test_leaseless_reply_does_not_release_the_floor(self):
-        """Without a lease grant the server proves nothing about pending
-        writes, so the floor stays and the client refetches."""
+        """A reply that grants no lease passes only on its version, so
+        below the awaited version the client refetches — and keeps
+        waiting: the next lease-less reply is refused the same way."""
         client = make_client()
         fetch(client)
         client.handle_message(ApprovalRequest(F1, 7, 2), "server", now=1.0)
-        op_id, effects = client.read(F1, now=2.0)
-        send = only(effects, Send)
-        reply = ReadReply(send.message.req_id, F1, version=1, payload=b"v1", term=0.0)
-        effects = client.handle_message(reply, "server", now=2.003)
-        follow_up = only(effects, Send)
-        assert isinstance(follow_up.message, ReadRequest)
-        assert not [e for e in effects if isinstance(e, Complete)]
-        assert client.cache.floor_of(F1) == 2
+        _, effects = client.read(F1, now=2.0)
+        extend = only(effects, Send).message
+        effects = client.handle_message(
+            ExtendReply(extend.req_id, denied=(F1,)), "server", now=2.003
+        )
+        for _ in range(2):
+            follow_up = only(effects, Send)
+            assert isinstance(follow_up.message, ReadRequest)
+            assert not [e for e in effects if isinstance(e, Complete)]
+            reply = ReadReply(
+                follow_up.message.req_id, F1, version=1, payload=b"v1", term=0.0
+            )
+            effects = client.handle_message(reply, "server", now=2.01)
+        assert isinstance(only(effects, Send).message, ReadRequest)
+        assert client.cache.get(F1) is None
+
+    def test_reply_path_parity_behind_a_dead_prediction(self):
+        """The same history — fetch, approve a write predicted as v2, the
+        write aborts, re-read answered at v1 with a lease — ends in the
+        same cache state with zero follow-up requests whether the answer
+        is a ``ReadReply`` or an ``ExtendReply`` grant.  (The extend path
+        used to refuse, refetch with a ``ReadRequest``, refuse again and
+        only then accept.)"""
+        outcomes = []
+        for via_read in (True, False):
+            client = make_client()
+            fetch(client)
+            client.handle_message(ApprovalRequest(F1, 7, 2), "server", now=1.0)
+            if via_read:
+                client.leases.drop(F1)  # no holding: the miss sends a ReadRequest
+            effects = reread(client, now=2.0)
+            assert client.metrics.extend_requests == (0 if via_read else 1)
+            assert not sends(effects)
+            entry = client.cache.get(F1)
+            outcomes.append(
+                (
+                    only(effects, Complete).value,
+                    (entry.version, entry.payload),
+                    client.leases.expires_at(F1),
+                    client.outstanding_requests(),
+                )
+            )
+        assert outcomes[0] == outcomes[1] == ((1, b"v1"), (1, b"v1"), 12.0, 0)
+
+    def test_admission_reads_no_clock(self):
+        """Approve at local 100, then the client's clock steps back to 50:
+        a read issued after the approval still completes on its first
+        reply.  "Issued after" is request-id order, not a clock
+        comparison — the clock-based proof re-fetched once per round trip
+        until the clock re-passed the approval time."""
+        client = make_client()
+        fetch(client, now=99.0)
+        client.handle_message(ApprovalRequest(F1, 7, 2), "server", now=100.0)
+        client.leases.drop(F1)  # a ReadRequest: the path that had the proof
+        effects = reread(client, now=50.0)  # the write aborted: still v1
+        assert only(effects, Complete).value == (1, b"v1")
+        assert not sends(effects)
 
 
 class TestAnnouncements:
@@ -531,8 +612,8 @@ class TestOwnWriteRaces:
         """Regression (herd adversarial family, seed gen-0-40): the
         superseded-reply branch raises the floor to the *newer* write's
         future version, but never recorded the raise — if that write then
-        died at the server, ``_floor_write_aborted`` could not prove the
-        floor dead and every refetch was refused as stale forever."""
+        died at the server, nothing could prove the prediction dead and
+        every refetch was refused as stale forever."""
         client = make_client()
         fetch(client)
         _, e1 = client.write(F1, b"A", now=1.0)
@@ -540,15 +621,31 @@ class TestOwnWriteRaces:
         req_a = only(e1, Send).message
         only(e2, Send)  # B's request — lost, never commits
         client.handle_message(WriteReply(req_a.req_id, F1, version=2), "server", 2.0)
-        assert client.cache.floor_of(F1) == 3
+        entry = client.cache.peek(F1)
+        assert entry is None or not entry.valid  # A's bytes were not cached
         # B died at the server; a later lease-granting read still carries
-        # v2, proving v3 will never commit — the floor must come down.
-        _, effects = client.read(F1, now=3.0)
-        send = only(effects, Send)
-        reply = ReadReply(send.message.req_id, F1, version=2, payload=b"A", term=10.0)
-        effects = client.handle_message(reply, "server", now=3.003)
+        # v2 — v3 will never commit, and the read completes on that reply.
+        effects = reread(client, now=3.0, version=2, payload=b"A")
         assert only(effects, Complete).value == (2, b"A")
-        assert client.cache.floor_of(F1) == 2
+        assert not sends(effects)
+
+    def test_write_reply_overtaken_by_an_approval_is_not_cached(self):
+        """Our write committed as v2, then another client's write began
+        and its approval request overtook our WriteReply on the wire: the
+        op completes, but the bytes are already awaiting replacement and
+        must not be served under the lease we kept."""
+        client = make_client()
+        fetch(client)
+        _, effects = client.write(F1, b"mine", now=1.0)
+        write_req = only(effects, Send).message
+        client.handle_message(ApprovalRequest(F1, 9, 3), "server", now=1.5)
+        effects = client.handle_message(
+            WriteReply(write_req.req_id, F1, version=2), "server", now=1.6
+        )
+        assert only(effects, Complete).value == 2
+        assert client.cache.get(F1) is None
+        _, effects = client.read(F1, now=2.0)
+        assert sends(effects) and not [e for e in effects if isinstance(e, Complete)]
 
     def test_local_hits_suspended_while_own_write_unresolved(self):
         """The server exempts the writer from approval callbacks, trusting

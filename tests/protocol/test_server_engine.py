@@ -273,6 +273,21 @@ class TestStarvationGuard:
 
 
 class TestRecovery:
+    def test_crash_drops_the_table_and_returns_the_bound(self):
+        """The §2 crash rule, computed once for every driver: the longest
+        term a pre-crash lease may still run for, table and cover alike."""
+        engine, store = make_engine(term=30.0)
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        assert engine.crash() == 30.0
+        assert not engine.table.live_holders(datum, 1.0)
+        assert engine.crash() == 0.0  # nothing granted since
+
+    def test_crash_bound_covers_the_installed_term(self):
+        installed = InstalledFileManager(announce_period=5.0, term=45.0)
+        engine, _ = make_engine(term=30.0, installed=installed)
+        assert engine.crash() == 45.0  # announced to all, recorded for none
+
     def test_writes_deferred_during_recovery(self):
         store = FileStore()
         store.create_file("/f", b"v1")

@@ -1,4 +1,4 @@
-"""DES failover scenarios: crash, succession, clock steps, abort floors.
+"""DES failover scenarios: crash, succession, clock steps, aborted writes.
 
 The scenario-level regressions for ISSUE 10's satellites:
 
@@ -7,10 +7,11 @@ The scenario-level regressions for ISSUE 10's satellites:
 * (satellite 1) a backward clock step on the freshly elected master
   during its handoff wait delays serving by the stepped amount — the
   ``handoff`` timer re-arms instead of serving early;
-* (satellite 3) a write approved (cache floor raised) under master A
-  that dies with A must not livelock the approving reader: the abort
-  verdict arrives from the *successor* master B and
-  ``_floor_write_aborted`` lowers the floor cross-replica.
+* (satellite 3) a write approved (copy invalidated, its version awaited)
+  under master A that dies with A must not livelock the approving reader:
+  the post-abort answer arrives from the *successor* master B, and the
+  cache admission rule (``FileCache`` docstring) looks only at the reply
+  and the request it answers, never at who sent it.
 """
 
 import pytest
@@ -180,12 +181,12 @@ class TestClockStepDuringHandoff:
 class TestAbortFloorAcrossMasters:
     @pytest.mark.parametrize("crash_delay", [0.0, 0.01, 0.03, 0.06, 0.12])
     def test_approving_reader_never_livelocks(self, crash_delay):
-        """Satellite 3: client A approves client B's write (raising A's
-        cache floor to the write's future version); the master dies
-        before committing.  The floored version never lands, so A's
-        reads must be re-admitted via the successor's replies — the
-        abort proof works even though the lease reply now comes from a
-        different replica than the one that granted the approval."""
+        """Satellite 3: client A approves client B's write (A's cache now
+        awaits the write's future version); the master dies before
+        committing.  The awaited version never lands, so A's reads must
+        be admitted from the successor's replies — the admission rule
+        holds even though the lease reply now comes from a different
+        replica than the one that asked for the approval."""
         cluster = make_cluster()
         datum = cluster.store.file_datum("/doc")
         a, b = cluster.clients
@@ -203,7 +204,7 @@ class TestAbortFloorAcrossMasters:
 
         # A's reads must complete and converge, whatever happened to the
         # write: either it committed (v2) or it died with the master (v1
-        # remains current and A's floor must not wedge it out).
+        # remains current and what A awaits must not wedge it out).
         result = cluster.run_until_complete(a, a.read(datum), limit=60.0)
         assert result.ok
         version, _payload = result.value
