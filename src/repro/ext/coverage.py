@@ -12,11 +12,15 @@ administratively set policies."  Term adaptation is
 * **demotes** covered datums that start taking writes back to ordinary
   per-client leases, where the approval protocol handles the sharing.
 
-Both transitions preserve consistency without contacting clients:
-promotion makes installed writes wait out any still-valid per-client
-lease, and demotion bumps the cover's generation (the old announced id
-lapses everywhere within one term) and bars writes until the last old
-announcement has expired.  See ``repro/lease/installed.py``.
+Both transitions preserve consistency, and neither needs a wait of its
+own — each is an input to the server's one write gate
+(``repro.protocol.server._Gate``).  After a promotion, per-client leases
+granted before it are still in the lease table, so a covered write calls
+their holders back like any write; the cover's last announcement is its
+``not_before``.  Demotion bumps the cover's generation (the old
+announced id lapses everywhere within one term) and the last old
+announcement's expiry — the demotion barrier — is the ``not_before`` of
+writes to the demoted datum.  See ``repro/lease/installed.py``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from typing import Callable
 from repro.clock.sync import safe_local_expiry
 from repro.protocol.client import ClientConfig, ClientEngine
 from repro.protocol.effects import (
-    Broadcast,
     CancelTimer,
     Complete,
     Effect,
@@ -41,7 +40,6 @@ from repro.protocol.effects import (
     SetTimer,
 )
 from repro.protocol.messages import (
-    ApprovalRequest,
     ExtendRequest,
     FlushRequest,
     Message,
@@ -53,7 +51,7 @@ from repro.protocol.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.protocol.server import ServerEngine
+from repro.protocol.server import ServerEngine, _Gate
 from repro.sim.driver import Cluster, SimClient, build_cluster
 from repro.types import DatumId, HostId
 
@@ -71,8 +69,6 @@ class WriteBackServerEngine(ServerEngine):
         #: datum -> recall id of the in-flight recall.
         self._recalls: dict[DatumId, int] = {}
         self._next_recall = 1
-        #: write_id of the acquisition gate -> (original request, requester).
-        self._wl_ctx: dict[int, tuple[WriteLeaseRequest, HostId]] = {}
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -125,15 +121,6 @@ class WriteBackServerEngine(ServerEngine):
     def handle_timer(self, key: str, now: float) -> list[Effect]:
         if key.startswith("recall:"):
             return self._on_recall_deadline(key.split(":", 1)[1], now)
-        if key.startswith("write:"):
-            write_id = int(key.split(":", 1)[1])
-            if write_id in self._wl_ctx:
-                pending = None
-                msg, src = self._wl_ctx[write_id]
-                head = self.table.head_write(msg.datum)
-                if head is not None and head.write_id == write_id and head.ready(now):
-                    return self._grant_from_gate(head, now)
-                return []
         return super().handle_timer(key, now)
 
     # -- blocking ---------------------------------------------------------------------
@@ -166,42 +153,22 @@ class WriteBackServerEngine(ServerEngine):
         if self._write_blocked(datum):
             self._deferred.setdefault(datum, []).append((msg, src))
             return []
-        others = self.table.live_holders(datum, now) - {src}
-        if not others:
-            return self._grant_wlease(msg, src, now)
-        # Gate on the read holders exactly like a write would (§2).
-        pending = self.table.begin_write(datum, src, now)
-        self._wl_ctx[pending.write_id] = (msg, src)
-        if self.table.head_write(datum) is not pending:
+        # Gate on the read holders exactly like a write would (§2): the
+        # same gate, entered the same way, with a grant for an ending
+        # (at once when nobody else holds a lease).  It announces the
+        # datum's current version — nothing is committed.
+        gate = _Gate(src, msg, (datum,), src, self._grant_from_gate, bump=0)
+        return self._enter(gate, now)
+
+    def _grant_from_gate(self, gate: _Gate, now: float) -> list[Effect]:
+        """An acquisition's ending (the gate has left the lease table)."""
+        datum = gate.msg.datum
+        if self.table.write_pending(datum):
+            # An ordinary write queued up behind our gate; it runs next,
+            # and the acquisition is retried once the datum drains.
+            self._deferred.setdefault(datum, []).append((gate.msg, gate.src))
             return []
-        request = ApprovalRequest(datum, pending.write_id, self.store.version_of(datum))
-        effects: list[Effect] = [Broadcast(tuple(sorted(pending.awaiting)), request)]
-        if pending.deadline != float("inf"):
-            effects.append(
-                SetTimer(f"write:{pending.write_id}", max(0.0, pending.deadline - now))
-            )
-        return effects
-
-    def _try_commit_head(self, datum, now: float) -> list[Effect]:
-        """Also complete write-lease acquisition gates that became ready."""
-        effects = super()._try_commit_head(datum, now)
-        if effects:
-            return effects
-        head = self.table.head_write(datum)
-        if head is not None and head.write_id in self._wl_ctx and head.ready(now):
-            return self._grant_from_gate(head, now)
-        return effects
-
-    def _grant_from_gate(self, pending, now: float) -> list[Effect]:
-        msg, src = self._wl_ctx.pop(pending.write_id)
-        self.table.finish_write(msg.datum, pending.write_id)
-        nxt = self.table.head_write(msg.datum)
-        if nxt is not None:
-            # An ordinary write queued up behind our gate; let it run and
-            # retry the lease acquisition once the datum drains.
-            self._deferred.setdefault(msg.datum, []).append((msg, src))
-            return self._after_write_drains(msg.datum, now)
-        return self._grant_wlease(msg, src, now)
+        return self._grant_wlease(gate.msg, gate.src, now)
 
     def _grant_wlease(
         self, msg: WriteLeaseRequest, src: HostId, now: float

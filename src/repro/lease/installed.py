@@ -16,6 +16,13 @@ implosion).  Instead:
 
 :class:`InstalledFileManager` is the server-side bookkeeping; the client
 side is :meth:`repro.lease.holder.LeaseSet.extend_cover`.
+
+The delayed update is not a separate wait in the server: the expiry
+:meth:`InstalledFileManager.begin_write` returns (plus the announce
+grace) becomes the ``not_before`` of an ordinary write gate
+(``repro.protocol.server._Gate``), and so does
+:meth:`InstalledFileManager.demotion_barrier` for a datum that just left
+a cover — both are "leases the table has no record of".
 """
 
 from __future__ import annotations
@@ -52,6 +59,25 @@ class InstalledFileManager:
         self._excluded: dict[str, int] = {}
         #: Server-clock expiry of the most recent announcement, per cover.
         self._announced_expiry: dict[str, float] = {}
+
+    def fresh(self) -> "InstalledFileManager":
+        """The manager a restarted server starts from.
+
+        Which files are installed, under which cover and at which cover
+        generation is durable configuration and is carried over.  The
+        announcement bookkeeping — what was last announced, which covers
+        an update had withheld, demotion barriers — is volatile and starts
+        clean: safe, because recovery delays every write past any
+        pre-crash lease, and necessary, because a write in flight at the
+        crash will never call :meth:`finish_write` and would otherwise
+        keep its cover out of the announcements for good.
+        """
+        manager = InstalledFileManager(self.announce_period, self.term)
+        for cover, members in self._members.items():
+            for datum in members:
+                manager.register(cover, datum)
+        manager._generation = dict(self._generation)
+        return manager
 
     # -- membership ------------------------------------------------------------
 
@@ -122,7 +148,7 @@ class InstalledFileManager:
         Excluded covers (update in progress) are simply omitted; their
         leases then lapse everywhere within one term, letting the write
         proceed without contacting any client.  Calling this records the
-        announced expiry used by :meth:`write_ready_at`.
+        announced expiry :meth:`begin_write` returns.
         """
         active = sorted(c for c in self._members if c not in self._excluded)
         for cover in active:

@@ -31,6 +31,11 @@ from repro.types import DatumId, HostId
 class PendingWrite:
     """A write waiting for leaseholder approval or lease expiry.
 
+    This is §2's write rule, stated once: the write proceeds when every
+    holder it awaits has approved or that holder's lease has run out —
+    and not before ``not_before``, which stands for leases the table
+    keeps no record of.
+
     Attributes:
         datum: the datum being written.
         writer: the requesting client (its approval is implicit, §3.1).
@@ -39,6 +44,11 @@ class PendingWrite:
         expiries: each awaited holder's lease expiry as of ``begin_write``
             (no lease can be renewed while the write is pending — the
             starvation guard — so these stay accurate).
+        not_before: a server-clock time no approval can pull the deadline
+            below: the last announced expiry of an installed cover, or the
+            demotion barrier of a datum that just left one (nobody can be
+            asked, so those leases are only ever waited out).  Never
+            lowered once set.
     """
 
     datum: DatumId
@@ -46,25 +56,31 @@ class PendingWrite:
     write_id: int
     awaiting: set[HostId] = field(default_factory=set)
     expiries: dict[HostId, float] = field(default_factory=dict)
+    not_before: float = float("-inf")
 
     @property
     def deadline(self) -> float:
-        """When every *still-awaited* lease will have expired.
+        """``max(not_before, expiries of the still-awaited)``.
 
         Dynamic on purpose: an approval or a voluntary relinquish removes
         a holder from ``awaiting`` and may pull the deadline in (found by
         the stateful property tests — a frozen deadline made writes wait
         for leases that no longer existed).  ``inf`` while an awaited
-        lease is infinite; ``-inf`` once nothing is awaited.
+        lease is infinite; ``not_before`` (``-inf`` by default) once
+        nothing is awaited.  A plain loop: this runs on every look at a
+        waiting write, usually over one holder.
         """
-        return max(
-            (self.expiries[holder] for holder in self.awaiting),
-            default=float("-inf"),
-        )
+        deadline = self.not_before
+        expiries = self.expiries
+        for holder in self.awaiting:
+            expiry = expiries[holder]
+            if expiry > deadline:
+                deadline = expiry
+        return deadline
 
     def ready(self, now: float) -> bool:
-        """True once the write may commit: all approved or all expired."""
-        return not self.awaiting or now >= self.deadline
+        """True once the write may commit: ``now >= deadline``."""
+        return now >= self.deadline
 
 
 class LeaseTable:
@@ -195,44 +211,26 @@ class LeaseTable:
         for holders in self._by_datum.values():
             yield from holders.values()
 
-    def max_expiry_of(self, datum: DatumId, now: float) -> float:
-        """Latest expiry among valid leases on one datum (``now`` if none).
-
-        Used as the write barrier when a datum is promoted into an
-        installed cover: per-client leases granted before the promotion
-        must still be honored even though covered grants keep no records.
-        """
-        expiries = [
-            lease.expires_at
-            for lease in self._by_datum.get(datum, {}).values()
-            if lease.valid(now)
-        ]
-        return max(expiries, default=now)
-
-    def max_outstanding_expiry(self, now: float) -> float:
-        """Latest expiry among currently valid leases (``now`` if none).
-
-        A cleanly recovering server could delay writes only until this time;
-        a server recovering from a crash does not have this information and
-        must fall back on :attr:`max_term_granted`.
-        """
-        expiries = [
-            lease.expires_at for lease in self.iter_leases() if lease.valid(now)
-        ]
-        return max(expiries, default=now)
-
     # -- writes ----------------------------------------------------------------
 
     def write_pending(self, datum: DatumId) -> bool:
         """True when at least one write is queued on ``datum``."""
         return bool(self._pending.get(datum))
 
-    def begin_write(self, datum: DatumId, writer: HostId, now: float) -> PendingWrite:
+    def begin_write(
+        self,
+        datum: DatumId,
+        writer: HostId,
+        now: float,
+        not_before: float = float("-inf"),
+    ) -> PendingWrite:
         """Queue a write and compute whose approval it needs.
 
         The requester's own approval is implicit (it rides on the write
         request, §3.1), so only *other* live holders are awaited.  Holders
-        with already-expired leases are ignored.
+        with already-expired leases are ignored.  ``not_before`` is the
+        floor under the deadline for leases this table has no record of
+        (see :class:`PendingWrite`).
         """
         self._prune(datum, now)
         awaiting = self.live_holders(datum, now) - {writer}
@@ -245,6 +243,7 @@ class LeaseTable:
             write_id=self._next_write_id,
             awaiting=awaiting,
             expiries=expiries,
+            not_before=not_before,
         )
         self._next_write_id += 1
         self._pending.setdefault(datum, deque()).append(write)

@@ -14,6 +14,15 @@ Responsibilities (paper §2, §4, §5):
 * recover from a crash by delaying all writes for the maximum term it may
   have granted before crashing.
 
+Every wait on leases — a file write (ordinary, covered, recently
+demoted), a namespace op, a write-lease acquisition in
+:mod:`repro.ext.writeback` — is one :class:`_Gate`: one dict, one timer
+per gate (``write:<id>``), one function (``ServerEngine._look``) that
+decides "proceed or re-arm" on every event that can change the answer.
+The rule and why it is safe are in the ``_Gate`` docstring.  Recovery is
+the exception: it holds requests outside the lease table and replays
+them, so reads and new grants resume at once after a restart.
+
 The engine performs no I/O and never reads a clock: every entry point takes
 ``now`` (this host's local clock) and returns a list of effects.
 """
@@ -21,8 +30,9 @@ The engine performs no I/O and never reads a clock: every entry point takes
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from dataclasses import dataclass
+from math import inf
 from typing import Callable
-from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import TermPolicy
@@ -67,7 +77,11 @@ class ServerConfig:
     """Server tuning knobs.
 
     Attributes:
-        epsilon: clock-uncertainty allowance (must match the clients').
+        epsilon: clock-uncertainty allowance.  No server engine reads it:
+            ε is subtracted on the client side (a client stops using a
+            lease ε early) and the server simply waits out what it
+            granted, on its own clock.  Kept because callers construct it
+            (``benchmarks/stack``, the replica engine's copy).
         announce_period: seconds between installed-cover multicasts.
         announce_grace: extra delay added to installed delayed updates to
             cover announce delivery/queueing slack (see DESIGN.md §6).
@@ -83,20 +97,6 @@ class ServerConfig:
     sweep_period: float = 30.0
 
 
-@dataclass
-class _FileWriteCtx:
-    """Bookkeeping for one in-flight file write."""
-
-    src: HostId
-    req_id: int
-    datum: DatumId
-    content: bytes
-    write_seq: int
-    pending: PendingWrite
-    sharing_at_begin: int = 1
-    cas: int | None = None
-
-
 #: Sentinel "writer" for namespace mutations: never matches a client id,
 #: so every live leaseholder of the directory — including the submitter —
 #: is awaited for approval.
@@ -104,32 +104,70 @@ _NS_WRITER: HostId = "\x00namespace"
 
 
 @dataclass
-class _NsWriteCtx:
-    """Bookkeeping for one in-flight namespace mutation."""
+class _Gate:
+    """One request waiting on leases — the server's only kind of wait.
+
+    A file write (ordinary, covered by an installed cover, or recently
+    demoted from one), a namespace op on one or two directories and a
+    write-lease acquisition (:mod:`repro.ext.writeback`) all wait for the
+    same thing, §2's write rule: every leaseholder has approved, or that
+    holder's lease has run out.  :class:`~repro.lease.table.PendingWrite`
+    is that rule for one datum; a gate is the request, its one or two
+    pending writes and what to do when the wait is over (``ending``).
+    Gates live in ``ServerEngine._gates`` under each of their write ids,
+    from the moment they enter the lease table until they proceed.
+
+    **One timer.**  A gate owns the timer ``write:<id of its first
+    pending write>`` and nothing else does.  ``armed`` is the deadline that
+    timer is set for, ``None`` when it has fired or was never set.
+
+    **One re-arm rule.**  Every look at a waiting gate — its timer firing,
+    an approval, a relinquish, reaching the head of its queue — goes
+    through ``ServerEngine._look``: past the deadline the gate proceeds;
+    otherwise the timer is set for the deadline *as it stands now*, but
+    only if that differs from ``armed``.  So the timer follows the
+    deadline wherever it moves, and an unchanged deadline costs no effect.
+
+    **Why that is safe.**  (1) The deadline only ever names leases nobody
+    has answered for: ``awaiting`` shrinks only by an approval or a
+    release, and no lease on the datum can be granted or renewed while
+    the gate is in the table (the starvation guard).  (2) ``not_before``
+    — the leases the table has no record of — is never lowered, so no
+    approval pulls the deadline below it.  (3) A gate that proceeded is
+    out of the dict, so a timer that fires late finds nothing and does
+    nothing; one that fires early finds the deadline still ahead and is
+    re-armed for the remainder.
+    """
 
     src: HostId
-    req_id: int
-    op: str
-    args: tuple
-    write_seq: int
-    datums: tuple[DatumId, ...] = ()
-    pendings: dict[DatumId, PendingWrite] = field(default_factory=dict)
-    active: bool = False
-
-    def ready(self, now: float) -> bool:
-        return all(p.ready(now) for p in self.pendings.values())
-
-
-@dataclass
-class _InstalledWriteCtx:
-    """A delayed update of an installed file, waiting for cover expiry."""
-
-    src: HostId
-    req_id: int
-    datum: DatumId
-    content: bytes
-    write_seq: int
+    #: The request as received: answered from, and (write-lease
+    #: acquisition) replayed if a write queued up behind the gate.
+    msg: Message
+    datums: tuple[DatumId, ...]
+    #: Whose approval is implicit: the requester, or ``_NS_WRITER``.
+    writer: HostId
+    #: ``ending(gate, now) -> effects``: commit and reply, or grant.
+    ending: Callable[["_Gate", float], list[Effect]]
+    #: Added to the datum's version in the ``ApprovalRequest``: 1 for a
+    #: write, 0 for an acquisition (which commits nothing itself).
+    bump: int = 1
     cas: int | None = None
+    #: True when entering excluded the datum's installed cover from the
+    #: announcements (``InstalledFileManager.begin_write``).
+    covered: bool = False
+    pendings: tuple[PendingWrite, ...] = ()
+    #: Holders at entry, the writer included (adaptive-term statistics).
+    sharing: int = 1
+    armed: float | None = None
+
+    @property
+    def deadline(self) -> float:
+        """The latest deadline among the gate's pending writes."""
+        pendings = self.pendings
+        deadline = pendings[0].deadline
+        for pending in pendings[1:]:  # a two-directory rename
+            deadline = max(deadline, pending.deadline)
+        return deadline
 
 
 class ServerEngine:
@@ -164,14 +202,12 @@ class ServerEngine:
         self._deferred: dict[DatumId, list[tuple[Message, HostId]]] = {}
         #: Writes deferred by crash recovery.
         self._recovery_queue: list[tuple[Message, HostId]] = []
-        self._write_ctx: dict[int, _FileWriteCtx] = {}
-        self._ns_queue: deque[_NsWriteCtx] = deque()
-        self._installed_writes: dict[int, _InstalledWriteCtx] = {}
-        #: Writes held behind a coverage-demotion barrier (§7).
-        self._demotion_holds: dict[int, tuple[Message, HostId]] = {}
-        self._next_installed_id = 1
-        self._next_ns_id = 1
-        self._ns_by_id: dict[int, _NsWriteCtx] = {}
+        #: Every request waiting on leases, under each of its write ids
+        #: (see :class:`_Gate`).
+        self._gates: dict[int, _Gate] = {}
+        #: Namespace ops in arrival order; only the head is in the lease
+        #: table (ops serialize globally — no multi-queue deadlock).
+        self._ns_queue: deque[_Gate] = deque()
         self._announce_seq = 0
         #: per-client write_seq -> committed result, for exactly-once
         #: writes; bounded per client (retransmission windows are short,
@@ -251,6 +287,20 @@ class ServerEngine:
                 )
         return open_
 
+    def _held_by_recovery(self, msg, src: HostId, now: float) -> bool:
+        """Inside the recovery window a write is kept aside — marked in
+        flight, but outside the lease table, so reads and new grants go
+        on — and replayed when the ``recovery`` timer closes the window."""
+        if not self._in_recovery(now):
+            return False
+        self._inflight.add((src, msg.write_seq))
+        self._recovery_queue.append((msg, src))
+        if self.obs.active:
+            self.obs.emit(
+                RECOVERY_HOLD, now, self.name, src=src, write_seq=msg.write_seq
+            )
+        return True
+
     # -- dispatch -------------------------------------------------------------
 
     def handle_message(self, msg: Message, src: HostId, now: float) -> list[Effect]:
@@ -285,15 +335,11 @@ class ServerEngine:
                 effects.extend(self.handle_message(msg, src, now))
             return effects
         if key.startswith("write:"):
-            return self._on_write_deadline(int(key.split(":", 1)[1]), now)
-        if key.startswith("nswrite:"):
-            return self._on_ns_deadline(int(key.split(":", 1)[1]), now)
-        if key.startswith("iwrite:"):
-            return self._on_installed_ready(int(key.split(":", 1)[1]), now)
-        if key.startswith("dmwrite:"):
-            msg, src = self._demotion_holds.pop(int(key.split(":", 1)[1]))
-            self._inflight.discard((src, msg.write_seq))
-            return self.handle_message(msg, src, now)
+            gate = self._gates.get(int(key.split(":", 1)[1]))
+            if gate is None:
+                return []  # proceeded already: a late timer is a no-op
+            gate.armed = None  # spent
+            return self._look(gate, now)
         raise ReproError(f"server got unexpected timer {key!r}")
 
     # -- reads ------------------------------------------------------------------
@@ -391,155 +437,163 @@ class ServerEngine:
             ]
         if not self.store.datum_exists(datum):
             return [Send(src, WriteReply(msg.req_id, datum, error="no such datum"))]
-        rejected = self._cas_reject(msg.cas, datum, src, msg.req_id, msg.write_seq, now)
+        gate = _Gate(src, msg, (datum,), src, self._commit_file_write, cas=msg.cas)
+        rejected = self._cas_reject(gate, now)
         if rejected is not None:
             return rejected
-        self._inflight.add((src, msg.write_seq))
-        if self._in_recovery(now):
-            self._recovery_queue.append((msg, src))
-            if self.obs.active:
-                self.obs.emit(
-                    RECOVERY_HOLD, now, self.name, src=src, write_seq=msg.write_seq
-                )
+        if self._held_by_recovery(msg, src, now):
             return []
+        self._inflight.add((src, msg.write_seq))
+        not_before = -inf
         if self.installed is not None:
             if self.installed.cover_of(datum) is not None:
-                return self._begin_installed_write(msg, src, now)
-            barrier = self.installed.demotion_barrier(datum)
-            if barrier > now:
-                # Recently demoted (§7): old cover announcements may still
-                # be honored at some client; wait them out, then proceed
-                # as a normal write.
-                hold_id = self._next_installed_id
-                self._next_installed_id += 1
-                self._demotion_holds[hold_id] = (msg, src)
-                if self.obs.active:
+                # Delayed update (§4): the cover leaves the announcements
+                # and the write waits out the last one.  Per-client leases
+                # from before a promotion (§7) are in the table and are
+                # called back like any other.
+                gate.covered = True
+                not_before = (
+                    self.installed.begin_write(datum, now) + self.config.announce_grace
+                )
+            else:
+                # Recently demoted (§7): an old cover announcement may
+                # still be honored at some client; wait it out.
+                not_before = self.installed.demotion_barrier(datum)
+                if not_before > now and self.obs.active:
                     self.obs.emit(
                         WRITE_DEFER, now, self.name,
                         datum=str(datum), src=src, reason="demotion_barrier",
                     )
-                return [SetTimer(f"dmwrite:{hold_id}", barrier - now)]
-        return self._begin_file_write(msg, src, now)
+        return self._enter(gate, now, not_before)
 
-    def _begin_file_write(self, msg: WriteRequest, src: HostId, now: float) -> list[Effect]:
-        pending = self.table.begin_write(msg.datum, src, now)
-        ctx = _FileWriteCtx(
-            src=src,
-            req_id=msg.req_id,
-            datum=msg.datum,
-            content=msg.content,
-            write_seq=msg.write_seq,
-            pending=pending,
-            sharing_at_begin=len(pending.awaiting) + 1,
-            cas=msg.cas,
-        )
-        self._write_ctx[pending.write_id] = ctx
-        if self.table.head_write(msg.datum) is pending:
-            return self._activate_file_write(ctx, now)
-        return []  # queued behind an earlier write on the same datum
-
-    def _activate_file_write(self, ctx: _FileWriteCtx, now: float) -> list[Effect]:
-        """The write reached the head of its datum's queue: ask approvals
-        or commit immediately."""
-        if ctx.cas is not None and self.store.version_of(ctx.datum) != ctx.cas:
-            # An earlier queued write committed first: this writer's basis
-            # version is gone, so reject rather than clobber (the CAS
-            # contract).  Checked at activation — once a file write is at
-            # the head of its queue nothing else can commit to the datum,
-            # so the predicate cannot change before our own commit.
-            return self._reject_file_write(ctx, now)
-        pending = ctx.pending
-        if pending.ready(now):
-            return self._commit_file_write(ctx, now)
-        new_version = self.store.version_of(ctx.datum) + 1
-        request = ApprovalRequest(ctx.datum, pending.write_id, new_version)
-        if self.obs.active:
-            self.obs.emit(
-                APPROVAL_REQUEST, now, self.name,
-                datum=str(ctx.datum), write_id=pending.write_id,
-                awaiting=len(pending.awaiting),
-            )
-        effects: list[Effect] = [Broadcast(tuple(sorted(pending.awaiting)), request)]
-        if pending.deadline != float("inf"):
-            effects.append(
-                SetTimer(f"write:{pending.write_id}", max(0.0, pending.deadline - now))
-            )
-        return effects
-
-    def _commit_file_write(self, ctx: _FileWriteCtx, now: float) -> list[Effect]:
-        version = self.store.commit_file_write(ctx.datum, ctx.content, now)
+    def _commit_file_write(self, gate: _Gate, now: float) -> list[Effect]:
+        """A file write's ending: commit and answer the writer."""
+        msg = gate.msg
+        version = self.store.commit_file_write(msg.datum, msg.content, now)
         if self.obs.active:
             self.obs.emit(
                 WRITE_COMMIT, now, self.name,
-                datum=str(ctx.datum), writer=ctx.src, version=version,
+                datum=str(msg.datum), writer=gate.src, version=version,
             )
-        self._stats_of(ctx.datum).record_write(now, ctx.sharing_at_begin)
-        self._record_commit(ctx.src, ctx.write_seq, version, None)
-        self.table.finish_write(ctx.datum, ctx.pending.write_id)
-        del self._write_ctx[ctx.pending.write_id]
-        effects: list[Effect] = [
-            Send(ctx.src, WriteReply(ctx.req_id, ctx.datum, version=version))
-        ]
-        effects.extend(self._after_write_drains(ctx.datum, now))
-        return effects
+        self._stats_of(msg.datum).record_write(now, gate.sharing)
+        self._record_commit(gate.src, msg.write_seq, version, None)
+        return [Send(gate.src, WriteReply(msg.req_id, msg.datum, version=version))]
 
-    def _cas_reject(
-        self,
-        cas: int | None,
-        datum: DatumId,
-        src: HostId,
-        req_id: int,
-        write_seq: int,
-        now: float,
-    ) -> list[Effect] | None:
+    def _cas_reject(self, gate: _Gate, now: float) -> list[Effect] | None:
         """Reject a stale CAS write; None when the write may proceed.
 
         The rejection is recorded in the dedup window so retransmissions
         get the identical answer even if the datum's version later happens
         to equal the (bogus) expected one.
         """
-        if cas is None:
+        if gate.cas is None:
             return None
-        version = self.store.version_of(datum)
-        if version == cas:
+        msg = gate.msg
+        version = self.store.version_of(msg.datum)
+        if version == gate.cas:
             return None
-        error = f"cas mismatch: expected {cas}, datum at {version}"
+        error = f"cas mismatch: expected {gate.cas}, datum at {version}"
         if self.obs.active:
             self.obs.emit(
                 WRITE_CAS_REJECT, now, self.name,
-                datum=str(datum), writer=src, expected=cas, found=version,
+                datum=str(msg.datum), writer=gate.src, expected=gate.cas, found=version,
             )
-        self._record_commit(src, write_seq, version, error)
-        return [Send(src, WriteReply(req_id, datum, version=version, error=error))]
+        self._record_commit(gate.src, msg.write_seq, version, error)
+        return [
+            Send(gate.src, WriteReply(msg.req_id, msg.datum, version=version, error=error))
+        ]
 
-    def _reject_file_write(self, ctx: _FileWriteCtx, now: float) -> list[Effect]:
-        """Tear down a queued write whose CAS guard failed at activation."""
-        effects = self._cas_reject(
-            ctx.cas, ctx.datum, ctx.src, ctx.req_id, ctx.write_seq, now
+    # -- the write gate (see _Gate) -------------------------------------------------
+
+    def _enter(
+        self, gate: _Gate, now: float, not_before: float = -inf
+    ) -> list[Effect]:
+        """Put the gate's writes in the lease table — from here on no new
+        lease is granted on its datums — and activate it if nothing is
+        queued ahead of it."""
+        table = self.table
+        gate.pendings = tuple(
+            [table.begin_write(d, gate.writer, now, not_before) for d in gate.datums]
         )
-        assert effects is not None
-        self.table.finish_write(ctx.datum, ctx.pending.write_id)
-        del self._write_ctx[ctx.pending.write_id]
-        effects.extend(self._after_write_drains(ctx.datum, now))
+        for pending in gate.pendings:
+            self._gates[pending.write_id] = gate
+        first = gate.pendings[0]
+        gate.sharing = len(first.awaiting) + 1
+        # One check covers a two-directory gate: only namespace ops write
+        # directories and ``_ns_queue`` lets one in at a time.
+        if table.head_write(first.datum) is first:
+            return self._activate(gate, now)
+        return []  # queued behind an earlier write on the same datum
+
+    def _activate(self, gate: _Gate, now: float) -> list[Effect]:
+        """The gate reached the head of its queue: ask whoever must be
+        asked, then take the first look."""
+        # An earlier queued write may have committed first: a CAS writer's
+        # basis version is then gone, so reject rather than clobber (the
+        # CAS contract).  Checked here — once a write is at the head of its
+        # queue nothing else can commit to the datum, so the predicate
+        # cannot change before our own commit.
+        rejected = self._cas_reject(gate, now)
+        if rejected is not None:
+            return self._proceed(gate, now, rejected)
+        effects: list[Effect] = []
+        if now < gate.deadline:
+            for pending in gate.pendings:
+                if not pending.awaiting:
+                    continue
+                datum = pending.datum
+                if self.obs.active:
+                    self.obs.emit(
+                        APPROVAL_REQUEST, now, self.name,
+                        datum=str(datum), write_id=pending.write_id,
+                        awaiting=len(pending.awaiting),
+                    )
+                request = ApprovalRequest(
+                    datum, pending.write_id, self.store.version_of(datum) + gate.bump
+                )
+                effects.append(Broadcast(tuple(sorted(pending.awaiting)), request))
+        effects.extend(self._look(gate, now))
         return effects
 
-    def _on_write_deadline(self, write_id: int, now: float) -> list[Effect]:
-        ctx = self._write_ctx.get(write_id)
-        if ctx is None:
-            return []  # already committed via approvals
-        if self.table.head_write(ctx.datum) is not ctx.pending:
-            return []  # stale timer; activation re-arms when it's our turn
-        if ctx.pending.ready(now):
-            return self._commit_file_write(ctx, now)
-        if ctx.pending.deadline != float("inf"):
-            # Fired before the local deadline: the clock stepped backward
-            # (or its drift changed) while the timer was armed.  Re-arm
-            # for the remainder — dropping the wait would wedge every
-            # write and deferred read on this datum forever.
-            return [
-                SetTimer(f"write:{write_id}", max(0.0, ctx.pending.deadline - now))
-            ]
-        return []
+    def _look(self, gate: _Gate, now: float) -> list[Effect]:
+        """Proceed or (re-)arm — the one decision about a waiting gate,
+        taken on every event that can change its answer."""
+        deadline = gate.deadline
+        if now >= deadline:
+            return self._proceed(gate, now)
+        if deadline == gate.armed or deadline == inf:
+            return []
+        gate.armed = deadline
+        return [SetTimer(f"write:{gate.pendings[0].write_id}", deadline - now)]
+
+    def _proceed(
+        self, gate: _Gate, now: float, rejected: list[Effect] | None = None
+    ) -> list[Effect]:
+        """The wait is over: take the gate out of the dict, the lease
+        table, its cover and the namespace queue; run its ending (unless
+        it was ``rejected`` at activation); let what queued behind it go."""
+        namespace = bool(self._ns_queue) and self._ns_queue[0] is gate
+        for pending in gate.pendings:
+            self.table.finish_write(pending.datum, pending.write_id)
+            del self._gates[pending.write_id]
+        if gate.covered:
+            self.installed.finish_write(gate.datums[0])
+        if namespace:
+            self._ns_queue.popleft()
+        effects = gate.ending(gate, now) if rejected is None else rejected
+        for datum in gate.datums:
+            effects.extend(self._after_write_drains(datum, now))
+        if namespace and self._ns_queue:
+            effects.extend(self._enter(self._ns_queue[0], now))
+        return effects
+
+    def _after_write_drains(self, datum: DatumId, now: float) -> list[Effect]:
+        """A gate on ``datum`` proceeded: activate the next one queued,
+        or (if none) replay the deferred reads."""
+        nxt = self.table.head_write(datum)
+        if nxt is not None:
+            return self._activate(self._gates[nxt.write_id], now)
+        return self._flush_deferred(datum, now)
 
     def _handle_approval(self, msg: ApprovalReply, src: HostId, now: float) -> list[Effect]:
         pending = self.table.approve(msg.datum, src, msg.write_id)
@@ -550,25 +604,21 @@ class ServerEngine:
                 APPROVAL_REPLY, now, self.name,
                 datum=str(msg.datum), write_id=msg.write_id, holder=src,
             )
-        if not pending.ready(now):
-            return []
-        return self._try_commit_head(msg.datum, now)
+        return self._look(self._gates[pending.write_id], now)
 
     def _handle_relinquish(
         self, msg: RelinquishRequest, src: HostId, now: float
     ) -> list[Effect]:
-        """Drop the client's leases; any write they were blocking may now
-        proceed (§4: relinquishing is a client option, and it is what lets
-        a well-behaved cache shrink without waiting out terms)."""
+        """Drop the client's leases; any gate they were holding up may now
+        proceed, or wait for less (§4: relinquishing is a client option,
+        and it is what lets a well-behaved cache shrink without waiting
+        out terms)."""
         effects: list[Effect] = []
         for datum in msg.datums:
             self.table.release(datum, src, now)
-            committed = self._try_commit_head(datum, now)
-            effects.extend(committed)
-            if not committed:
-                # The departure may have pulled the expiry deadline in;
-                # re-arm the pending write's timer to the new deadline.
-                effects.extend(self._rearm_write_timer(datum, now))
+            head = self.table.head_write(datum)
+            if head is not None:
+                effects.extend(self._look(self._gates[head.write_id], now))
         return effects
 
     def _handle_batch(self, msg: BatchRequest, src: HostId, now: float) -> list[Effect]:
@@ -600,82 +650,7 @@ class ServerEngine:
             passthrough.append(Send(src, BatchReply(msg.batch_id, tuple(replies))))
         return passthrough
 
-    def _rearm_write_timer(self, datum: DatumId, now: float) -> list[Effect]:
-        """Refresh the expiry timer of a datum's head write (if any)."""
-        pending = self.table.head_write(datum)
-        if pending is None or not pending.awaiting or pending.deadline == float("inf"):
-            return []
-        delay = max(0.0, pending.deadline - now)
-        if pending.write_id in self._write_ctx:
-            return [SetTimer(f"write:{pending.write_id}", delay)]
-        ns_ctx = self._ns_by_write_id(pending.write_id)
-        if ns_ctx is not None:
-            ns_id = next((i for i, c in self._ns_by_id.items() if c is ns_ctx), None)
-            if ns_id is not None:
-                return [SetTimer(f"nswrite:{ns_id}", delay)]
-        return []
-
-    def _try_commit_head(self, datum: DatumId, now: float) -> list[Effect]:
-        """Commit the datum's head write if it just became ready."""
-        pending = self.table.head_write(datum)
-        if pending is None or not pending.ready(now):
-            return []
-        file_ctx = self._write_ctx.get(pending.write_id)
-        if file_ctx is not None:
-            return self._commit_file_write(file_ctx, now)
-        ns_ctx = self._ns_by_write_id(pending.write_id)
-        if ns_ctx is not None and ns_ctx.ready(now):
-            return self._commit_namespace(ns_ctx, now)
-        return []
-
-    # -- installed-file writes (delayed update, §4) ----------------------------------
-
-    def _begin_installed_write(
-        self, msg: WriteRequest, src: HostId, now: float
-    ) -> list[Effect]:
-        ready_at = self.installed.begin_write(msg.datum, now) + self.config.announce_grace
-        # A datum promoted into a cover (§7 adaptive coverage) may still
-        # have per-client leases from before the promotion; honor them.
-        ready_at = max(ready_at, self.table.max_expiry_of(msg.datum, now))
-        ctx = _InstalledWriteCtx(
-            src=src,
-            req_id=msg.req_id,
-            datum=msg.datum,
-            content=msg.content,
-            write_seq=msg.write_seq,
-            cas=msg.cas,
-        )
-        iwrite_id = self._next_installed_id
-        self._next_installed_id += 1
-        self._installed_writes[iwrite_id] = ctx
-        if ready_at <= now:
-            return self._on_installed_ready(iwrite_id, now)
-        return [SetTimer(f"iwrite:{iwrite_id}", ready_at - now)]
-
-    def _on_installed_ready(self, iwrite_id: int, now: float) -> list[Effect]:
-        ctx = self._installed_writes.pop(iwrite_id)
-        rejected = self._cas_reject(
-            ctx.cas, ctx.datum, ctx.src, ctx.req_id, ctx.write_seq, now
-        )
-        if rejected is not None:
-            # Another delayed update committed during the cover wait.
-            self.installed.finish_write(ctx.datum)
-            rejected.extend(self._flush_deferred(ctx.datum, now))
-            return rejected
-        version = self.store.commit_file_write(ctx.datum, ctx.content, now)
-        if self.obs.active:
-            self.obs.emit(
-                WRITE_COMMIT, now, self.name,
-                datum=str(ctx.datum), writer=ctx.src, version=version,
-            )
-        self.installed.finish_write(ctx.datum)
-        self._stats_of(ctx.datum).record_write(now, 1)
-        self._record_commit(ctx.src, ctx.write_seq, version, None)
-        effects: list[Effect] = [
-            Send(ctx.src, WriteReply(ctx.req_id, ctx.datum, version=version))
-        ]
-        effects.extend(self._flush_deferred(ctx.datum, now))
-        return effects
+    # -- installed-file announcements (§4) ------------------------------------------
 
     def _announce(self, now: float) -> list[Effect]:
         covers, term = self.installed.announcement(now)
@@ -699,130 +674,64 @@ class ServerEngine:
         dedup = self._check_dedup(src, msg)
         if dedup is not None:
             return dedup
-        if self._in_recovery(now):
-            self._inflight.add((src, msg.write_seq))
-            self._recovery_queue.append((msg, src))
-            if self.obs.active:
-                self.obs.emit(
-                    RECOVERY_HOLD, now, self.name, src=src, write_seq=msg.write_seq
-                )
+        if self._held_by_recovery(msg, src, now):
             return []
         try:
             datums = self._namespace_targets(msg)
         except ReproError as exc:
             return [Send(src, NamespaceReply(msg.req_id, msg.op, error=str(exc)))]
         self._inflight.add((src, msg.write_seq))
-        ctx = _NsWriteCtx(
-            src=src,
-            req_id=msg.req_id,
-            op=msg.op,
-            args=msg.args,
-            write_seq=msg.write_seq,
-            datums=datums,
-        )
-        ns_id = self._next_ns_id
-        self._next_ns_id += 1
-        self._ns_by_id[ns_id] = ctx
-        self._ns_queue.append(ctx)
-        if self._ns_queue[0] is ctx:
-            return self._activate_namespace(ns_id, ctx, now)
+        # Unlike a file write, a namespace op grants NO implicit
+        # self-approval (the _NS_WRITER sentinel): the submitter cannot
+        # reconstruct the new directory payload from its request, so if it
+        # holds a lease on the directory it must be called back like any
+        # other holder — otherwise it would keep serving its own stale
+        # binding from cache after the commit (found by the path-API tests).
+        gate = _Gate(src, msg, datums, _NS_WRITER, self._commit_namespace)
+        self._ns_queue.append(gate)
+        if self._ns_queue[0] is gate:
+            return self._enter(gate, now)
         return []  # namespace ops serialize globally (no multi-queue deadlock)
 
-    def _activate_namespace(self, ns_id: int, ctx: _NsWriteCtx, now: float) -> list[Effect]:
-        ctx.active = True
-        effects: list[Effect] = []
-        deadline = now
-        for datum in ctx.datums:
-            # Unlike a file write, a namespace op grants NO implicit
-            # self-approval: the submitter cannot reconstruct the new
-            # directory payload from its request, so if it holds a lease on
-            # the directory it must be called back like any other holder —
-            # otherwise it would keep serving its own stale binding from
-            # cache after the commit (found by the path-API tests).
-            pending = self.table.begin_write(datum, _NS_WRITER, now)
-            ctx.pendings[datum] = pending
-            deadline = max(deadline, pending.deadline)
-            if pending.awaiting:
-                new_version = self.store.version_of(datum) + 1
-                if self.obs.active:
-                    self.obs.emit(
-                        APPROVAL_REQUEST, now, self.name,
-                        datum=str(datum), write_id=pending.write_id,
-                        awaiting=len(pending.awaiting),
-                    )
-                effects.append(
-                    Broadcast(
-                        tuple(sorted(pending.awaiting)),
-                        ApprovalRequest(datum, pending.write_id, new_version),
-                    )
-                )
-        if ctx.ready(now):
-            return self._commit_namespace(ctx, now)
-        if deadline != float("inf"):
-            effects.append(SetTimer(f"nswrite:{ns_id}", max(0.0, deadline - now)))
-        return effects
-
-    def _on_ns_deadline(self, ns_id: int, now: float) -> list[Effect]:
-        ctx = self._ns_by_id.get(ns_id)
-        if ctx is None or not ctx.active:
-            return []
-        if ctx.ready(now):
-            return self._commit_namespace(ctx, now)
-        deadline = max(p.deadline for p in ctx.pendings.values())
-        if deadline != float("inf"):
-            # Early firing (backward clock step while armed): re-arm, as
-            # in _on_write_deadline.
-            return [SetTimer(f"nswrite:{ns_id}", max(0.0, deadline - now))]
-        return []
-
-    def _commit_namespace(self, ctx: _NsWriteCtx, now: float) -> list[Effect]:
+    def _commit_namespace(self, gate: _Gate, now: float) -> list[Effect]:
+        """A namespace op's ending: apply it and answer the submitter."""
+        msg = gate.msg
         error: str | None = None
         result: object = None
         ns = self.store.namespace
         try:
-            if ctx.op == "mkdir":
-                (path,) = ctx.args
+            if msg.op == "mkdir":
+                (path,) = msg.args
                 result = ns.mkdir(path)
-            elif ctx.op == "bind":
-                path, content, file_class_name = ctx.args
+            elif msg.op == "bind":
+                path, content, file_class_name = msg.args
                 record = self.store.create_file(
                     path, content, file_class=FileClass(file_class_name), now=now
                 )
                 result = record.file_id
-            elif ctx.op == "unbind":
-                (path,) = ctx.args
+            elif msg.op == "unbind":
+                (path,) = msg.args
                 self.store.unlink(path)
-            elif ctx.op == "rename":
-                old, new = ctx.args
+            elif msg.op == "rename":
+                old, new = msg.args
                 ns.rename(old, new)
             else:
-                error = f"unknown namespace op {ctx.op!r}"
+                error = f"unknown namespace op {msg.op!r}"
         except ReproError as exc:
             error = f"{type(exc).__name__}: {exc}"
-        for datum, pending in ctx.pendings.items():
+        for pending in gate.pendings:
+            datum = pending.datum
             self._stats_of(datum).record_write(now, len(pending.awaiting) + 1)
-            self.table.finish_write(datum, pending.write_id)
             if self.obs.active:
                 self.obs.emit(
                     WRITE_COMMIT, now, self.name,
-                    datum=str(datum), writer=ctx.src,
+                    datum=str(datum), writer=gate.src,
                     version=self.store.version_of(datum),
                 )
-        self._record_commit(ctx.src, ctx.write_seq, 0, error)
-        self._ns_queue.popleft()
-        for ns_id, known in list(self._ns_by_id.items()):
-            if known is ctx:
-                del self._ns_by_id[ns_id]
-        effects: list[Effect] = [
-            Send(ctx.src, NamespaceReply(ctx.req_id, ctx.op, error=error, result=result))
+        self._record_commit(gate.src, msg.write_seq, 0, error)
+        return [
+            Send(gate.src, NamespaceReply(msg.req_id, msg.op, error=error, result=result))
         ]
-        for datum in ctx.datums:
-            effects.extend(self._after_write_drains(datum, now))
-        if self._ns_queue:
-            head = self._ns_queue[0]
-            head_id = next(i for i, c in self._ns_by_id.items() if c is head)
-            effects.extend(self._activate_namespace(head_id, head, now))
-        return effects
 
     def _namespace_targets(self, msg: NamespaceRequest) -> tuple[DatumId, ...]:
         """The directory datums a namespace op writes (approval targets)."""
@@ -842,29 +751,12 @@ class ServerEngine:
     # -- shared helpers -------------------------------------------------------------
 
     def _write_blocked(self, datum: DatumId) -> bool:
-        """True when reads/extends of ``datum`` must defer behind a write."""
+        """True when reads/extends of ``datum`` must defer behind a write:
+        a gate holds the datum in the lease table, or an update of its
+        installed cover is in flight (which blocks the whole cover)."""
         if self.table.write_pending(datum):
             return True
-        if self.installed is not None and self.installed.write_pending(datum):
-            return True
-        if not self._ns_queue:
-            return False
-        return any(
-            ctx.active and datum in ctx.pendings for ctx in self._ns_queue
-        )
-
-    def _after_write_drains(self, datum: DatumId, now: float) -> list[Effect]:
-        """A write on ``datum`` finished: activate the next queued write,
-        then (if none) replay the deferred reads."""
-        effects: list[Effect] = []
-        nxt = self.table.head_write(datum)
-        if nxt is not None:
-            ctx = self._write_ctx.get(nxt.write_id)
-            if ctx is not None:
-                effects.extend(self._activate_file_write(ctx, now))
-            return effects
-        effects.extend(self._flush_deferred(datum, now))
-        return effects
+        return self.installed is not None and self.installed.write_pending(datum)
 
     def _flush_deferred(self, datum: DatumId, now: float) -> list[Effect]:
         if self._write_blocked(datum):
@@ -911,13 +803,6 @@ class ServerEngine:
             return self.store.file(datum.ident).file_class
         return FileClass.NORMAL
 
-    def _ns_by_write_id(self, write_id: int) -> _NsWriteCtx | None:
-        for ctx in self._ns_queue:
-            for pending in ctx.pendings.values():
-                if pending.write_id == write_id:
-                    return ctx
-        return None
-
     # -- introspection -----------------------------------------------------------------
 
     def lease_count(self) -> int:
@@ -932,14 +817,12 @@ class ServerEngine:
         short terms because expired records are reclaimed.
         """
         deferred = sum(len(waiting) for waiting in self._deferred.values())
-        pending_writes = len(self._write_ctx) + len(self._installed_writes) + len(
-            self._ns_queue
-        )
+        waiting = {id(gate) for gate in (*self._gates.values(), *self._ns_queue)}
         snapshot = {
             "now": now,
             "known_clients": len(self.known_clients),
             "lease_records": self.table.lease_count(),
-            "pending_writes": pending_writes,
+            "pending_writes": len(waiting),
             "deferred_requests": deferred,
             "tracked_datums": len(self.stats),
             "dedup_entries": sum(len(w) for w in self._write_dedup.values()),

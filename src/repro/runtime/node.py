@@ -188,15 +188,18 @@ class LeaseServerNode(_EngineNode):
     def restart(self) -> None:
         """Simulate a crash + reboot of the real-time server.
 
-        Volatile state (lease table, timers, pending writes) is dropped;
-        the one thing carried across — per the paper's §2 crash rule — is
-        the largest term ever granted, which ``ServerEngine.crash()`` hands
+        Volatile state (lease table, timers, pending writes, what the
+        installed covers last announced or withheld) is dropped; the one
+        thing carried across — per the paper's §2 crash rule — is the
+        largest term ever granted, which ``ServerEngine.crash()`` hands
         back and which becomes the new engine's ``recovery_delay``.  The
         restarted engine therefore refuses to commit writes until every
         lease granted by the previous incarnation has provably expired.
         """
         self._persisted_max_term = max(self._persisted_max_term, self.engine.crash())
         installed = self.engine.installed
+        if installed is not None:
+            installed = installed.fresh()
         for key in list(self._timers):
             self._cancel_timer(key)
         now = self.clock.now()

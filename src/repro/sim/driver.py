@@ -159,7 +159,9 @@ class SimServer(_SimNode):
         #: Builds the protocol engine; baseline protocols (§6) substitute
         #: their own engines with the same duck interface.
         self._engine_factory = engine_factory or ServerEngine
-        self._installed_template = installed
+        #: The durable half of the installed-file state; every boot starts
+        #: from a fresh copy of it (``InstalledFileManager.fresh``).
+        self._installed = installed
         #: Models the small persistent record of the largest term granted,
         #: which bounds the post-crash write delay (paper §2).
         self._persisted_max_term = 0.0
@@ -173,35 +175,18 @@ class SimServer(_SimNode):
     # -- lifecycle -------------------------------------------------------------
 
     def _boot(self, recovery_delay: float) -> None:
+        if self._installed is not None:
+            self._installed = self._installed.fresh()
         self.engine = self._engine_factory(
             self.host.name,
             self.store,
             self.policy,
             config=dataclasses.replace(self.config, recovery_delay=recovery_delay),
-            installed=self._rebuild_installed(),
+            installed=self._installed,
             now=self.host.clock.now(),
             obs=self.obs,
         )
         self._run_effects(self.engine.startup_effects(self.host.clock.now()))
-
-    def _rebuild_installed(self) -> InstalledFileManager | None:
-        """Re-derive cover membership from persistent file metadata.
-
-        Which files are installed (and their directory grouping) is durable
-        configuration; the announcement bookkeeping is volatile and starts
-        clean — safe, because recovery delays writes past any pre-crash
-        lease.
-        """
-        template = self._installed_template
-        if template is None:
-            return None
-        manager = InstalledFileManager(
-            announce_period=template.announce_period, term=template.term
-        )
-        for cover in template.covers():
-            for datum in template.members(cover):
-                manager.register(cover, datum)
-        return manager
 
     def _on_crash(self) -> None:
         if self.engine is not None:

@@ -7,15 +7,20 @@ from repro.ext.writeback import (
     WriteBackServerEngine,
 )
 from repro.lease.policy import FixedTermPolicy
-from repro.protocol.effects import Complete, Send, SetTimer
+from repro.protocol.effects import Broadcast, Complete, Send, SetTimer
 from repro.protocol.messages import (
+    ApprovalReply,
+    ApprovalRequest,
     FlushRequest,
+    ReadReply,
     ReadRequest,
     RecallReply,
     RecallRequest,
+    RelinquishRequest,
     WriteLeaseReply,
     WriteLeaseRequest,
     WriteReply,
+    WriteRequest,
 )
 from repro.storage.store import FileStore
 
@@ -122,6 +127,80 @@ class TestServerEngine:
         effects = engine.handle_timer(timer.key, now=1.0 + timer.delay)
         assert engine.write_lease_owner(datum) is None
         assert store.file_at("/f").version == 1  # nothing committed
+
+
+class TestAcquisitionGate:
+    """Acquiring a write lease over read leases is the server's one write
+    gate with a grant for an ending (``repro.protocol.server._Gate``):
+    its timer follows its deadline like any write's.  At the parent the
+    gate had its own timer handler with no re-arm, so a timer fired early
+    (backward clock step) or a relinquish left the datum ``write_pending``
+    for good."""
+
+    def gated(self, *reader_times):
+        """Readers c0, c1, ... lease at the given times; c9 asks at t=5."""
+        engine, store, datum = make_server(term=10.0)
+        for i, t in enumerate(reader_times):
+            engine.handle_message(ReadRequest(1, datum), f"c{i}", now=t)
+        effects = engine.handle_message(WriteLeaseRequest(2, datum), "c9", now=5.0)
+        (timer,) = [e for e in effects if isinstance(e, SetTimer)]
+        return engine, datum, effects, timer
+
+    def test_gate_asks_readers_and_announces_the_current_version(self):
+        engine, datum, effects, timer = self.gated(0.0)
+        (ask,) = [e for e in effects if isinstance(e, Broadcast)]
+        assert ask.dsts == ("c0",)
+        assert ask.message == ApprovalRequest(datum, 1, 1)  # nothing is committed
+        assert (timer.key, timer.delay) == ("write:1", 5.0)
+
+    def test_timer_fired_early_is_rearmed_for_the_remainder(self):
+        engine, datum, _, timer = self.gated(0.0)
+        assert engine.handle_timer(timer.key, now=7.0) == [SetTimer(timer.key, 3.0)]
+
+    def test_silent_reader_delays_the_grant_one_term(self):
+        engine, datum, _, timer = self.gated(0.0)
+        assert engine.handle_message(ReadRequest(3, datum), "c2", now=6.0) == []
+        (timer,) = engine.handle_timer(timer.key, now=7.0)  # early: re-armed
+        effects = engine.handle_timer(timer.key, now=7.0 + timer.delay)
+        (reply,) = sends(effects, WriteLeaseReply)
+        assert reply.dst == "c9" and reply.message.error is None
+        assert engine.write_lease_owner(datum) == "c9"
+        assert not engine.table.write_pending(datum)
+        # the third party's read went behind the gate; its retransmission
+        # recalls the new owner and the surrender answers it
+        effects = engine.handle_message(ReadRequest(3, datum), "c2", now=10.5)
+        (recall,) = sends(effects, RecallRequest)
+        effects = engine.handle_message(
+            RecallReply(datum, recall.message.recall_id, dirty=b"v2"), "c9", now=10.6
+        )
+        answers = sends(effects, ReadReply)
+        assert answers and all(a.dst == "c2" and a.message.version == 2 for a in answers)
+
+    def test_relinquish_by_the_longest_holder_shortens_the_wait(self):
+        engine, datum, _, timer = self.gated(0.0, 4.0)  # leases to 10 and 14
+        assert timer.delay == 9.0
+        effects = engine.handle_message(RelinquishRequest((datum,)), "c1", now=5.5)
+        assert effects == [SetTimer(timer.key, 4.5)]
+        assert sends(engine.handle_timer(timer.key, now=10.0), WriteLeaseReply)
+
+    def test_write_queued_behind_the_gate_runs_first(self):
+        engine, store, datum = make_server(term=10.0)
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(WriteLeaseRequest(2, datum), "c9", now=5.0)
+        assert engine.handle_message(
+            WriteRequest(3, datum, b"v2", write_seq=1), "c1", now=5.1
+        ) == []
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=5.2)
+        assert not sends(effects, WriteLeaseReply)  # re-deferred behind the write
+        effects = engine.handle_message(ApprovalReply(datum, 2), "c0", now=5.3)
+        assert sends(effects, WriteReply)[0].message.version == 2
+        # ... and retried once the datum drains: c0's lease is still live
+        (ask,) = [e for e in effects if isinstance(e, Broadcast)]
+        effects = engine.handle_message(
+            ApprovalReply(datum, ask.message.write_id), "c0", now=5.4
+        )
+        (reply,) = sends(effects, WriteLeaseReply)
+        assert reply.message.version == 2
 
 
 class TestClientEngine:

@@ -88,6 +88,26 @@ class TestPartition:
         assert cluster.oracle.clean
 
 
+    def test_write_waits_for_the_unanswered_holder_not_the_longest_asked(self):
+        """A write shared by a partitioned holder and a live one leased
+        later waits out the *partitioned* holder's remaining term only:
+        the live one approves, and its longer lease stops counting the
+        moment it does (at the parent the deadline moved but its timer
+        did not, and the write took the live holder's full term)."""
+        cluster = make(n_clients=3)
+        datum = cluster.store.file_datum("/shared.txt")
+        a, b, c = cluster.clients
+        cluster.run_until_complete(a, a.read(datum))  # lease to ~TERM
+        cluster.run(until=4.0)
+        cluster.run_until_complete(b, b.read(datum))  # lease to ~4 + TERM
+        cluster.faults.isolate_host("c0")
+        cluster.run(until=5.0)
+        result = cluster.run_until_complete(c, c.write(datum, b"v2"), limit=60.0)
+        assert result.ok
+        assert result.completed_at == pytest.approx(TERM, abs=0.2)
+        assert cluster.oracle.clean
+
+
 class TestClientCrash:
     def test_crashed_leaseholder_delays_write_one_term(self):
         cluster = make()

@@ -203,6 +203,33 @@ class TestWrites:
         assert head is w2
         assert head.ready(0.0)
 
+    def test_not_before_alone_is_the_deadline(self):
+        """Leases the table has no record of (an installed cover's last
+        announcement): nobody is awaited, the floor is the whole wait."""
+        write = LeaseTable().begin_write(F1, "c0", now=1.0, not_before=8.0)
+        assert write.awaiting == set()
+        assert write.deadline == 8.0
+        assert not write.ready(7.9)
+        assert write.ready(8.0)
+
+    @pytest.mark.parametrize("not_before, deadline", [(4.0, 10.0), (12.0, 12.0)])
+    def test_deadline_is_the_later_of_floor_and_awaited_expiry(self, not_before, deadline):
+        table = LeaseTable()
+        table.grant(F1, "c1", now=0.0, term=10.0)
+        write = table.begin_write(F1, "c0", now=1.0, not_before=not_before)
+        assert write.deadline == deadline
+        assert not write.ready(deadline - 0.1)
+        assert write.ready(deadline)
+
+    def test_approval_cannot_pull_the_deadline_below_not_before(self):
+        table = LeaseTable()
+        table.grant(F1, "c1", now=0.0, term=10.0)
+        write = table.begin_write(F1, "c0", now=1.0, not_before=6.0)
+        table.approve(F1, "c1", write.write_id)
+        assert write.deadline == 6.0
+        assert not write.ready(5.0)
+        assert write.ready(6.0)
+
     def test_infinite_lease_blocks_write_forever(self):
         """Why the callback scheme loses availability (§6)."""
         table = LeaseTable()
@@ -239,15 +266,6 @@ class TestMaintenance:
         assert table.clear() == 30.0
         assert table.max_term_granted == 0.0
         assert table.clear() == 0.0  # second crash of an empty table
-
-    def test_max_outstanding_expiry(self):
-        table = LeaseTable()
-        table.grant(F1, "c0", now=0.0, term=5.0)
-        table.grant(F2, "c1", now=0.0, term=12.0)
-        assert table.max_outstanding_expiry(1.0) == 12.0
-
-    def test_max_outstanding_expiry_empty(self):
-        assert LeaseTable().max_outstanding_expiry(7.0) == 7.0
 
     def test_lease_count(self):
         table = LeaseTable()

@@ -4,7 +4,8 @@ A hypothesis rule machine drives grants, releases, writes, approvals and
 time against a simple reference model and checks the paper's safety
 invariants after every step:
 
-* a write is ready iff every *other* live holder approved or expired;
+* a write is ready iff every *other* live holder approved or expired and
+  its ``not_before`` floor has passed;
 * no new lease is granted while a write is pending (starvation guard);
 * the holder index and the datum index never disagree.
 """
@@ -58,9 +59,13 @@ class LeaseTableMachine(RuleBasedStateMachine):
         for write in self.writes.get(datum, []):
             write["awaiting"].discard(holder)
 
-    @rule(datum=st.sampled_from(DATUMS), writer=st.sampled_from(HOLDERS))
-    def begin_write(self, datum, writer):
-        pending = self.table.begin_write(datum, writer, self.now)
+    @rule(datum=st.sampled_from(DATUMS), writer=st.sampled_from(HOLDERS),
+          ahead=st.one_of(st.none(), st.floats(-5.0, 30.0)))
+    def begin_write(self, datum, writer, ahead):
+        """``ahead`` places ``not_before``: absent, just past, or up to
+        30 s out."""
+        floor = -math.inf if ahead is None else self.now + ahead
+        pending = self.table.begin_write(datum, writer, self.now, floor)
         expected_awaiting = {
             holder
             for (d, holder), expiry in self.model.items()
@@ -69,7 +74,7 @@ class LeaseTableMachine(RuleBasedStateMachine):
         assert pending.awaiting == expected_awaiting
         self.writes.setdefault(datum, []).append(
             {"id": pending.write_id, "awaiting": set(expected_awaiting),
-             "deadline": pending.deadline, "pending": pending}
+             "floor": floor, "pending": pending}
         )
 
     @rule(datum=st.sampled_from(DATUMS), holder=st.sampled_from(HOLDERS))
@@ -111,7 +116,8 @@ class LeaseTableMachine(RuleBasedStateMachine):
     def write_ready_matches_model(self):
         """A write is ready exactly when no awaited holder still has a
         valid lease (the deadline is dynamic over the remaining awaiting
-        set — a departure pulls it in)."""
+        set — a departure pulls it in) and its floor has passed (which
+        nothing pulls in)."""
         for datum, queue in self.writes.items():
             if not queue:
                 continue
@@ -121,7 +127,10 @@ class LeaseTableMachine(RuleBasedStateMachine):
                 for holder in head["awaiting"]
                 if self.model.get((datum, holder), -math.inf) > self.now
             }
-            assert head["pending"].ready(self.now) == (not outstanding)
+            assert head["pending"].ready(self.now) == (
+                not outstanding and self.now >= head["floor"]
+            )
+            assert head["pending"].deadline >= head["floor"]
 
     @invariant()
     def indexes_agree(self):

@@ -14,6 +14,9 @@ from repro.protocol.messages import (
     NamespaceRequest,
     ReadReply,
     ReadRequest,
+    RelinquishRequest,
+    WriteLeaseReply,
+    WriteLeaseRequest,
     WriteReply,
     WriteRequest,
 )
@@ -34,6 +37,10 @@ def make_engine(term=10.0, installed=None, config=None, store=None):
         installed=installed,
     )
     return engine, store
+
+
+def timers(effects):
+    return [e for e in effects if isinstance(e, SetTimer)]
 
 
 def sends(effects, msg_type=None):
@@ -206,6 +213,66 @@ class TestWrite:
         effects = engine.handle_timer(timer.key, now=10.0)
         (send,) = sends(effects, WriteReply)
         assert send.message.version == 2
+
+    def shared_write(self):
+        """c0 holds to t=10 and stays silent, c1 holds to t=14; c2 writes."""
+        engine, store = make_engine(term=10.0)
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(ReadRequest(2, datum), "c1", now=4.0)
+        effects = engine.handle_message(
+            WriteRequest(3, datum, b"v2", write_seq=1), "c2", now=5.0
+        )
+        (timer,) = timers(effects)
+        assert (timer.key, timer.delay) == ("write:1", pytest.approx(9.0))
+        return engine, datum
+
+    def test_approval_that_moves_the_deadline_moves_the_timer(self):
+        """The write waits for the latest lease among the holders who have
+        *not answered*, not among all it asked (found by reading the
+        deadline sites: the deadline moved, the timer armed from it did
+        not, and the commit came at 14.0)."""
+        engine, datum = self.shared_write()
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c1", now=5.1)
+        (timer,) = effects
+        assert timer == SetTimer("write:1", pytest.approx(4.9))
+        effects = engine.handle_timer("write:1", now=10.0)
+        (send,) = sends(effects, WriteReply)
+        assert send.message.version == 2
+
+    def test_approval_that_leaves_the_deadline_alone_sets_no_timer(self):
+        engine, datum = self.shared_write()
+        assert engine.handle_message(ApprovalReply(datum, 1), "c0", now=5.1) == []
+        assert engine.handle_timer("write:1", now=10.0) == [
+            SetTimer("write:1", pytest.approx(4.0))
+        ]  # c1 is still unanswered: nothing commits before its lease ends
+        assert sends(engine.handle_timer("write:1", now=14.0), WriteReply)
+
+    def test_relinquish_rearms_only_when_the_deadline_moved(self):
+        engine, datum = self.shared_write()
+        assert engine.handle_message(RelinquishRequest((datum,)), "c0", now=5.1) == []
+        engine, datum = self.shared_write()
+        effects = engine.handle_message(RelinquishRequest((datum,)), "c1", now=5.1)
+        assert effects == [SetTimer("write:1", pytest.approx(4.9))]
+        effects = engine.handle_message(RelinquishRequest((datum,)), "c0", now=5.2)
+        assert sends(effects, WriteReply)  # nobody left to wait for
+
+    def test_cas_write_queued_behind_a_commit_is_rejected_without_asking(self):
+        engine, store = make_engine()
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(WriteRequest(2, datum, b"A", write_seq=1), "c1", now=1.0)
+        queued = engine.handle_message(
+            WriteRequest(3, datum, b"B", write_seq=1, cas=1), "c2", now=1.0
+        )
+        assert queued == []
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=1.1)
+        first, second = sends(effects, WriteReply)
+        assert (first.dst, first.message.version) == ("c1", 2)
+        assert second.dst == "c2" and "cas mismatch" in second.message.error
+        assert not [e for e in effects if isinstance(e, (Broadcast, SetTimer))]
+        assert store.file_at("/f").content == b"A"
+        assert not engine.table.write_pending(datum)
 
     def test_writes_serialize_in_arrival_order(self):
         engine, store = make_engine()
@@ -502,7 +569,7 @@ class TestInstalled:
             WriteRequest(1, datum, b"bin-v2", write_seq=1), "c0", now=2.0
         )
         (timer,) = [e for e in effects if isinstance(e, SetTimer)]
-        assert timer.key.startswith("iwrite:")
+        assert timer.key.startswith("write:")
         assert timer.delay == pytest.approx(10.0 - 2.0 + engine.config.announce_grace)
         effects = engine.handle_timer(timer.key, now=2.0 + timer.delay)
         (send,) = sends(effects, WriteReply)
@@ -552,6 +619,81 @@ class TestInstalled:
         assert new_cover in broadcast.message.covers
 
 
+    def promoted(self, term):
+        """c0 takes an ordinary lease at t=0; at t=1 the datum is promoted
+        into a cover (§7) that is announced at once, to t=11."""
+        store = FileStore()
+        store.create_file("/f", b"v1")
+        installed = InstalledFileManager(announce_period=5.0, term=10.0)
+        engine = ServerEngine(
+            "server", store, FixedTermPolicy(term), installed=installed
+        )
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        installed.register("cover:auto", datum)
+        engine.handle_timer("announce", now=1.0)
+        return engine, store, datum, 11.0 + engine.config.announce_grace
+
+    def test_covered_write_calls_back_prepromotion_holders(self):
+        """A covered write is an ordinary write with a floor under its
+        deadline: leases from before the promotion are in the table, so
+        their holders are asked instead of only waited out — and no
+        approval lets it commit before the cover's last announcement, plus
+        grace, has run out."""
+        engine, store, datum, cover_end = self.promoted(term=30.0)
+        effects = engine.handle_message(
+            WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0
+        )
+        (broadcast,) = [e for e in effects if isinstance(e, Broadcast)]
+        assert broadcast.dsts == ("c0",)
+        assert broadcast.message == ApprovalRequest(datum, 1, 2)
+        assert timers(effects) == [SetTimer("write:1", pytest.approx(28.0))]
+        # the approval pulls the deadline in to the cover's end, not below
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=3.0)
+        assert effects == [SetTimer("write:1", pytest.approx(cover_end - 3.0))]
+        assert store.file_at("/f").version == 1
+        effects = engine.handle_timer("write:1", now=cover_end)
+        assert sends(effects, WriteReply)[0].message.version == 2
+
+    def test_covered_write_commits_on_last_approval_after_cover_ran_out(self):
+        engine, store, datum, cover_end = self.promoted(term=30.0)
+        engine.handle_message(WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0)
+        effects = engine.handle_message(
+            ApprovalReply(datum, 1), "c0", now=cover_end + 1.0
+        )
+        assert sends(effects, WriteReply)[0].message.version == 2
+
+    def test_covered_and_ordinary_write_share_one_queue(self):
+        """Promotion while a write is pending: the covered write that
+        follows queues behind it and both commit in arrival order."""
+        store = FileStore()
+        store.create_file("/f", b"v1")
+        installed = InstalledFileManager(announce_period=5.0, term=10.0)
+        engine = ServerEngine(
+            "server", store, FixedTermPolicy(10.0), installed=installed
+        )
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(WriteRequest(2, datum, b"A", write_seq=1), "c1", now=1.0)
+        installed.register("cover:auto", datum)
+        engine.handle_timer("announce", now=1.5)  # cover announced to t=11.5
+        assert (
+            engine.handle_message(WriteRequest(3, datum, b"B", write_seq=1), "c2", now=2.0)
+            == []
+        )
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=3.0)
+        assert sends(effects, WriteReply)[0].message.version == 2
+        (broadcast,) = [e for e in effects if isinstance(e, Broadcast)]
+        assert broadcast.message.write_id == 2  # B asks c0 in its turn
+        (timer,) = timers(effects)
+        assert 3.0 + timer.delay == pytest.approx(11.5 + engine.config.announce_grace)
+        assert engine.handle_message(ApprovalReply(datum, 2), "c0", now=3.1) == []
+        effects = engine.handle_timer(timer.key, now=3.0 + timer.delay)
+        assert sends(effects, WriteReply)[0].message.version == 3
+        assert store.file_at("/f").content == b"B"
+        assert not installed.write_pending(datum)
+
+
 class TestEarlyTimerFirings:
     """Deadline timers convert local delays through the drift at arm time,
     so a clock step (or drift change) while armed can fire them *before*
@@ -559,48 +701,81 @@ class TestEarlyTimerFirings:
     forever (regression found by ``repro.check``): the handler must
     re-arm for the remaining local time instead."""
 
-    def test_write_deadline_rearms_when_fired_early(self):
+    # Every kind of wait on leases, started at t=1.0: each returns the
+    # engine, the effects of the request that waits, the server-clock
+    # deadline of the wait and the reply that ends it.
+
+    def wait_file_write():
         engine, store = make_engine(term=10.0)
         datum = store.file_datum("/f")
         engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
         effects = engine.handle_message(
             WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=1.0
         )
-        (timer,) = [e for e in effects if isinstance(e, SetTimer)]
+        return engine, effects, 10.0, WriteReply
 
-        # Fires 4 seconds before the lease-expiry deadline: no commit.
-        effects = engine.handle_timer(timer.key, now=6.0)
-        assert not sends(effects, WriteReply)
-        (rearmed,) = [e for e in effects if isinstance(e, SetTimer)]
-        assert rearmed.key == timer.key
-        assert rearmed.delay == pytest.approx(4.0)
-
-        effects = engine.handle_timer(timer.key, now=10.0)
-        (send,) = sends(effects, WriteReply)
-        assert send.message.version == 2
-
-    def test_ns_deadline_rearms_when_fired_early(self):
+    def wait_rename():
+        """Two directories, each with its own leaseholder: one timer."""
         engine, store = make_engine(term=10.0)
-        root = store.dir_datum("/")
-        engine.handle_message(ReadRequest(1, root), "c0", now=0.0)
+        store.namespace.mkdir("/a")
+        engine.handle_message(ReadRequest(1, store.dir_datum("/")), "c0", now=0.0)
+        engine.handle_message(ReadRequest(2, store.dir_datum("/a")), "c2", now=0.5)
         effects = engine.handle_message(
-            NamespaceRequest(2, "rename", ("/f", "/g"), write_seq=1), "c1", now=1.0
+            NamespaceRequest(3, "rename", ("/f", "/a/g"), write_seq=1), "c1", now=1.0
         )
-        (timer,) = [
-            e for e in effects
-            if isinstance(e, SetTimer) and e.key.startswith("nswrite:")
-        ]
+        assert len([e for e in effects if isinstance(e, Broadcast)]) == 2
+        return engine, effects, 10.5, NamespaceReply
 
-        effects = engine.handle_timer(timer.key, now=5.0)
-        assert not sends(effects, NamespaceReply)
-        (rearmed,) = [e for e in effects if isinstance(e, SetTimer)]
-        assert rearmed.key == timer.key
-        assert rearmed.delay == pytest.approx(5.0)
+    def wait_covered_write():
+        engine, store, datum = TestInstalled().make_installed()
+        engine.startup_effects(0.0)  # announcement at t=0, expires t=10
+        effects = engine.handle_message(
+            WriteRequest(1, datum, b"bin-v2", write_seq=1), "c0", now=1.0
+        )
+        return engine, effects, 10.0 + engine.config.announce_grace, WriteReply
 
-        effects = engine.handle_timer(timer.key, now=10.0)
-        (send,) = sends(effects, NamespaceReply)
+    def wait_demoted_write():
+        engine, store, datum = TestInstalled().make_installed()
+        engine.startup_effects(0.0)
+        engine.installed.unregister(datum)  # announced to t=10 under the old id
+        effects = engine.handle_message(
+            WriteRequest(1, datum, b"bin-v2", write_seq=1), "c0", now=1.0
+        )
+        return engine, effects, 10.0, WriteReply
+
+    def wait_write_lease():
+        from repro.ext.writeback import WriteBackServerEngine
+
+        store = FileStore()
+        store.create_file("/f", b"v1")
+        engine = WriteBackServerEngine("server", store, FixedTermPolicy(10.0))
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        effects = engine.handle_message(WriteLeaseRequest(2, datum), "c1", now=1.0)
+        return engine, effects, 10.0, WriteLeaseReply
+
+    @pytest.mark.parametrize(
+        "start",
+        [wait_file_write, wait_rename, wait_covered_write, wait_demoted_write,
+         wait_write_lease],
+        ids=["file-write", "rename", "covered-write", "demoted-write", "write-lease"],
+    )
+    def test_wait_rearms_when_fired_early(self, start):
+        engine, effects, deadline, reply_type = start()
+        (timer,) = timers(effects)
+        assert timer.key == "write:1"
+        assert 1.0 + timer.delay == pytest.approx(deadline)
+
+        # Fires 4 seconds before the deadline: nothing proceeds, and the
+        # one effect is the same timer, set for the remainder.
+        effects = engine.handle_timer(timer.key, now=deadline - 4.0)
+        assert effects == [SetTimer(timer.key, pytest.approx(4.0))]
+
+        effects = engine.handle_timer(timer.key, now=deadline)
+        (send,) = sends(effects, reply_type)
         assert send.message.error is None
-        assert store.file_at("/g").content == b"v1"
+        assert not timers(effects)
+        assert engine.handle_timer(timer.key, now=deadline + 1.0) == []  # late: no-op
 
     def test_recovery_timer_rearms_when_fired_early(self):
         store = FileStore()

@@ -8,12 +8,15 @@ previous incarnation has provably expired (§2's crash rule).
 """
 
 import asyncio
+import dataclasses
 
+from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime import InMemoryHub, LeaseClientNode, LeaseServerNode
 from repro.storage.store import FileStore
+from repro.types import DatumId, FileClass
 
 SERVER_CONFIG = ServerConfig(epsilon=0.01, sweep_period=30.0)
 CLIENT_CONFIG = ClientConfig(
@@ -108,6 +111,51 @@ class TestServerRestart:
             before = dict(server._timers)
             server.restart()
             assert all(handle.cancelled() for handle in before.values())
+            await close_world(server, clients)
+
+        asyncio.run(scenario())
+
+    def test_restart_with_installed_write_in_flight_announces_the_cover_again(self):
+        """An installed-file write in flight at the crash withheld its
+        cover from the announcements and will never finish: the next
+        incarnation must start from clean announcement state
+        (``InstalledFileManager.fresh``, as ``SimServer`` always did), or
+        the cover is never announced again and every read under it is
+        deferred for good."""
+
+        async def scenario():
+            hub = InMemoryHub()
+            store = FileStore()
+            store.namespace.mkdir("/bin")
+            record = store.create_file("/bin/cat", b"v1", file_class=FileClass.INSTALLED)
+            datum = DatumId.file(record.file_id)
+            installed = InstalledFileManager(announce_period=0.1, term=0.2)
+            installed.register("cover:/bin", datum)
+            server = LeaseServerNode(
+                hub.endpoint("server"),
+                store,
+                FixedTermPolicy(0.2),
+                config=ServerConfig(epsilon=0.01, announce_period=0.1),
+                installed=installed,
+            )
+            config = dataclasses.replace(CLIENT_CONFIG, write_timeout=0.4)
+            clients = [
+                LeaseClientNode(hub.endpoint(f"c{i}"), "server", config=config)
+                for i in range(2)
+            ]
+            a, b = clients
+            assert await a.read(datum) == (1, b"v1")
+            write = asyncio.ensure_future(b.write(datum, b"v2"))
+            await asyncio.sleep(0.05)  # the write is waiting out the cover
+            assert server.engine.installed.write_pending(datum)
+            server.restart()
+            assert not server.engine.installed.write_pending(datum)
+            assert await asyncio.wait_for(a.read(datum), 1.0) == (1, b"v1")
+            # the write is retransmitted to the new incarnation and waits
+            # out its announcement like any covered write
+            assert await asyncio.wait_for(write, 3.0) == 2
+            await asyncio.sleep(0.15)  # one announce period on
+            assert await asyncio.wait_for(a.read(datum), 1.0) == (2, b"v2")
             await close_world(server, clients)
 
         asyncio.run(scenario())
