@@ -3,14 +3,18 @@
 A node owns an engine, a transport and a clock.  Inbound messages and
 timer firings are dispatched on the event loop (engines are synchronous,
 so a single-threaded loop serializes them for free); effects are executed
-as they are emitted: sends go to the transport, ``SetTimer`` becomes
-``loop.call_later`` (re-arming replaces), and ``Complete`` resolves the
-future returned by the client API.
+as they are emitted: ``SetTimer`` becomes ``loop.call_later`` (re-arming
+replaces), ``Complete`` resolves the future returned by the client API,
+and a send runs ``transport.send`` on the spot, to its first suspension
+point.  Every stock transport finishes there, so a sent message costs no
+Task and no extra loop iteration; only a send that really waits (chaos
+delay) is finished by a Task, which the node tracks until ``close()``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections.abc
 import dataclasses
 import random
 from typing import Any
@@ -28,6 +32,35 @@ from repro.protocol.server import ServerConfig, ServerEngine
 from repro.runtime.transport import Transport
 from repro.storage.store import FileStore
 from repro.types import DatumId, HostId
+
+
+class _Started(collections.abc.Coroutine):
+    """A coroutine already run to its first suspension, for a Task to finish.
+
+    The Task's first ``send(None)`` gets the future the coroutine is
+    already waiting on, as if it had been yielded just now; everything
+    after goes straight to the coroutine.  ``asyncio.Task(coro,
+    eager_start=True)`` is the stdlib form of this from Python 3.12 on
+    and can replace the class once 3.12 is the oldest interpreter CI runs.
+    """
+
+    def __init__(self, coro: collections.abc.Coroutine, waiting_on):
+        self._coro = coro
+        self._waiting_on = waiting_on
+
+    def send(self, value):
+        waiting_on, self._waiting_on = self._waiting_on, None
+        return waiting_on if waiting_on is not None else self._coro.send(value)
+
+    def throw(self, *exc_info):
+        self._waiting_on = None
+        return self._coro.throw(*exc_info)
+
+    def __await__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
 
 
 class _EngineNode:
@@ -106,22 +139,32 @@ class _EngineNode:
                 NET_SEND, self.clock.now(), self.name,
                 src=self.name, dst=dst, kind=message.kind,
             )
-        task = self._loop.create_task(self.transport.send(dst, message))
+        # Run the send right here, up to its first suspension point; by the
+        # transports' contract (Transport.send) that is normally all of it.
+        send = self.transport.send(dst, message)
+        try:
+            waiting_on = send.send(None)
+        except StopIteration:
+            return
+        except Exception as exc:
+            self._send_failed(dst, message.kind, exc)
+            return
+        task = self._loop.create_task(_Started(send, waiting_on))
         self._send_tasks.add(task)
         task.add_done_callback(
             lambda t, dst=dst, kind=message.kind: self._send_done(t, dst, kind)
         )
 
     def _send_done(self, task: asyncio.Task, dst: HostId, kind: str) -> None:
-        # A send cancelled during close() is not a failure, and calling
-        # task.exception() on it would raise CancelledError right here in
-        # the callback (unobserved-exception noise).  A send that failed
-        # for real is a dropped frame: observable, never silent.
+        # A send cancelled during close() is not a failure, and asking it
+        # for task.exception() would raise CancelledError in this callback.
         self._send_tasks.discard(task)
-        if task.cancelled():
-            return
-        exc = task.exception()
-        if exc is not None and self.obs.active:
+        if not task.cancelled() and task.exception() is not None:
+            self._send_failed(dst, kind, task.exception())
+
+    def _send_failed(self, dst: HostId, kind: str, exc: BaseException) -> None:
+        # A send that failed is a dropped frame: observable, never silent.
+        if self.obs.active:
             self.obs.emit(
                 TRANSPORT_DROP, self.clock.now(), self.name,
                 dst=dst, kind=kind, reason=type(exc).__name__,
@@ -142,12 +185,9 @@ class _EngineNode:
         """Cancel timers, reap in-flight sends, and close the transport."""
         for key in list(self._timers):
             self._cancel_timer(key)
-        pending = [t for t in self._send_tasks if not t.done()]
-        for task in pending:
+        for task in self._send_tasks:  # only those still waiting are in it
             task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._send_tasks.clear()
+        await asyncio.gather(*self._send_tasks, return_exceptions=True)
         await self.transport.close()
 
 
@@ -253,6 +293,15 @@ class LeaseClientNode(_EngineNode):
 
     def _engine(self) -> ClientEngine:
         return self.engine
+
+    async def close(self) -> None:
+        """Fail every operation in flight, then close: the time-outs that
+        would have failed them are among the timers closing cancels."""
+        futures, self._futures = self._futures, {}
+        for future in futures.values():
+            if not future.done():
+                future.set_exception(ReproError("client closed"))
+        await super().close()
 
     def _on_complete(self, effect: Complete) -> None:
         future = self._futures.pop(effect.op_id, None)

@@ -14,10 +14,10 @@ that let the asyncio runtime keep the promise on real sockets:
   restart yet tests stay deterministic.
 * :class:`FrameQueue` — a bounded outbound buffer with an *explicit*
   drop-oldest policy.  Transports park frames here while a connection is
-  down and flush on reconnect; overflow evicts the oldest frame and
-  reports it, so no frame ever disappears without an observable trace
-  (the protocol tolerates the loss — it is equivalent to a dropped
-  packet — but silence is not tolerated).
+  down or its peer is not reading, and flush on reconnect or resume;
+  overflow evicts the oldest frame and reports it, so no frame ever
+  disappears without an observable trace (the protocol tolerates the
+  loss — it is equivalent to a dropped packet — but not silence).
 """
 
 from __future__ import annotations
@@ -104,13 +104,16 @@ class FrameQueue:
         self._frames: deque[tuple[bytes, str]] = deque()
         self._on_drop = on_drop
 
+    def _evict(self) -> None:
+        _, old_kind = self._frames.popleft()
+        self.dropped += 1
+        if self._on_drop is not None:
+            self._on_drop(old_kind)
+
     def push(self, frame: bytes, kind: str) -> None:
         """Append a frame, evicting (and reporting) the oldest when full."""
         if len(self._frames) >= self.capacity:
-            _, old_kind = self._frames.popleft()
-            self.dropped += 1
-            if self._on_drop is not None:
-                self._on_drop(old_kind)
+            self._evict()
         self._frames.append((frame, kind))
 
     def drain(self) -> list[tuple[bytes, str]]:
@@ -122,22 +125,15 @@ class FrameQueue:
     def requeue(self, frames: list[tuple[bytes, str]]) -> None:
         """Return drained-but-unsent frames to the head, preserving order.
 
-        The reconnect-flush path drains the queue, writes the frames to
-        the fresh connection, and awaits the flush; if the connection
-        dies mid-flush the whole in-flight window comes back here rather
-        than vanishing.  Frames pushed *during* the flush attempt stay
-        behind the requeued window (FIFO is preserved), and if the
-        combined depth exceeds capacity the usual drop-oldest policy
-        applies — each evicted frame is counted and reported exactly
-        once, by this call: its original :meth:`push` admitted it without
-        dropping, and once evicted it can never be drained again.
+        A flush drains the queue and writes until the socket pauses; what
+        it could not write comes back here.  Frames pushed in between stay
+        behind the requeued window, and if the combined depth exceeds
+        capacity the usual drop-oldest policy applies, each evicted frame
+        counted and reported exactly once.
         """
         self._frames.extendleft(reversed(frames))
         while len(self._frames) > self.capacity:
-            _, old_kind = self._frames.popleft()
-            self.dropped += 1
-            if self._on_drop is not None:
-                self._on_drop(old_kind)
+            self._evict()
 
     def clear(self) -> None:
         """Discard the buffered frames without reporting them dropped."""

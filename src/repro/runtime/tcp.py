@@ -6,16 +6,23 @@ replies (and callbacks/announcements) back over the per-client connection.
 Frames are ``4-byte big-endian length + UTF-8 JSON`` bodies produced by
 :mod:`repro.protocol.codec`.
 
+Both ends put the same thing on a socket: one :class:`_Connection`, an
+``asyncio.Protocol`` whose ``data_received`` parses every complete frame
+out of its buffer (:func:`_take_frames`) and dispatches it on the spot —
+no reader task, no stream.  ``send`` never waits: a frame is written
+straight to the socket transport when the connection is up and not
+``pause_writing``-paused, and otherwise parked in the peer's bounded
+drop-oldest queue, to go out FIFO — ahead of anything newer — on
+``resume_writing`` or after the hello of the next connection.
+
 Resilience model (DESIGN.md §11): the client runs a connection-lifecycle
-state machine (``connecting → up → down → backoff → connecting …``) with
-capped exponential backoff and jitter, so a killed or restarted server
-costs bounded delay — never a wedged client.  While a connection is down
-both sides park outbound frames in a bounded drop-oldest queue and flush
-on reconnect.  Every lifecycle transition is emitted as a ``conn.*`` obs
-event and every discarded frame as ``transport.drop``; the silent failure
-paths of the original demo-grade transport are gone.  Malformed or
-oversized frames drop the offending connection cleanly instead of killing
-the read loop with an unobserved exception.
+state machine (``connecting → up → down → backoff → connecting …``) under
+capped exponential backoff with jitter, so a killed or restarted server
+costs bounded delay — never a wedged client.  Every transition is a
+``conn.*`` obs event and every discarded frame a ``transport.drop``.  A
+malformed or oversized frame drops the offending connection cleanly; a
+peer that stops reading costs at most the socket buffers plus one full
+queue, and never holds up ``close()``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from repro.protocol.codec import decode_message, encode_message, wire_tag
 from repro.protocol.messages import Message
 from repro.runtime import resilience
 from repro.runtime.resilience import BackoffPolicy, FrameQueue
-from repro.runtime.transport import MessageHandler, _dumps, _ObsMixin
+from repro.runtime.transport import _dumps, _EndpointBase
 from repro.types import HostId
 
 _HEADER = struct.Struct(">I")
@@ -45,36 +52,200 @@ def _frame(payload: list | dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> list | dict | None:
-    """Read one frame; None on orderly EOF/reset, raises on garbage.
+def _take_frames(buf: bytearray) -> tuple[list, bool]:
+    """Remove every complete frame from the head of ``buf``.
 
-    Raises:
-        RuntimeTransportError: oversized length prefix or a body that is
-            not valid JSON — the connection cannot be trusted past this
-            point and must be dropped.
+    Returns the frames' JSON values in order and whether the bytes after
+    them are garbage — an oversized length prefix or a body that is not
+    valid JSON — in which case the connection cannot be trusted past the
+    returned frames and must be dropped.  An incomplete tail (mid-header
+    or mid-body) stays in ``buf`` for the next chunk.
     """
+    frames = []
+    pos, size = 0, len(buf)
+    malformed = False
     try:
-        header = await reader.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME:
-            raise RuntimeTransportError(f"frame too large: {length} bytes")
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-        raise RuntimeTransportError(f"malformed frame: {exc}") from exc
+        while size - pos >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buf, pos)
+            if length > MAX_FRAME:
+                raise ValueError(f"frame too large: {length} bytes")
+            end = pos + _HEADER.size + length
+            if end > size:
+                break
+            frames.append(json.loads(buf[pos + _HEADER.size : end].decode("utf-8")))
+            pos = end
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, nested too deep
+        malformed = True
+    del buf[:pos]
+    return frames, malformed
 
 
-class TcpServerTransport(_ObsMixin):
+class _Connection(asyncio.Protocol):
+    """One framed TCP connection; both transports put exactly this on a socket.
+
+    The owning transport supplies ``_handler``, ``_emit``, ``name``,
+    ``_parked(peer)`` (the peer's :class:`FrameQueue`, if any) and the
+    ``_connection_made`` / ``_hello`` / ``_connection_lost`` hooks.
+    """
+
+    def __init__(self, owner, peer: HostId | None = None):
+        self._owner = owner
+        #: Who is at the other end; on the listening side, None until hello.
+        self.peer = peer
+        self.transport: asyncio.Transport | None = None
+        #: Up and not paused by the socket transport's flow control.
+        self.writable = False
+        #: Set once the socket is closed (``connection_lost`` has run).
+        self.lost = asyncio.Event()
+        #: Why *we* hung up; None when the peer or the network did.
+        self._hung_up: str | None = None
+        self._buf = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.writable = True
+        self._owner._connection_made(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._hung_up is not None:
+            return  # nothing that arrives after a hang-up is delivered
+        owner = self._owner
+        self._buf += data
+        frames, malformed = _take_frames(self._buf)
+        kind = "?"
+        for frame in frames:
+            if self._hung_up is not None:
+                return
+            if self.peer is None:
+                owner._hello(self, frame)
+                continue
+            try:
+                message = decode_message(frame)
+            except ProtocolError:
+                malformed, kind = True, wire_tag(frame)
+                break
+            if owner._handler is not None:
+                owner._handler(message, self.peer)
+        if malformed:
+            owner._emit(TRANSPORT_DROP, dst=owner.name, kind=kind, reason="malformed")
+            self.hang_up("malformed")
+
+    def pause_writing(self) -> None:
+        self.writable = False
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self.flush()
+
+    def write(self, frame: bytes) -> bool:
+        """Hand ``frame`` to the socket unless it must be parked instead."""
+        if self.writable and not self.transport.is_closing():
+            self.transport.write(frame)
+            return True
+        return False
+
+    def flush(self) -> None:
+        """Write the parked frames, oldest first, for as long as we may."""
+        queue = self._owner._parked(self.peer)
+        pending = queue.drain() if queue else ()
+        for i, (frame, _kind) in enumerate(pending):
+            if not self.write(frame):
+                queue.requeue(pending[i:])
+                return
+
+    def hang_up(self, reason: str) -> None:
+        """Close from our side; ``connection_lost`` reports ``reason``.
+
+        A write buffer nobody drains (the peer stopped reading) would hold a
+        graceful close forever: it is discarded, observably, by an abort.
+        """
+        if self._hung_up is not None:
+            return
+        self._hung_up = reason
+        self.writable = False
+        if self.transport.get_write_buffer_size():
+            self._owner._emit(TRANSPORT_DROP, dst=self.peer or "?", kind="?", reason=reason)
+            self.transport.abort()
+        else:
+            self.transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.writable = False
+        reason = self._hung_up or ("eof" if exc is None else "reset")
+        self._owner._connection_lost(self, reason)
+        self.lost.set()
+
+
+class _TcpTransport(_EndpointBase):
+    """What both ends share: a connection and a parked queue per peer, one send."""
+
+    def __init__(self, name: HostId, queue_capacity: int, obs, clock):
+        super().__init__(name, obs, clock)
+        self._queue_capacity = queue_capacity
+        #: The live connection to each peer that has been introduced.
+        self._conns: dict[HostId, _Connection] = {}
+        self._pending: dict[HostId, FrameQueue] = {}
+        self._closed = False
+
+    def _queue_for(self, peer: HostId) -> FrameQueue:
+        queue = self._pending.get(peer)
+        if queue is None:
+            queue = self._pending[peer] = FrameQueue(
+                self._queue_capacity,
+                on_drop=lambda kind: self._emit(
+                    TRANSPORT_DROP, dst=peer, kind=kind, reason="queue_overflow"
+                ),
+            )
+        return queue
+
+    def _parked(self, peer: HostId) -> FrameQueue | None:
+        return self._pending.get(peer)
+
+    def _introduced(self, conn: _Connection, attempt: int) -> None:
+        # Registered and flushed in one callback: a frame sent from here on is
+        # written behind the parked window, never parked behind a live link.
+        self._conns[conn.peer] = conn
+        self._emit(CONN_UP, peer=conn.peer, attempt=attempt)
+        conn.flush()
+
+    def _connection_lost(self, conn: _Connection, reason: str) -> None:
+        if self._conns.get(conn.peer) is conn:  # else displaced, or let go by close()
+            del self._conns[conn.peer]
+            self._emit(CONN_DOWN, peer=conn.peer, reason=reason)
+
+    async def send(self, dst: HostId, message: Message) -> None:
+        """Send to ``dst``; parks (bounded) while it cannot take the frame."""
+        frame = _frame(encode_message(message))
+        conn = self._conns.get(dst)
+        if conn is not None and conn.write(frame):
+            return
+        if self._closed:
+            self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="closed")
+            return
+        self._queue_for(dst).push(frame, message.kind)
+
+    async def _hang_up_all(self, conns: list[_Connection]) -> None:
+        """The tail of ``close()``: drop ``conns``, report what stays unsent."""
+        for conn in conns:
+            conn.hang_up("closed")
+        for conn in conns:
+            await conn.lost.wait()
+        # Frames still parked will never flush now; report each one
+        # instead of letting the queue vanish with the transport.
+        for peer, queue in self._pending.items():
+            for _frame_bytes, kind in queue.drain():
+                self._emit(TRANSPORT_DROP, dst=peer, kind=kind, reason="closed")
+
+
+class TcpServerTransport(_TcpTransport):
     """The listening side; one instance serves every connected client.
 
     A reconnecting client that re-introduces itself displaces its stale
-    connection (the old writer is closed, not leaked).  Frames addressed
-    to a currently-disconnected client are parked in a bounded per-client
-    queue and flushed when it reconnects; overflow drops the oldest frame
-    with a ``transport.drop`` event (protocol-equivalent to packet loss).
+    connection (the old socket is closed, not leaked).  Frames addressed
+    to a client that is disconnected — or connected but not reading —
+    are parked in a bounded per-client queue and flushed when it
+    reconnects or resumes; overflow drops the oldest frame with a
+    ``transport.drop`` event (protocol-equivalent to packet loss).
     """
 
     def __init__(
@@ -85,22 +256,12 @@ class TcpServerTransport(_ObsMixin):
         obs=None,
         clock=None,
     ):
-        self._name = name
-        self._init_obs(obs, clock)
-        self._queue_capacity = queue_capacity
-        self._handler: MessageHandler | None = None
+        super().__init__(name, queue_capacity, obs, clock)
         self._server: asyncio.Server | None = None
-        self._writers: dict[HostId, asyncio.StreamWriter] = {}
-        self._pending: dict[HostId, FrameQueue] = {}
+        #: Every open connection, including those yet to say hello.
+        self._accepted: set[_Connection] = set()
         #: Lifetime connection count per peer (the ``conn.up`` attempt field).
         self._conn_counts: dict[HostId, int] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._closed = False
-
-    @property
-    def name(self) -> HostId:
-        """This endpoint's host name."""
-        return self._name
 
     @property
     def port(self) -> int:
@@ -109,149 +270,49 @@ class TcpServerTransport(_ObsMixin):
 
     def connected_peers(self) -> frozenset[HostId]:
         """The names of the currently connected clients."""
-        return frozenset(self._writers)
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the inbound-message callback."""
-        self._handler = handler
+        return frozenset(self._conns)
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting client connections."""
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Connection(self), host, port)
 
-    def _queue_for(self, peer: HostId) -> FrameQueue:
-        queue = self._pending.get(peer)
-        if queue is None:
-            queue = self._pending[peer] = FrameQueue(
-                self._queue_capacity,
-                on_drop=lambda kind, peer=peer: self._emit(
-                    TRANSPORT_DROP, dst=peer, kind=kind, reason="queue_overflow"
-                ),
-            )
-        return queue
+    def _connection_made(self, conn: _Connection) -> None:
+        self._accepted.add(conn)
+        if self._closed:  # accepted just as close() stopped the listener
+            conn.hang_up("closed")
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        peer: HostId | None = None
-        reason = "eof"
-        try:
-            try:
-                hello = await _read_frame(reader)
-            except RuntimeTransportError:
-                hello = None
-            if not isinstance(hello, dict) or hello.get("hello") is None:
-                return
-            peer = hello["hello"]
-            stale = self._writers.get(peer)
-            if stale is not None and stale is not writer:
-                # A reconnecting client displaces its dead connection; close
-                # the old writer instead of leaking its fd.
-                self._emit(CONN_DOWN, peer=peer, reason="replaced")
-                stale.close()
-            self._conn_counts[peer] = self._conn_counts.get(peer, 0) + 1
-            self._writers[peer] = writer
-            self._emit(CONN_UP, peer=peer, attempt=self._conn_counts[peer])
-            await self._flush_pending(peer, writer)
-            while True:
-                try:
-                    frame = await _read_frame(reader)
-                except RuntimeTransportError:
-                    self._emit(TRANSPORT_DROP, dst=self._name, kind="?", reason="malformed")
-                    reason = "malformed"
-                    break
-                if frame is None:
-                    break
-                try:
-                    message = decode_message(frame)
-                except ProtocolError:
-                    self._emit(
-                        TRANSPORT_DROP, dst=self._name, kind=wire_tag(frame), reason="malformed"
-                    )
-                    reason = "malformed"
-                    break
-                if self._handler is not None:
-                    self._handler(message, peer)
-        except asyncio.CancelledError:
-            reason = "closed"  # server shutting down mid-read
-        finally:
-            if peer is not None and self._writers.get(peer) is writer:
-                del self._writers[peer]
-                self._emit(CONN_DOWN, peer=peer, reason=reason)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _flush_pending(self, peer: HostId, writer: asyncio.StreamWriter) -> None:
-        queue = self._pending.get(peer)
-        if queue is None or not len(queue):
+    def _hello(self, conn: _Connection, frame) -> None:
+        peer = frame.get("hello") if isinstance(frame, dict) else None
+        if not isinstance(peer, str):
+            conn.hang_up("malformed")
             return
-        pending = queue.drain()
-        try:
-            for frame, _kind in pending:
-                writer.write(frame)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            # The fresh connection died mid-flush.  Previously the drained
-            # window was silently lost here; requeue it for the next
-            # reconnect instead, with any overflow evictions counted
-            # exactly once by requeue().  The read loop observes the
-            # disconnect itself.
-            queue.requeue(pending)
+        stale = self._conns.get(peer)
+        if stale is not None:
+            # A reconnecting client displaces its dead connection; close
+            # the old socket instead of leaking its fd.
+            self._emit(CONN_DOWN, peer=peer, reason="replaced")
+            stale.hang_up("replaced")
+        conn.peer = peer
+        self._conn_counts[peer] = self._conn_counts.get(peer, 0) + 1
+        self._introduced(conn, self._conn_counts[peer])
 
-    async def send(self, dst: HostId, message: Message) -> None:
-        """Send to a client; queues (bounded) while it is disconnected."""
-        frame = _frame(encode_message(message))
-        writer = self._writers.get(dst)
-        if writer is None:
-            if self._closed:
-                self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="closed")
-                return
-            self._queue_for(dst).push(frame, message.kind)
-            return
-        try:
-            writer.write(frame)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            # The read loop will observe the disconnect; park the frame
-            # for redelivery when the client reconnects.
-            if self._writers.get(dst) is writer:
-                del self._writers[dst]
-                self._emit(CONN_DOWN, peer=dst, reason="reset")
-            self._queue_for(dst).push(frame, message.kind)
+    def _connection_lost(self, conn: _Connection, reason: str) -> None:
+        self._accepted.discard(conn)
+        super()._connection_lost(conn, reason)
 
     async def close(self) -> None:
-        """Disconnect every client, stop listening, and reap read tasks."""
+        """Stop listening, disconnect every client, account for parked frames."""
         self._closed = True
-        writers = list(self._writers.values())
-        self._writers.clear()
-        for writer in writers:
-            writer.close()
-        for writer in writers:
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
-        # Frames still parked for disconnected peers will never flush now;
-        # report each one instead of discarding them silently.
-        for peer, queue in self._pending.items():
-            for _frame_bytes, kind in queue.drain():
-                self._emit(TRANSPORT_DROP, dst=peer, kind=kind, reason="closed")
-        self._pending.clear()
         if self._server is not None:
             self._server.close()
+        self._conns.clear()
+        await self._hang_up_all(list(self._accepted))
+        if self._server is not None:
             await self._server.wait_closed()
 
 
-class TcpClientTransport(_ObsMixin):
+class TcpClientTransport(_TcpTransport):
     """A client's connection to the server, with automatic reconnection.
 
     The transport runs the DESIGN.md §11 state machine: while ``up`` it
@@ -274,41 +335,24 @@ class TcpClientTransport(_ObsMixin):
         obs=None,
         clock=None,
     ):
-        self._name = name
-        self._init_obs(obs, clock)
+        super().__init__(name, queue_capacity, obs, clock)
         self._server_name = server_name
         self._reconnect = reconnect
         self._backoff = backoff or BackoffPolicy()
-        self._handler: MessageHandler | None = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
         self._supervisor: asyncio.Task | None = None
-        self._host = "127.0.0.1"
-        self._port = 0
+        self._host, self._port = "127.0.0.1", 0
+        self._attempt = 0
         self._state = resilience.DOWN
-        self._up_event: asyncio.Event | None = None
-        self._queue = FrameQueue(
-            queue_capacity,
-            on_drop=lambda kind: self._emit(
-                TRANSPORT_DROP, dst=server_name, kind=kind, reason="queue_overflow"
-            ),
-        )
+        self._up = asyncio.Event()
+        #: Frames parked for the server, a client's only peer.
+        self._queue = self._queue_for(server_name)
         #: Successful connections established over this transport's life.
         self.connects = 0
-
-    @property
-    def name(self) -> HostId:
-        """This endpoint's host name."""
-        return self._name
 
     @property
     def state(self) -> str:
         """The current connection-lifecycle state (``resilience.UP`` etc.)."""
         return self._state
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the inbound-message callback."""
-        self._handler = handler
 
     def _transition(self, new: str) -> None:
         if new not in resilience.TRANSITIONS[self._state] and new != self._state:
@@ -316,19 +360,14 @@ class TcpClientTransport(_ObsMixin):
                 f"illegal connection transition {self._state} -> {new}"
             )
         self._state = new
-        if self._up_event is not None:
-            if new == resilience.UP:
-                self._up_event.set()
-            else:
-                self._up_event.clear()
+        if new == resilience.UP:
+            self._up.set()
+        else:
+            self._up.clear()
 
     async def wait_up(self, timeout: float | None = None) -> None:
         """Block until the connection is up (for tests and workloads)."""
-        if self._up_event is None:
-            self._up_event = asyncio.Event()
-            if self._state == resilience.UP:
-                self._up_event.set()
-        await asyncio.wait_for(self._up_event.wait(), timeout)
+        await asyncio.wait_for(self._up.wait(), timeout)
 
     async def connect(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Connect, introduce ourselves, and start the reconnect supervisor.
@@ -340,53 +379,34 @@ class TcpClientTransport(_ObsMixin):
         self._host, self._port = host, port
         self._transition(resilience.CONNECTING)
         try:
-            await self._open(attempt=1)
+            conn = await self._open(attempt=1)
         except OSError:
             self._transition(resilience.DOWN)
             raise
-        self._supervisor = asyncio.get_running_loop().create_task(self._supervise())
+        self._supervisor = asyncio.get_running_loop().create_task(self._supervise(conn))
 
-    async def _open(self, attempt: int) -> None:
-        reader, writer = await asyncio.open_connection(self._host, self._port)
-        first = True
-        # Flush until the queue is truly empty: frames pushed while we
-        # await a drain() land in the queue (the state is not UP yet), and
-        # a single-pass flush would strand them there for the life of the
-        # connection — parked but never sent until the *next* disconnect.
-        while first or len(self._queue):
-            pending = self._queue.drain()
-            try:
-                if first:
-                    writer.write(_frame({"hello": self._name}))
-                for frame, _kind in pending:
-                    writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                # Connected but died before the parked window flushed: the
-                # whole window goes back to the queue in order (frames sent
-                # while we awaited the drain stay behind it), so a reconnect
-                # deterministically either flushes the in-flight window or
-                # keeps it — it never silently vanishes.  The caller sees the
-                # OSError and transitions to DOWN as usual.
-                self._queue.requeue(pending)
-                writer.close()
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
-                raise
-            first = False
-        self._reader, self._writer = reader, writer
+    async def _open(self, attempt: int) -> _Connection:
+        self._attempt = attempt
+        _, conn = await asyncio.get_running_loop().create_connection(
+            lambda: _Connection(self, self._server_name), self._host, self._port
+        )
+        return conn
+
+    def _connection_made(self, conn: _Connection) -> None:
+        conn.transport.write(_frame({"hello": self._name}))
         self.connects += 1
         self._transition(resilience.UP)
-        self._emit(CONN_UP, peer=self._server_name, attempt=attempt)
+        self._introduced(conn, self._attempt)
 
-    async def _supervise(self) -> None:
-        """Own the connection for life: read while up, back off while down."""
+    def _connection_lost(self, conn: _Connection, reason: str) -> None:
+        if self._state == resilience.UP:  # else close() got there first
+            self._transition(resilience.DOWN)
+        super()._connection_lost(conn, reason)
+
+    async def _supervise(self, conn: _Connection) -> None:
+        """Own the connection for life: wait while up, back off while down."""
         while True:
-            reason = await self._read_until_disconnect()
-            writer = self._mark_down(reason)
-            if writer is not None:
-                with contextlib.suppress(Exception):
-                    await writer.wait_closed()
+            await conn.lost.wait()
             if not self._reconnect:
                 return
             attempt = 0
@@ -398,44 +418,10 @@ class TcpClientTransport(_ObsMixin):
                 await asyncio.sleep(delay)
                 self._transition(resilience.CONNECTING)
                 try:
-                    await self._open(attempt)
+                    conn = await self._open(attempt)
                     break
                 except OSError:
                     self._transition(resilience.DOWN)
-
-    async def _read_until_disconnect(self) -> str:
-        """Dispatch inbound frames until the connection dies; returns why."""
-        reader = self._reader
-        if reader is None:
-            return "reset"
-        while True:
-            try:
-                frame = await _read_frame(reader)
-            except RuntimeTransportError:
-                self._emit(TRANSPORT_DROP, dst=self._name, kind="?", reason="malformed")
-                return "malformed"
-            except OSError:
-                return "reset"
-            if frame is None:
-                return "eof"
-            try:
-                message = decode_message(frame)
-            except ProtocolError:
-                self._emit(
-                    TRANSPORT_DROP, dst=self._name, kind=wire_tag(frame), reason="malformed"
-                )
-                return "malformed"
-            if self._handler is not None:
-                self._handler(message, self._server_name)
-
-    def _mark_down(self, reason: str) -> asyncio.StreamWriter | None:
-        """Drop the dead connection; returns the writer still to be awaited."""
-        writer, self._reader, self._writer = self._writer, None, None
-        self._transition(resilience.DOWN)
-        self._emit(CONN_DOWN, peer=self._server_name, reason=reason)
-        if writer is not None:
-            writer.close()
-        return writer
 
     def abort(self, reason: str = "forced") -> None:
         """Forcibly drop the live connection (chaos hook).
@@ -443,45 +429,26 @@ class TcpClientTransport(_ObsMixin):
         The supervisor observes the loss and reconnects under backoff —
         exactly as if the network had reset the connection.
         """
-        if self._state == resilience.UP and self._writer is not None:
-            transport = self._writer.transport
-            if transport is not None:
-                transport.abort()
+        conn = self._conns.get(self._server_name)
+        if conn is not None:
+            conn.transport.abort()
 
     async def send(self, dst: HostId, message: Message) -> None:
-        """Send to the server; queues (bounded) while the link is down."""
-        if dst != self._server_name:
-            return
-        frame = _frame(encode_message(message))
-        writer = self._writer
-        if self._state == resilience.UP and writer is not None:
-            try:
-                writer.write(frame)
-                await writer.drain()
-                return
-            except (ConnectionError, OSError):
-                pass  # the supervisor will notice; park the frame meanwhile
-        if self._state == resilience.CLOSED:
-            self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="closed")
-            return
-        self._queue.push(frame, message.kind)
+        """Send to the server (a client's only peer)."""
+        if dst == self._server_name:
+            await super().send(dst, message)
 
     async def close(self) -> None:
-        """Tear down the connection, awaiting the reader and the socket."""
-        if self._state == resilience.CLOSED:
+        """Tear down the supervisor and the socket; report what stays unsent."""
+        if self._closed:
             return
         if self._supervisor is not None:
             self._supervisor.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._supervisor
             self._supervisor = None
-        writer, self._reader, self._writer = self._writer, None, None
+        self._closed = True
         self._transition(resilience.CLOSED)
-        # Whatever is still parked will never be sent; account for every
-        # frame rather than letting the queue vanish with the transport.
-        for _frame_bytes, kind in self._queue.drain():
-            self._emit(TRANSPORT_DROP, dst=self._server_name, kind=kind, reason="closed")
-        if writer is not None:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        conns = list(self._conns.values())
+        self._conns.clear()
+        await self._hang_up_all(conns)

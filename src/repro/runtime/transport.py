@@ -22,15 +22,23 @@ MessageHandler = Callable[[Message, HostId], None]
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-class _ObsMixin:
-    """Shared obs plumbing for the real transports."""
+class _EndpointBase:
+    """What the stock transports share: name, handler slot, obs plumbing."""
 
-    _name: HostId
-
-    def _init_obs(self, obs, clock) -> None:
-        """Bind the trace bus (NULL_BUS default) and timestamp clock."""
+    def __init__(self, name: HostId, obs, clock):
+        self._name = name
+        self._handler: MessageHandler | None = None
         self._obs = obs or NULL_BUS
         self._clock = clock or MonotonicClock()
+
+    @property
+    def name(self) -> HostId:
+        """This endpoint's host name."""
+        return self._name
+
+    def set_handler(self, handler: MessageHandler) -> None:
+        """Install the inbound-message callback."""
+        self._handler = handler
 
     def _emit(self, etype: str, **fields) -> None:
         """Emit one event attributed to this endpoint, if anyone listens."""
@@ -51,7 +59,22 @@ class Transport(Protocol):
         ...
 
     async def send(self, dst: HostId, message: Message) -> None:
-        """Transmit one message (fire and forget; loss is allowed)."""
+        """Transmit one message, fire and forget.  The contract:
+
+        * The message may be parked or dropped instead of sent — loss is
+          allowed — but a transport that discards one emits an obs event.
+        * It normally returns without suspending: the node runs it on the
+          caller's stack to its first suspension point, and only a send
+          that really waits there (chaos delay) costs a Task.
+        * It must not run a receiver's handler before it returns: the node
+          calls it from the middle of an engine's effect list.
+        * It must not open a timeout scoped to the current task
+          (``asyncio.timeout``, ``wait_for``) before its first suspension:
+          until then the current task is the caller's, or none at all.
+
+        It stays ``async def`` so that wrappers (chaos, fan-out, the
+        benchmark's tracer) compose by ``await``.
+        """
         ...
 
     async def close(self) -> None:
@@ -118,7 +141,7 @@ class InMemoryHub:
                 src=src, dst=dst, kind=kind, reason=reason,
             )
 
-    async def _deliver(self, src: HostId, dst: HostId, message: Message) -> None:
+    def _deliver(self, src: HostId, dst: HostId, message: Message) -> None:
         if (src, dst) in self._blocked:
             self._drop(src, dst, message.kind, "blocked")
             return
@@ -126,44 +149,31 @@ class InMemoryHub:
             self._drop(src, dst, message.kind, "loss")
             return
         endpoint = self._endpoints.get(dst)
-        if endpoint is None or endpoint._handler is None:
+        if endpoint is None:
             self._drop(src, dst, message.kind, "no_endpoint")
-            return
-        if self.latency:
-            await asyncio.sleep(self.latency)
-        endpoint._handler(message, src)
+        elif self.latency:
+            asyncio.get_running_loop().call_later(self.latency, endpoint._receive, message, src)
+        else:
+            endpoint._receive(message, src)
 
 
-class _HubEndpoint:
+class _HubEndpoint(_EndpointBase):
     """A hub-attached transport."""
 
     def __init__(self, hub: InMemoryHub, name: HostId):
+        super().__init__(name, hub._obs, hub._clock)
         self._hub = hub
-        self._name = name
-        self._handler: MessageHandler | None = None
-        self._tasks: set[asyncio.Task] = set()
-
-    @property
-    def name(self) -> HostId:
-        return self._name
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        self._handler = handler
 
     async def send(self, dst: HostId, message: Message) -> None:
-        # Delivery is decoupled from the sender so a send never blocks on
-        # the receiver's processing (matching real datagram behaviour).
-        task = asyncio.get_running_loop().create_task(
-            self._hub._deliver(self._name, dst, message)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        # Delivery is a loop callback, never a call from here: a send must
+        # not run the receiver's handler on the sender's stack.
+        asyncio.get_running_loop().call_soon(self._hub._deliver, self._name, dst, message)
+
+    def _receive(self, message: Message, src: HostId) -> None:
+        if self._handler is None:  # never attached, or closed meanwhile
+            self._hub._drop(src, self._name, message.kind, "no_endpoint")
+        else:
+            self._handler(message, src)
 
     async def close(self) -> None:
-        pending = [t for t in self._tasks if not t.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._tasks.clear()
         self._handler = None

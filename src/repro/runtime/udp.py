@@ -28,7 +28,7 @@ from repro.errors import RuntimeTransportError
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import Message
-from repro.runtime.transport import MessageHandler, _dumps, _ObsMixin
+from repro.runtime.transport import _dumps, _EndpointBase
 from repro.types import HostId
 
 #: Stay under the common 64 KiB UDP limit with headroom for JSON framing.
@@ -69,30 +69,19 @@ def _encode(src: HostId, message: Message) -> bytes:
     return data
 
 
-class UdpServerTransport(_ObsMixin):
+class UdpServerTransport(_EndpointBase):
     """The server's datagram endpoint."""
 
     def __init__(self, name: HostId = "server", *, obs=None, clock=None):
-        self._name = name
-        self._init_obs(obs, clock)
-        self._handler: MessageHandler | None = None
+        super().__init__(name, obs, clock)
         self._transport: asyncio.DatagramTransport | None = None
         #: last known address of each client, learned from their datagrams.
         self._peers: dict[HostId, tuple] = {}
 
     @property
-    def name(self) -> HostId:
-        """This endpoint's host name."""
-        return self._name
-
-    @property
     def port(self) -> int:
         """The bound port (after :meth:`start`)."""
         return self._transport.get_extra_info("sockname")[1]
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the inbound-message callback."""
-        self._handler = handler
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind the datagram socket."""
@@ -127,27 +116,16 @@ class UdpServerTransport(_ObsMixin):
             await asyncio.sleep(0)
 
 
-class UdpClientTransport(_ObsMixin):
+class UdpClientTransport(_EndpointBase):
     """A client's datagram endpoint, bound to one server address."""
 
     def __init__(
         self, name: HostId, server_name: HostId = "server", *, obs=None, clock=None
     ):
-        self._name = name
-        self._init_obs(obs, clock)
+        super().__init__(name, obs, clock)
         self._server_name = server_name
-        self._handler: MessageHandler | None = None
         self._transport: asyncio.DatagramTransport | None = None
         self._server_addr: tuple | None = None
-
-    @property
-    def name(self) -> HostId:
-        """This endpoint's host name."""
-        return self._name
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the inbound-message callback."""
-        self._handler = handler
 
     async def connect(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind an ephemeral port and record the server's address."""

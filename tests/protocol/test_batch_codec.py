@@ -7,8 +7,8 @@ pinned v2 frame of a write (``cas`` always travels, as ``null`` when
 unset) and the rule that a v1 frame is simply a malformed one.
 """
 
-import asyncio
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from repro.protocol.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.runtime.tcp import MAX_FRAME, _frame, _read_frame
+from repro.runtime.tcp import MAX_FRAME, _Connection, _frame
 from repro.types import DatumId
 
 F = DatumId.file("file:1")
@@ -157,49 +157,116 @@ class TestHostileFrames:
         assert msg == BatchRequest(1, ())
 
 
-def read_frame(data: bytes):
-    """Feed raw bytes to _read_frame through a real StreamReader."""
+class _Wire:
+    """The least a ``_Connection`` needs of its owner and of its socket."""
 
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await _read_frame(reader)
+    name = "me"
 
-    return asyncio.run(go())
+    def __init__(self):
+        self.messages = []
+        self.drops = []
+        self.down = []
+        self.closed = False
+        self._handler = lambda message, src: self.messages.append(message)
+
+    def _emit(self, etype, **fields):
+        self.drops.append(fields)
+
+    def _connection_made(self, conn):
+        pass
+
+    def _connection_lost(self, conn, reason):
+        self.down.append(reason)
+
+    def get_write_buffer_size(self):
+        return 0
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+
+def receive(*chunks: bytes) -> _Wire:
+    """Feed ``chunks`` to a connection as successive ``recv`` results, then EOF."""
+    wire = _Wire()
+    conn = _Connection(wire, peer="peer")
+    conn.connection_made(wire)
+    for chunk in chunks:
+        conn.data_received(chunk)
+    conn.connection_lost(None)
+    return wire
+
+
+def framed(msg) -> bytes:
+    return _frame(encode_message(msg))
+
+
+MALFORMED = {"dst": "me", "kind": "?", "reason": "malformed"}
 
 
 class TestFraming:
     def test_batch_survives_length_prefixed_framing(self):
         msg = BATCH_SAMPLES[1]
-        assert decode_message(read_frame(_frame(encode_message(msg)))) == msg
+        assert receive(framed(msg)).messages == [msg]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        msgs=st.lists(st.sampled_from(BATCH_SAMPLES), max_size=6),
+        data=st.data(),
+    )
+    def test_any_chunking_delivers_exactly_the_messages_in_order(self, msgs, data):
+        """One ``recv`` may carry several frames and one frame may span
+        several: cuts fall anywhere, mid-header included, and repeat (an
+        empty chunk)."""
+        stream = b"".join(framed(m) for m in msgs)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=24)))
+        chunks = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+        wire = receive(*chunks)
+        assert wire.messages == msgs
+        assert not wire.drops and wire.down == ["eof"]
 
     def test_truncated_frame_reads_as_eof(self):
-        whole = _frame(encode_message(BATCH_SAMPLES[0]))
-        assert read_frame(whole[: len(whole) // 2]) is None
-        assert read_frame(whole[:2]) is None  # mid-header truncation
+        """A truncated tail delivers nothing and is no protocol violation."""
+        whole = framed(BATCH_SAMPLES[0])
+        for cut in (len(whole) // 2, 2):  # mid-body, mid-header
+            wire = receive(framed(BATCH_SAMPLES[2]), whole[:cut])
+            assert wire.messages == [BATCH_SAMPLES[2]]
+            assert not wire.drops and wire.down == ["eof"]
+
+    @staticmethod
+    def rejected(garbage: bytes) -> None:
+        """Every frame before the garbage is delivered, none after it, and
+        the connection is hung up with one observable drop."""
+        before, after = BATCH_SAMPLES[0], BATCH_SAMPLES[3]
+        wire = receive(framed(before) + garbage + framed(after), framed(after))
+        assert wire.messages == [before]
+        assert wire.drops == [MALFORMED]
+        assert wire.closed and wire.down == ["malformed"]
 
     def test_garbage_body_rejected(self):
-        import struct
-
         body = b"\xff{not json"
-        with pytest.raises(RuntimeTransportError):
-            read_frame(struct.pack(">I", len(body)) + body)
+        self.rejected(struct.pack(">I", len(body)) + body)
 
     def test_body_nested_past_the_json_parser_limit_rejected(self):
         """json.loads raises RecursionError, not ValueError, on this; it
-        must surface as a malformed frame, not kill the read task."""
-        import struct
-
+        must surface as a malformed frame, not an unhandled exception."""
         body = b"[" * 100_000 + b"]" * 100_000
-        with pytest.raises(RuntimeTransportError):
-            read_frame(struct.pack(">I", len(body)) + body)
+        self.rejected(struct.pack(">I", len(body)) + body)
 
     def test_oversized_length_prefix_rejected(self):
-        import struct
+        self.rejected(struct.pack(">I", MAX_FRAME + 1) + b"x")
 
-        with pytest.raises(RuntimeTransportError):
-            read_frame(struct.pack(">I", MAX_FRAME + 1) + b"x")
+    def test_ill_typed_message_drops_the_connection_naming_its_class(self):
+        wire = receive(
+            framed(BATCH_SAMPLES[0])
+            + _frame(["ReadRequest", "x", 5, [1]])
+            + framed(BATCH_SAMPLES[1])
+        )
+        assert wire.messages == [BATCH_SAMPLES[0]]
+        assert wire.drops == [dict(MALFORMED, kind="ReadRequest")]
+        assert wire.closed and wire.down == ["malformed"]
 
     def test_oversized_outbound_batch_rejected(self):
         huge = BatchRequest(

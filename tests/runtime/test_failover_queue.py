@@ -5,11 +5,12 @@ FrameQueue` + :class:`~repro.shard.transport.FanoutTransport` when a
 client switches transports mid-failover.  Two real defects are pinned
 here as regressions:
 
-* **flush stall** — a frame pushed while ``TcpClientTransport._open``
-  awaited its reconnect flush was parked *after* the drain pass and then
-  never flushed: it sat in the queue for the entire life of the new
-  connection, invisible, until the next disconnect.  ``_open`` now
-  flushes until the queue is truly empty before going UP.
+* **flush stall** — a frame pushed while the reconnect flush was in
+  progress was parked *after* the drain pass and then never flushed: it
+  sat in the queue for the entire life of the new connection, invisible,
+  until the next disconnect.  Hello, ``UP`` and the flush now happen in
+  one callback, and whenever the connection is up and writable the queue
+  is empty: parked frames go out FIFO ahead of anything sent later.
 * **silent close** — both TCP transports discarded still-parked frames
   at ``close()`` with no ``transport.drop`` trace, violating the
   resilience contract that no frame ever disappears unobserved.  A
@@ -21,6 +22,7 @@ import asyncio
 
 from repro.obs.bus import TraceBus
 from repro.obs.events import TRANSPORT_DROP
+from repro.protocol.codec import encode_message
 from repro.protocol.messages import ReadRequest
 from repro.runtime.resilience import BackoffPolicy
 from repro.runtime.tcp import TcpClientTransport, TcpServerTransport, _frame
@@ -41,58 +43,90 @@ def _msg(req_id: int) -> ReadRequest:
     return ReadRequest(req_id=req_id, datum=store.file_datum("/f"))
 
 
-class _FlushProbeWriter:
-    """A fake stream writer whose first drain() races a concurrent push."""
+class _PausingSocket:
+    """A fake socket transport that pauses its protocol after N writes."""
 
-    def __init__(self, on_first_drain):
+    def __init__(self, pause_after: int):
         self.frames = []
-        self._drains = 0
-        self._on_first_drain = on_first_drain
-        self.transport = None
+        self.conn = None
+        self._pause_after = pause_after
 
     def write(self, data: bytes) -> None:
         self.frames.append(data)
+        if len(self.frames) == self._pause_after:
+            self.conn.pause_writing()
 
-    async def drain(self) -> None:
-        self._drains += 1
-        if self._drains == 1:
-            self._on_first_drain()
+    def is_closing(self) -> bool:
+        return False
+
+    def get_write_buffer_size(self) -> int:
+        return 0
 
     def close(self) -> None:
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
+        self.conn.connection_lost(None)
 
 
 class TestReconnectFlushStall:
-    def test_frame_pushed_during_flush_is_sent_before_going_up(self, monkeypatch):
-        """The flush-stall regression: a frame parked while the reconnect
-        flush awaited drain() must be flushed by the *same* reconnect,
-        not stranded until the next disconnect."""
+    def test_frames_parked_while_down_go_out_first_and_none_is_stranded(self):
+        """The flush-stall regression, on what can still happen: a frame
+        sent while the reconnect is still in progress (by a task the UP
+        transition woke) goes out behind the parked window, not into the
+        queue behind a connection that is already up."""
+
+        async def scenario():
+            received = []
+            server = TcpServerTransport()
+            server.set_handler(lambda m, src: received.append(m.req_id))
+            await server.start()
+            tcp = TcpClientTransport("c0")
+
+            async def send_as_soon_as_up():
+                await tcp.wait_up(timeout=5.0)
+                await tcp.send("server", _msg(3))
+
+            racer = asyncio.ensure_future(send_as_soon_as_up())
+            await asyncio.sleep(0)
+            await tcp.send("server", _msg(1))  # DOWN: parks
+            await tcp.send("server", _msg(2))
+            await tcp.connect(port=server.port)
+            assert len(tcp._queue) == 0
+            await racer
+            await tcp.send("server", _msg(4))
+            assert len(tcp._queue) == 0
+            await asyncio.sleep(0.05)
+            assert received == [1, 2, 3, 4]
+            await tcp.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_flush_cut_short_by_a_pause_resumes_in_order(self, monkeypatch):
+        """The socket pauses mid-flush: what was not written stays parked in
+        order, a frame sent meanwhile parks behind it, and the resume sends
+        all of it, oldest first."""
 
         async def scenario():
             tcp = TcpClientTransport("c0", reconnect=False)
-            late = _frame({"late": True})
-            writer = _FlushProbeWriter(
-                on_first_drain=lambda: tcp._queue.push(late, "late")
+            sock = _PausingSocket(pause_after=2)  # the hello and one frame
+
+            async def fake_create_connection(factory, host, port):
+                sock.conn = factory()
+                sock.conn.connection_made(sock)
+                return sock, sock.conn
+
+            monkeypatch.setattr(
+                asyncio.get_running_loop(), "create_connection", fake_create_connection
             )
-
-            async def fake_open_connection(host, port):
-                return asyncio.StreamReader(), writer
-
-            monkeypatch.setattr(asyncio, "open_connection", fake_open_connection)
-            tcp._queue.push(_frame({"early": True}), "early")
+            frames = [_frame(encode_message(_msg(i))) for i in range(1, 5)]
+            for i in (1, 2, 3):
+                await tcp.send("server", _msg(i))
             await tcp.connect(port=1)
-            # Both the parked frame and the one that raced the flush are
-            # on the wire; nothing is left behind in the queue.
+            assert sock.frames == [_frame({"hello": "c0"}), frames[0]]
+            await tcp.send("server", _msg(4))  # up but paused: parks behind 2, 3
+            assert len(tcp._queue) == 3
+            sock.conn.resume_writing()
+            assert sock.frames[2:] == frames[1:]
             assert len(tcp._queue) == 0
-            assert _frame({"early": True}) in writer.frames
-            assert late in writer.frames
-            # FIFO: the racing frame went out after the parked window.
-            assert writer.frames.index(late) > writer.frames.index(
-                _frame({"early": True})
-            )
             await tcp.close()
 
         run(scenario())

@@ -163,6 +163,9 @@ class TestSendFailureObservability:
         run(scenario())
 
     def test_sends_cancelled_by_close_are_not_reported_as_drops(self):
+        """A send that really waits is the one case a Task finishes; one cut
+        short by close() is not a dropped frame and leaves no Task behind."""
+
         async def scenario():
             bus = TraceBus(capacity=None)
             client = LeaseClientNode(
@@ -170,17 +173,47 @@ class TestSendFailureObservability:
                 config=ClientConfig(epsilon=0.01, rpc_timeout=5.0),
                 obs=bus,
             )
+            before = asyncio.all_tasks()
             read = asyncio.get_running_loop().create_task(
                 client.read(DatumId.file("file:1"))
             )
-            await asyncio.sleep(0.02)  # the send task is now parked
-            assert client._send_tasks
+            await asyncio.sleep(0.02)  # the send is now parked in its Task
+            (send_task,) = asyncio.all_tasks() - before - {read}
             await client.close()  # cancels it; must not raise or emit
-            read.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await read
+            assert send_task.cancelled()
+            assert not asyncio.all_tasks() - before - {read}
+            with pytest.raises(ReproError, match="client closed"):
+                await asyncio.wait_for(read, 1.0)
             assert not bus.events(TRANSPORT_DROP)
-            assert not client._send_tasks
+
+        run(scenario())
+
+    def test_op_in_flight_at_close_fails_instead_of_hanging(self):
+        """Regression: close() cancels the very time-out that would have
+        failed a pending op, so its caller used to wait forever."""
+
+        async def scenario():
+            hub, store, server, client = await make_world(
+                client_config=ClientConfig(epsilon=0.01, rpc_timeout=0.05, max_retries=1)
+            )
+            hub.isolate("c0")
+            datum = store.file_datum("/doc")
+            ops = [
+                asyncio.ensure_future(op)
+                for op in (
+                    client.read(datum),
+                    client.write(datum, b"v2"),
+                    client.namespace_op("mkdir", ("/d",)),
+                )
+            ]
+            await asyncio.sleep(0)  # each op has sent its request and waits
+            await client.close()
+            done, pending = await asyncio.wait(ops, timeout=1.0)
+            assert not pending
+            for op in ops:
+                with pytest.raises(ReproError, match="client closed"):
+                    op.result()
+            await server.close()
 
         run(scenario())
 

@@ -6,10 +6,14 @@ transport walks ``down → backoff → connecting → up``, parks outbound
 frames in its bounded queue, and flushes them after the hello of the new
 connection.  Malformed, oversized and truncated frames — from either
 side — drop the offending connection cleanly and observably instead of
-killing the read loop.
+killing the read loop.  A peer that stops reading costs at most one full
+queue of held frames, every other one a counted drop, and never holds up
+``close()``.
 """
 
 import asyncio
+import contextlib
+import socket
 import struct
 
 import pytest
@@ -19,7 +23,7 @@ from repro.lease.policy import FixedTermPolicy
 from repro.obs.bus import TraceBus
 from repro.obs.events import CONN_DOWN, CONN_RETRY, CONN_UP, TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
-from repro.protocol.messages import ReadRequest
+from repro.protocol.messages import ReadRequest, WriteRequest
 from repro.protocol.server import ServerConfig
 from repro.runtime import LeaseClientNode, LeaseServerNode
 from repro.runtime import resilience
@@ -250,6 +254,96 @@ class TestReconnect:
             await close_raw(writer2)
             await close_raw(writer1)
             await server.close()
+
+        run(scenario())
+
+
+@contextlib.asynccontextmanager
+async def deaf_peer(side, bus, queue_capacity=8):
+    """A ``side`` transport connected to a peer that never reads a byte.
+
+    Yields ``(transport, dst, queue)``: sends to ``dst`` pile up in the
+    socket buffers, then in ``queue()``.
+    """
+    if side == "client":
+        # Never accepted: the kernel completes the handshake on its own.
+        peer = socket.socket()
+        peer.bind(("127.0.0.1", 0))
+        peer.listen(1)
+        transport = TcpClientTransport("c0", queue_capacity=queue_capacity, obs=bus)
+        await transport.connect(port=peer.getsockname()[1])
+        dst, queue = "server", lambda: transport._queue
+    else:
+        transport = TcpServerTransport(queue_capacity=queue_capacity, obs=bus)
+        await transport.start()
+        peer = socket.create_connection(("127.0.0.1", transport.port))
+        peer.sendall(_frame({"hello": "deaf"}))
+        while "deaf" not in transport.connected_peers():
+            await asyncio.sleep(0.01)
+        dst, queue = "deaf", lambda: transport._pending.get("deaf", ())
+    try:
+        yield transport, dst, queue
+    finally:
+        peer.close()
+
+
+BIG_WRITE = WriteRequest(1, DatumId.file("f"), b"x" * 60_000, write_seq=1)
+
+
+@pytest.mark.parametrize("side", ["client", "server"])
+class TestPeerThatStopsReading:
+    def test_held_frames_are_bounded_and_every_other_one_is_a_counted_drop(self, side):
+        async def scenario():
+            bus = TraceBus(capacity=None)
+            async with deaf_peer(side, bus) as (transport, dst, queue):
+                conn = transport._conns[dst]
+                written = 0
+                socket_write = conn.transport.write
+
+                def counting_write(data):
+                    nonlocal written
+                    written += 1
+                    socket_write(data)
+
+                conn.transport.write = counting_write
+                tasks = len(asyncio.all_tasks())
+                sends = 400
+
+                async def send_all():
+                    for _ in range(sends):
+                        await transport.send(dst, BIG_WRITE)
+                        await asyncio.sleep(0)  # let the socket take what it can
+
+                await asyncio.wait_for(send_all(), 10.0)
+                assert len(asyncio.all_tasks()) == tasks  # no send waits in a Task
+                overflow = [
+                    e for e in bus.events(TRANSPORT_DROP) if e["reason"] == "queue_overflow"
+                ]
+                assert len(queue()) == 8
+                assert overflow and all(e["kind"] == "lease/write" for e in overflow)
+                assert written + len(queue()) + len(overflow) == sends
+                await transport.close()
+
+        run(scenario())
+
+    def test_close_returns_and_reports_the_unsent_buffer(self, side):
+        async def scenario():
+            bus = TraceBus(capacity=None)
+            async with deaf_peer(side, bus) as (transport, dst, queue):
+                sends = [
+                    asyncio.ensure_future(transport.send(dst, BIG_WRITE)) for _ in range(100)
+                ]
+                await asyncio.sleep(0.1)
+                parked = len(queue())
+                await asyncio.wait_for(transport.close(), 2.0)
+                closed = [
+                    e["kind"] for e in bus.events(TRANSPORT_DROP) if e["reason"] == "closed"
+                ]
+                # Every parked frame by kind, and the socket's write buffer
+                # (bytes, no longer frames) as one more.
+                assert sorted(closed) == ["?"] + ["lease/write"] * parked
+                for send in sends:
+                    send.cancel()
 
         run(scenario())
 
