@@ -1,38 +1,3 @@
-"""Build script.
-
-The default build is pure python (``pip install -e .`` needs no
-compiler).  Set ``REPRO_BUILD_COMPILED=1`` to additionally compile the
-hot core with mypyc: the twin sources are generated into ``repro._hot``
-(see :mod:`repro._build`) and handed to ``mypycify``; at runtime
-:mod:`repro._compiled` aliases them over the canonical modules unless
-``REPRO_PURE=1`` forces the fallback.
-"""
-
-import importlib.util
-import os
-
 from setuptools import setup
 
-
-def _compiled_build_kwargs():
-    if os.environ.get("REPRO_BUILD_COMPILED") != "1":
-        return {}
-    try:
-        from mypyc.build import mypycify
-    except ImportError as exc:
-        raise SystemExit(
-            "REPRO_BUILD_COMPILED=1 requires mypyc, which ships with mypy: "
-            "pip install 'mypy>=1.8' (or use the [compiled] extra)."
-        ) from exc
-    # Load repro._build by path: the repro package itself is not
-    # importable yet at build time, and _build is stdlib-only.
-    here = os.path.dirname(os.path.abspath(__file__))
-    build_py = os.path.join(here, "src", "repro", "_build.py")
-    spec = importlib.util.spec_from_file_location("_repro_build", build_py)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    paths = module.prepare_sources()
-    return {"ext_modules": mypycify(["--ignore-missing-imports"] + paths)}
-
-
-setup(**_compiled_build_kwargs())
+setup()

@@ -38,18 +38,25 @@ Package map:
 ``repro.baselines`` §6 comparators: TTL hints, breakable locks,
                     degenerate terms, head-to-head comparison
 ``repro.experiments`` regenerates Table 2, Figures 1-3, claims, ablations
+``repro.clock``     the ``Clock`` interface; simulated (skew, drift),
+                    monotonic and manual clocks
+``repro.topology``  cluster shape as a value: shards x replicas and the
+                    one place that knows host naming
+``repro.shard``     consistent-hash sharding of the namespace across
+                    independent lease servers
+``repro.replica``   replicated lease authority: a PaxosLease master
+                    lease over the lease table
+``repro.ext``       beyond the paper: write-back caches via write
+                    leases, adaptive lease coverage
+``repro.obs``       trace-event bus, metrics registry, timing
+``repro.check``     scenario exploration: generate, run, check, replay,
+                    shrink (``python -m repro.check``)
+``repro.parallel``  multiprocess sweep pool with a deterministic
+                    in-order merge
+``repro.profile``   the two kernel/network storms ``benchmarks/stack``
+                    times
 ==================  =====================================================
 """
-
-# The compiled-core selector MUST run before anything below imports a
-# hot module (repro.sim.kernel and friends): it aliases the mypyc twins
-# over the canonical names in sys.modules, and an already-imported pure
-# module could not be swapped out safely.  Importing any repro submodule
-# imports this package first, so this really is the first repro code to
-# run in a process.
-from repro import _compiled as _compiled_selector
-
-_compiled_selector.activate()
 
 from repro.analytic import (
     FIG3_WAN_PARAMS,
@@ -113,24 +120,18 @@ from repro.workload import (
 
 __version__ = "1.0.0"
 
-# Aliased hot modules skip the parent-attribute binding a first import
-# performs; patch the attributes now that every parent package exists.
-_compiled_selector.bind_parents()
-
 
 def build_info() -> dict:
-    """Which hot-core implementation is live in this process.
+    """The build of this package: always ``{"build": "pure"}``.
 
-    Returns a dict with ``build`` (``"pure"`` — the default —
-    ``"compiled"``, ``"pure-twin"`` or ``"mixed"``), ``reason``, and a
-    per-module ``modules`` map.  Benchmarks record this block so a
-    compiled run is never gated against a pure pin (and vice versa).
+    There is one implementation of every module, the ``.py`` files in
+    this tree.  ``benchmarks/stack`` prints the value in its header.
     """
-    return _compiled_selector.info()
+    return {"build": "pure"}
 
 
 __all__ = [
-    # build selection
+    # build
     "build_info",
     # core mechanism
     "Lease",

@@ -26,8 +26,8 @@ class Message:
     attribute declared in each class body, so reading it on the send path
     is one attribute lookup with no per-message dict or property-call
     overhead.  (:data:`KIND_BY_TYPE` at the bottom of this module is
-    derived from the classes, not the other way round — class bodies keep
-    the attribute visible to the compiled build.)
+    derived from the classes, not the other way round — each class
+    states its kind where it is defined.)
     """
 
     kind: ClassVar[str] = "msg"
