@@ -366,7 +366,6 @@ class WriteBackClientEngine(ClientEngine):
         """
         if not self.holds_write_lease(datum, now):
             return self.write(datum, content, now)
-        op = self._new_op("local-write", datum, now)
         self.metrics.writes += 1
         if datum in self._dirty:
             self.local_writes_absorbed += 1
@@ -374,16 +373,16 @@ class WriteBackClientEngine(ClientEngine):
         entry = self.cache.peek(datum)
         version = entry.version if entry is not None else 0
         self.cache.put(datum, version, content)
-        del self._ops[op.op_id]
-        return op.op_id, [Complete(op.op_id, ok=True, value=None)]
+        op_id = self._take_op_id()
+        return op_id, [Complete(op_id, ok=True, value=None)]
 
     def flush(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
         """Write dirty contents through to the server, keeping the lease."""
-        op = self._new_op("flush", datum, now)
         content = self._dirty.get(datum)
         if content is None:
-            del self._ops[op.op_id]
-            return op.op_id, [Complete(op.op_id, ok=True, value=None)]
+            op_id = self._take_op_id()
+            return op_id, [Complete(op_id, ok=True, value=None)]
+        op = self._new_op("flush", datum, now)
         msg = FlushRequest(self._next_req, datum, content, write_seq=self._next_write_seq)
         self._next_req += 1
         self._next_write_seq += 1
@@ -399,26 +398,17 @@ class WriteBackClientEngine(ClientEngine):
     # -- reads of owned datums --------------------------------------------------------------------
 
     def read(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
+        """As :meth:`ClientEngine.read`, with a write lease standing in for
+        the read lease: the owner is served its own (possibly dirty) copy."""
         if self.holds_write_lease(datum, now):
-            entry = self.cache.peek(datum)
-            if entry is not None and entry.valid:
-                op = self._new_op("read", datum, now)
-                self.metrics.reads += 1
-                self.metrics.local_hits += 1
-                del self._ops[op.op_id]
-                return op.op_id, [
-                    Complete(op.op_id, ok=True, value=(entry.version, entry.payload))
-                ]
+            entry = self.cache.get(datum)
+            if entry is not None:
+                return self._hit(datum, now, entry.version, entry.payload)
             if datum in self._dirty:
                 # The cache evicted the entry but the dirty bytes are ours
                 # and authoritative while the lease holds.
-                op = self._new_op("read", datum, now)
-                self.metrics.reads += 1
-                self.metrics.local_hits += 1
-                del self._ops[op.op_id]
-                return op.op_id, [
-                    Complete(op.op_id, ok=True, value=(0, self._dirty[datum]))
-                ]
+                return self._hit(datum, now, 0, self._dirty[datum])
+            return self._fetch(datum, now)  # looked up once: no second miss
         return super().read(datum, now)
 
     # -- message handling ----------------------------------------------------------------------------

@@ -240,9 +240,12 @@ class ClientEngine:
     # -- application API -------------------------------------------------------
 
     def read(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
-        """Read a datum; completes locally when lease and copy are valid."""
-        op = self._new_op("read", datum, now)
-        self.metrics.reads += 1
+        """Read a datum; completes locally when lease and copy are valid.
+
+        The hit is decided before an op context exists: a lease-valid read
+        returns its lone :class:`Complete` having consumed an op id and
+        nothing else; only a miss is entered in ``_ops``.
+        """
         # No local hit while a write of ours on the datum awaits its reply:
         # the server exempts the *writer* from approval-based invalidation,
         # trusting the WriteReply to update its cache — so if that reply is
@@ -251,13 +254,8 @@ class ClientEngine:
         if self.leases.valid(datum, now) and datum not in self._own_writes:
             entry = self.cache.get(datum)
             if entry is not None:
-                self.metrics.local_hits += 1
-                if self.obs.active:
-                    self.obs.emit(LOCAL_HIT, now, self.name, datum=str(datum))
-                done = Complete(op.op_id, ok=True, value=(entry.version, entry.payload))
-                del self._ops[op.op_id]
-                return op.op_id, [done]
-        return op.op_id, self._fetch(datum, op.op_id, now)
+                return self._hit(datum, now, entry.version, entry.payload)
+        return self._fetch(datum, now)
 
     def write(
         self,
@@ -352,17 +350,33 @@ class ClientEngine:
             return self._on_anticipate(now)
         raise ReproError(f"client got unexpected timer {key!r}")
 
-    # -- fetch path -------------------------------------------------------------------
+    # -- hit and fetch paths ------------------------------------------------------------
 
-    def _fetch(self, datum: DatumId, op_id: int, now: float) -> list[Effect]:
-        """Obtain a fresh lease (and data if needed) for a read."""
+    def _hit(
+        self, datum: DatumId, now: float, version: Version, payload: object
+    ) -> tuple[int, list[Effect]]:
+        """A read served on the spot: one op id, the counters, the event
+        and the lone ``Complete`` — the only place a local hit is recorded."""
+        op_id = self._next_op  # _take_op_id, inline: this is the hot path
+        self._next_op = op_id + 1
+        metrics = self.metrics
+        metrics.reads += 1
+        metrics.local_hits += 1
+        if self.obs.active:
+            self.obs.emit(LOCAL_HIT, now, self.name, datum=str(datum))
+        return op_id, [Complete(op_id, True, (version, payload))]
+
+    def _fetch(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
+        """A read that missed: obtain a fresh lease (and data if needed)."""
+        op_id = self._new_op("read", datum, now).op_id
+        self.metrics.reads += 1
         in_flight = self._datum_req.get(datum)
         if in_flight is not None:
             self._requests[in_flight].waiters.setdefault(datum, []).append(op_id)
-            return []
+            return op_id, []
         if datum in self.cache and datum in self.leases:
-            return self._send_extend(datum, op_id, now)
-        return self._send_read(datum, op_id, now)
+            return op_id, self._send_extend(datum, op_id, now)
+        return op_id, self._send_read(datum, op_id, now)
 
     def _send_read(self, datum: DatumId, op_id: int | None, now: float) -> list[Effect]:
         entry = self.cache.peek(datum)
@@ -787,9 +801,15 @@ class ClientEngine:
         self._next_req += 1
         return req_id
 
-    def _new_op(self, kind: str, datum: DatumId | None, now: float) -> _OpCtx:
-        op = _OpCtx(op_id=self._next_op, kind=kind, datum=datum, submitted_local=now)
+    def _take_op_id(self) -> int:
+        op_id = self._next_op
         self._next_op += 1
+        return op_id
+
+    def _new_op(self, kind: str, datum: DatumId | None, now: float) -> _OpCtx:
+        """Enter an operation that has to wait into ``_ops``; one finished
+        on the spot takes only its id (:meth:`_take_op_id`)."""
+        op = _OpCtx(op_id=self._take_op_id(), kind=kind, datum=datum, submitted_local=now)
         self._ops[op.op_id] = op
         return op
 

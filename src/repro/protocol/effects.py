@@ -10,6 +10,16 @@ A driver (simulator or asyncio runtime) executes each effect:
   the engine will receive ``handle_timer(key, now)`` when it fires.
 * :class:`Complete` — an application-visible operation finished; carries
   the result to whoever invoked the client API.
+
+The contract: an effect is built by an engine and consumed once by the
+driver inside the same call; it is never stored, never mutated and never
+shared across hosts.  That is why the classes are plain ``slots``
+dataclasses, immutable by contract and not by ``frozen=True`` (whose
+``__init__`` pays one ``object.__setattr__`` per field, on every effect of
+every operation) — and why messages may not follow: the DES hands
+:class:`~repro.protocol.messages.Message` objects across hosts by
+reference, so those stay frozen.  Equality is class-aware (tests compare
+effect lists with ``==``); effects are not hashable.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from repro.protocol.messages import Message
 from repro.types import HostId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     """Transmit ``message`` to ``dst``."""
 
@@ -29,7 +39,7 @@ class Send:
     message: Message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast:
     """Transmit ``message`` to every host in ``dsts`` (multicast if available)."""
 
@@ -37,7 +47,7 @@ class Broadcast:
     message: Message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     """Arm timer ``key`` to fire ``delay`` seconds from now.
 
@@ -48,14 +58,14 @@ class SetTimer:
     delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CancelTimer:
     """Disarm timer ``key`` (no-op when not armed)."""
 
     key: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Complete:
     """An application operation finished.
 

@@ -4,9 +4,10 @@ A node owns an engine, a transport and a clock.  Inbound messages and
 timer firings are dispatched on the event loop (engines are synchronous,
 so a single-threaded loop serializes them for free); effects are executed
 as they are emitted: ``SetTimer`` becomes ``loop.call_later`` (re-arming
-replaces), ``Complete`` resolves the future returned by the client API,
-and a send runs ``transport.send`` on the spot, to its first suspension
-point.  Every stock transport finishes there, so a sent message costs no
+replaces), ``Complete`` resolves the Future a waiting client call holds
+(an operation the engine finishes on the spot never gets one), and a send
+runs ``transport.send`` on the spot, to its first suspension point.
+Every stock transport finishes there, so a sent message costs no
 Task and no extra loop iteration; only a send that really waits (chaos
 delay) is finished by a Task, which the node tracks until ``close()``.
 """
@@ -289,6 +290,7 @@ class LeaseClientNode(_EngineNode):
             transport.name, server, config=config, id_base=id_base, obs=self.obs
         )
         self._futures: dict[int, asyncio.Future] = {}
+        self._closed = False
         self._run_effects(self.engine.startup_effects(self.clock.now()))
 
     def _engine(self) -> ClientEngine:
@@ -296,7 +298,9 @@ class LeaseClientNode(_EngineNode):
 
     async def close(self) -> None:
         """Fail every operation in flight, then close: the time-outs that
-        would have failed them are among the timers closing cancels."""
+        would have failed them are among the timers closing cancels.  An
+        operation submitted afterwards is refused at once."""
+        self._closed = True
         futures, self._futures = self._futures, {}
         for future in futures.values():
             if not future.done():
@@ -312,11 +316,25 @@ class LeaseClientNode(_EngineNode):
         else:
             future.set_exception(ReproError(effect.error or "operation failed"))
 
-    def _submit(self, op_id: int, effects: list[Effect]) -> asyncio.Future:
-        future = self._loop.create_future()
-        self._futures[op_id] = future
-        self._run_effects(effects)  # may resolve synchronously (cache hit)
-        return future
+    def _submit(self, op_id: int, effects: list[Effect]) -> tuple[asyncio.Future | None, Any]:
+        """Execute a submitted operation's effects: ``(future, value)``.
+
+        An operation the engine finished on the spot — the effects are
+        exactly its own successful ``Complete``, as for a lease-valid read
+        — is answered right here with ``(None, value)``: no Future, no
+        ``_futures`` entry, no pass through ``_run_effects``, nothing for
+        the caller to await.  Anything else gets the Future a ``Complete``
+        will resolve.  (Callers refuse a closed node *before* the engine
+        call that produces the arguments, so that a refused operation
+        counts nothing, arms no timer and sends nothing.)
+        """
+        if len(effects) == 1:
+            done = effects[0]
+            if done.__class__ is Complete and done.op_id == op_id and done.ok:
+                return None, done.value
+        future = self._futures[op_id] = self._loop.create_future()
+        self._run_effects(effects)
+        return future, None
 
     # -- application API ----------------------------------------------------------
 
@@ -324,10 +342,12 @@ class LeaseClientNode(_EngineNode):
         """Read a datum; returns ``(version, payload)``.
 
         Served locally with no I/O whenever the cached copy and its lease
-        are valid.
+        are valid; such a hit costs no Future and no loop iteration.
         """
-        op_id, effects = self.engine.read(datum, self.clock.now())
-        return await self._submit(op_id, effects)
+        if self._closed:
+            raise ReproError("client closed")
+        future, value = self._submit(*self.engine.read(datum, self.clock.now()))
+        return value if future is None else await future
 
     async def write(
         self, datum: DatumId, content: bytes, cas: int | None = None
@@ -339,16 +359,26 @@ class LeaseClientNode(_EngineNode):
                 :meth:`read`); the server rejects the write if the datum
                 has since moved past it.
         """
-        op_id, effects = self.engine.write(datum, content, self.clock.now(), cas=cas)
-        return await self._submit(op_id, effects)
+        if self._closed:
+            raise ReproError("client closed")
+        future, value = self._submit(
+            *self.engine.write(datum, content, self.clock.now(), cas=cas)
+        )
+        return value if future is None else await future
 
     async def namespace_op(self, op_name: str, args: tuple) -> Any:
         """Submit a namespace mutation (bind/unbind/rename/mkdir)."""
-        op_id, effects = self.engine.namespace_op(op_name, args, self.clock.now())
-        return await self._submit(op_id, effects)
+        if self._closed:
+            raise ReproError("client closed")
+        future, value = self._submit(
+            *self.engine.namespace_op(op_name, args, self.clock.now())
+        )
+        return value if future is None else await future
 
     def relinquish(self, datum: DatumId) -> None:
         """Voluntarily give up a lease (client option, §4)."""
+        if self._closed:
+            raise ReproError("client closed")
         self._run_effects(self.engine.relinquish(datum))
 
     def write_temp(self, path: str, content: bytes) -> None:

@@ -1,5 +1,8 @@
 """Sans-io unit tests for the write-back engines (no network)."""
 
+import random
+
+import pytest
 
 from repro.ext.writeback import (
     WriteBackClientConfig,
@@ -7,10 +10,16 @@ from repro.ext.writeback import (
     WriteBackServerEngine,
 )
 from repro.lease.policy import FixedTermPolicy
+from repro.obs.bus import TraceBus
+from repro.obs.events import LOCAL_HIT
+from repro.protocol.client import ClientEngine
 from repro.protocol.effects import Broadcast, Complete, Send, SetTimer
 from repro.protocol.messages import (
     ApprovalReply,
     ApprovalRequest,
+    ExtendGrant,
+    ExtendReply,
+    ExtendRequest,
     FlushRequest,
     ReadReply,
     ReadRequest,
@@ -23,6 +32,7 @@ from repro.protocol.messages import (
     WriteRequest,
 )
 from repro.storage.store import FileStore
+from repro.types import DatumId
 
 
 def make_server(term=10.0):
@@ -270,3 +280,106 @@ class TestClientEngine:
         effects = client.handle_timer("wbflush", now=3.0)  # expiry-3 < margin
         flushes = [e for e in effects if isinstance(e, Send)]
         assert flushes and isinstance(flushes[0].message, FlushRequest)
+
+
+class TestLocalHits:
+    """Every read served locally is one counter tick, one ``read.local_hit``
+    event and one LRU touch, whichever lease made it a hit.  (The owned-
+    datum hits used to ``peek``: counted, but invisible to the trace and
+    to the LRU, so a hot file under a write lease was the eviction victim.)"""
+
+    DATUMS = [DatumId.file(f"f{i}") for i in range(5)]
+
+    def answer(self, client, effects, now, versions):
+        """Play the server for every request among ``effects`` (and for
+        whatever its replies make the client send next)."""
+        requests = [e.message for e in effects if isinstance(e, Send)]
+        while requests:
+            msg = requests.pop(0)
+            if isinstance(msg, (WriteRequest, FlushRequest)):
+                versions[msg.datum] = versions.get(msg.datum, 1) + 1
+                reply = WriteReply(msg.req_id, msg.datum, version=versions[msg.datum])
+            elif isinstance(msg, WriteLeaseRequest):
+                reply = WriteLeaseReply(
+                    msg.req_id, msg.datum, version=versions.get(msg.datum, 1),
+                    payload=b"served", term=40.0,
+                )
+            elif isinstance(msg, ExtendRequest):
+                reply = ExtendReply(msg.req_id, grants=tuple(
+                    ExtendGrant(d, 40.0, versions.get(d, 1), payload=b"served", changed=True)
+                    for d, _ in msg.items
+                ))
+            else:
+                assert isinstance(msg, ReadRequest)
+                reply = ReadReply(
+                    msg.req_id, msg.datum, version=versions.get(msg.datum, 1),
+                    payload=b"served", term=40.0,
+                )
+            more = client.handle_message(reply, "server", now)
+            requests.extend(e.message for e in more if isinstance(e, Send))
+
+    @pytest.mark.parametrize("engine_cls", [ClientEngine, WriteBackClientEngine])
+    def test_every_local_hit_is_one_event(self, engine_cls):
+        rng = random.Random(24)
+        bus = TraceBus(capacity=None)
+        client = engine_cls(
+            "c0", "server", obs=bus,
+            config=WriteBackClientConfig(epsilon=0.0, cache_capacity=3),
+        )
+        write_back = engine_cls is WriteBackClientEngine
+        versions: dict = {}
+        touched = 0  # hits that found the entry resident (not the dirty-bytes fallback)
+        for step in range(600):
+            now = step * 0.25  # leases (40 s) expire and are renewed along the way
+            datum = rng.choice(self.DATUMS)
+            if rng.random() < 0.8:
+                entry = client.cache.peek(datum)
+                _, effects = client.read(datum, now)
+                hit = len(effects) == 1 and isinstance(effects[0], Complete)
+                touched += hit and entry is not None and entry.valid
+            elif not write_back:
+                _, effects = client.write(datum, b"through", now)
+            elif client.holds_write_lease(datum, now):
+                _, effects = client.local_write(datum, b"dirty%d" % step, now)
+            else:
+                _, effects = client.acquire_write(datum, now)
+            self.answer(client, effects, now, versions)
+        assert client.metrics.local_hits > 100
+        assert len(bus.events(LOCAL_HIT)) == client.metrics.local_hits
+        assert client.cache.stats.hits == touched
+        # Only an owner has the fallback, and the sequence reaches it.
+        assert (client.metrics.local_hits > touched) == write_back
+
+    def test_a_hot_owned_file_is_not_the_eviction_victim(self):
+        hot, cold, colder = self.DATUMS[:3]
+        client = WriteBackClientEngine(
+            "c0", "server", config=WriteBackClientConfig(epsilon=0.0, cache_capacity=2)
+        )
+        versions: dict = {}
+        self.answer(client, client.acquire_write(hot, 0.0)[1], 0.0, versions)
+        client.local_write(hot, b"draft", 1.0)
+        self.answer(client, client.read(cold, 2.0)[1], 2.0, versions)
+        for now in (3.0, 4.0, 5.0):  # read again and again: the most recent entry
+            _, (done,) = client.read(hot, now)
+            assert done == Complete(done.op_id, True, (1, b"draft"))
+        self.answer(client, client.read(colder, 6.0)[1], 6.0, versions)
+        assert hot in client.cache and colder in client.cache and cold not in client.cache
+        assert client.cache.stats.hits == 3 == client.metrics.local_hits
+
+    def test_evicted_but_dirty_bytes_are_a_counted_visible_hit(self):
+        owned, *others = self.DATUMS[:3]
+        bus = TraceBus(capacity=None)
+        client = WriteBackClientEngine(
+            "c0", "server", obs=bus,
+            config=WriteBackClientConfig(epsilon=0.0, cache_capacity=2),
+        )
+        versions: dict = {}
+        self.answer(client, client.acquire_write(owned, 0.0)[1], 0.0, versions)
+        client.local_write(owned, b"draft", 1.0)
+        for now, other in enumerate(others, start=2):
+            self.answer(client, client.read(other, float(now))[1], float(now), versions)
+        assert owned not in client.cache  # the LRU took the copy, not the bytes
+        op_id, effects = client.read(owned, 5.0)
+        assert effects == [Complete(op_id, True, (0, b"draft"))]
+        assert client.metrics.local_hits == 1 == len(bus.events(LOCAL_HIT))
+        assert client.cache.stats.misses == 1 and not client._ops

@@ -1,6 +1,9 @@
 """Unit tests for the client engine, driven sans-io."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.protocol.client import ClientConfig, ClientEngine
 from repro.protocol.effects import Complete, Send, SetTimer
@@ -671,3 +674,100 @@ class TestOwnWriteRaces:
         _, effects = client.read(F1, now=3.5)
         assert only(effects, Complete).value == (2, b"mine")
         assert client.metrics.local_hits == 1
+
+
+class HitDecisionMachine(RuleBasedStateMachine):
+    """``read`` finishes on the spot iff the three facts a hit rests on hold.
+
+    Over any interleaving of reads, writes, approvals, (possibly late or
+    lost) replies and clock steps: a read returns a lone ``Complete``
+    exactly when, just before the call, the lease is valid, no own write
+    on the datum is unresolved and the entry is resident and valid — the
+    conjunction the runtime's no-Future shortcut trusts — and ``_ops``
+    holds exactly the operations that have not had their ``Complete`` yet.
+    """
+
+    DATUMS = [DatumId.file(f"f{i}") for i in range(3)]
+
+    def __init__(self):
+        super().__init__()
+        self.client = make_client(cache_capacity=2)  # three datums: one is always evicted
+        self.now = 0.0
+        self.version = dict.fromkeys(self.DATUMS, 1)  # the server's
+        self.unanswered: list = []
+        self.waiting: set[int] = set()
+
+    def ran(self, op_id, effects):
+        if op_id is not None:
+            self.waiting.add(op_id)
+        for effect in effects:
+            if isinstance(effect, Complete):
+                self.waiting.remove(effect.op_id)  # completes once, and only if waited for
+            elif isinstance(effect, Send) and not isinstance(effect.message, ApprovalReply):
+                self.unanswered.append(effect.message)
+
+    @rule(step=st.sampled_from([0.0, 0.5, 3.0, 11.0]))
+    def clock_step(self, step):
+        self.now += step
+
+    @rule(datum=st.sampled_from(DATUMS))
+    def read(self, datum):
+        client = self.client
+        entry = client.cache.peek(datum)
+        servable = (
+            client.leases.valid(datum, self.now)
+            and datum not in client._own_writes
+            and entry is not None
+            and entry.valid
+        )
+        op_id, effects = client.read(datum, self.now)
+        on_the_spot = len(effects) == 1 and isinstance(effects[0], Complete)
+        assert on_the_spot == servable
+        if on_the_spot:
+            assert effects[0] == Complete(op_id, True, (entry.version, entry.payload))
+        else:
+            assert not [e for e in effects if isinstance(e, Complete)]
+        self.ran(op_id, effects)
+
+    @rule(datum=st.sampled_from(DATUMS))
+    def write(self, datum):
+        self.ran(*self.client.write(datum, b"w%d" % len(self.waiting), self.now))
+
+    @rule(datum=st.sampled_from(DATUMS))
+    def approval(self, datum):
+        """Another client's write commits with our approval."""
+        self.version[datum] += 1
+        request = ApprovalRequest(datum, self.version[datum], self.version[datum])
+        self.ran(None, self.client.handle_message(request, "server", self.now))
+
+    @precondition(lambda self: self.unanswered)
+    @rule(pick=st.integers(0, 63), lost=st.booleans(), term=st.sampled_from([0.0, 10.0]))
+    def reply(self, pick, lost, term):
+        """Answer any outstanding request — out of order, or never."""
+        msg = self.unanswered.pop(pick % len(self.unanswered))
+        if lost:
+            return
+
+        def grant(datum):
+            return self.version[datum], b"v%d" % self.version[datum]
+
+        if isinstance(msg, WriteRequest):
+            self.version[msg.datum] += 1
+            reply = WriteReply(msg.req_id, msg.datum, version=self.version[msg.datum])
+        elif isinstance(msg, ExtendRequest):
+            reply = ExtendReply(msg.req_id, grants=tuple(
+                ExtendGrant(d, term, grant(d)[0], payload=grant(d)[1], changed=True)
+                for d, _ in msg.items
+            ))
+        else:
+            version, payload = grant(msg.datum)
+            reply = ReadReply(msg.req_id, msg.datum, version=version, payload=payload, term=term)
+        self.ran(None, self.client.handle_message(reply, "server", self.now))
+
+    @invariant()
+    def ops_are_exactly_the_unfinished(self):
+        assert set(self.client._ops) == self.waiting
+
+
+TestHitDecision = HitDecisionMachine.TestCase
+TestHitDecision.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -7,6 +7,13 @@ this replaced spent a Task and a done-callback per sent message (and the
 hub another Task per delivery); a counting task factory keeps that from
 drifting back.  Counts repeat exactly, so these are assertions, not
 timing gates.
+
+A lease-valid read is cheaper still: it is a function call.  The engine
+decides the hit before it allocates anything and the node answers an
+operation finished on the spot without a Future, so 200 hits cost the
+loop nothing at all — and the three cases in which a resident copy must
+*not* be served (lease expired, own write unresolved, copy invalidated)
+are pinned through that same shortcut.
 """
 
 import asyncio
@@ -14,16 +21,29 @@ import asyncio
 import pytest
 
 from repro.errors import ReproError
-from repro.lease.policy import ZeroTermPolicy
+from repro.lease.policy import FixedTermPolicy, ZeroTermPolicy
 from repro.obs.bus import TraceBus
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
+from repro.protocol.messages import (
+    ApprovalReply,
+    ApprovalRequest,
+    ExtendGrant,
+    ExtendReply,
+    ExtendRequest,
+    ReadReply,
+    ReadRequest,
+    WriteRequest,
+)
 from repro.protocol.server import ServerConfig
 from repro.runtime import ChaosTransport, InMemoryHub, LeaseClientNode, LeaseServerNode
 from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
+from repro.shard.client import ShardedClientEngine
 from repro.storage.store import FileStore
+from repro.types import DatumId
 
 ROUND_TRIPS = 200
+HITS = 200
 
 
 def run(coro):
@@ -43,8 +63,24 @@ def count_tasks() -> list:
     return created
 
 
-async def make_world(fabric, wrap_client=lambda transport: transport):
-    """A zero-term server (every read is a round trip) and one client."""
+def count_futures() -> list:
+    """Record every Future the running loop is asked for from now on."""
+    loop = asyncio.get_running_loop()
+    created = []
+    create_future = loop.create_future
+
+    def counting():
+        created.append(create_future())
+        return created[-1]
+
+    loop.create_future = counting
+    return created
+
+
+async def make_world(
+    fabric, wrap_client=lambda transport: transport, policy=None, authority="server", **client_kwargs
+):
+    """A server (zero-term unless told: every read is a round trip) and one client."""
     store = FileStore()
     store.create_file("/doc", b"v1")
     if fabric == "tcp":
@@ -56,10 +92,12 @@ async def make_world(fabric, wrap_client=lambda transport: transport):
         hub = InMemoryHub()
         listener, link = hub.endpoint("server"), hub.endpoint("c0")
     server = LeaseServerNode(
-        listener, store, ZeroTermPolicy(), config=ServerConfig(epsilon=0.01, sweep_period=3600.0)
+        listener, store, policy or ZeroTermPolicy(),
+        config=ServerConfig(epsilon=0.01, sweep_period=3600.0),
     )
     client = LeaseClientNode(
-        wrap_client(link), "server", config=ClientConfig(epsilon=0.01, rpc_timeout=5.0)
+        wrap_client(link), authority,
+        config=ClientConfig(epsilon=0.01, rpc_timeout=5.0), **client_kwargs,
     )
     return store.file_datum("/doc"), server, client
 
@@ -138,6 +176,170 @@ class TestHopBudget:
             drops = bus.events(TRANSPORT_DROP)
             assert wire.sends == 2 and created == []
             assert [(e["dst"], e["reason"]) for e in drops] == [("server", "OSError")] * 2
+            await client.close()
+
+        run(scenario())
+
+
+class TestHitBudget:
+    @pytest.mark.parametrize(
+        "fabric, sharded", [("tcp", False), ("hub", False), ("hub", True)]
+    )
+    def test_a_lease_valid_read_never_meets_the_loop(self, fabric, sharded):
+        """Plain or behind ``ShardedClientEngine`` (whose ``_wrap`` passes
+        the lone ``Complete`` through), a hit takes the same shortcut."""
+
+        async def scenario():
+            over = dict(authority=("server",), engine_cls=ShardedClientEngine) if sharded else {}
+            datum, server, client = await make_world(fabric, policy=FixedTermPolicy(60.0), **over)
+            assert await client.read(datum) == (1, b"v1")  # the one round trip
+            engine = client.engine.engines[0] if sharded else client.engine
+            metrics = engine.metrics
+            sent = metrics.read_requests, metrics.extend_requests
+            first_op, hits = engine._next_op, metrics.local_hits
+            tasks, futures, loop_ran = count_tasks(), count_futures(), []
+            asyncio.get_running_loop().call_soon(loop_ran.append, True)
+            for _ in range(HITS):
+                assert await client.read(datum) == (1, b"v1")
+            assert futures == [] and tasks == []
+            assert not loop_ran  # scheduled ahead of the reads, still waiting
+            assert (metrics.read_requests, metrics.extend_requests) == sent
+            assert metrics.local_hits == hits + HITS
+            assert engine._next_op == first_op + HITS  # one op id each
+            assert not engine._ops and not client._futures
+            assert engine.outstanding_requests() == 0
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+
+class SettableClock:
+    def __init__(self, t=0.0):
+        self.t = t
+
+    def now(self):
+        return self.t
+
+
+class Wire:
+    """A transport the test is the other end of: sends pile up in
+    ``sent``, replies go in through ``deliver``."""
+
+    name = "c0"
+
+    def __init__(self):
+        self.sent = []
+
+    def set_handler(self, handler):
+        self.deliver = handler
+
+    async def send(self, dst, message):
+        self.sent.append(message)
+
+    async def close(self):
+        pass
+
+
+F = DatumId.file("file:1")
+TERM, EPSILON = 10.0, 0.5
+
+
+class TestHitShortcutSafety:
+    """A copy served past its lease is the violation the paper's §2 rules
+    exist to prevent; each refusal is checked at the node, where the
+    shortcut lives, and on both sides of the line."""
+
+    async def leased(self):
+        """A client holding ``F`` v1 under a lease granted at t=0."""
+        wire, clock = Wire(), SettableClock()
+        client = LeaseClientNode(
+            wire, "server", clock=clock, id_base=0,
+            config=ClientConfig(epsilon=EPSILON, rpc_timeout=60.0, write_timeout=60.0),
+        )
+        first = asyncio.ensure_future(client.read(F))
+        await asyncio.sleep(0)
+        (request,) = wire.sent
+        wire.deliver(ReadReply(request.req_id, F, version=1, payload=b"v1", term=TERM), "server")
+        assert await first == (1, b"v1")
+        del wire.sent[:]
+        return wire, clock, client
+
+    async def goes_to_the_server(self, wire, client):
+        """Read ``F``; the one request it had to send (answered as v2)."""
+        futures = count_futures()
+        read = asyncio.ensure_future(client.read(F))
+        await asyncio.sleep(0)
+        (request,) = [m for m in wire.sent if isinstance(m, (ReadRequest, ExtendRequest))]
+        assert len(futures) == 1 and not read.done()
+        if isinstance(request, ExtendRequest):
+            assert [d for d, _ in request.items] == [F]
+            grant = ExtendGrant(F, TERM, 2, payload=b"v2", changed=True)
+            reply = ExtendReply(request.req_id, grants=(grant,))
+        else:
+            reply = ReadReply(request.req_id, F, version=2, payload=b"v2", term=TERM)
+        wire.deliver(reply, "server")
+        assert await read == (2, b"v2")
+        return request
+
+    def test_just_before_expiry_is_a_hit(self):
+        async def scenario():
+            wire, clock, client = await self.leased()
+            expires = client.engine.leases.expires_at(F)
+            assert expires == TERM - EPSILON
+            clock.t = expires - 1e-9
+            assert await client.read(F) == (1, b"v1")
+            assert wire.sent == [] and client.engine.metrics.local_hits == 1
+            await client.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("late_by", [0.0, 1e-9, 5.0])
+    def test_at_and_after_expiry_is_not(self, late_by):
+        async def scenario():
+            wire, clock, client = await self.leased()
+            clock.t = client.engine.leases.expires_at(F) + late_by
+            request = await self.goes_to_the_server(wire, client)
+            assert isinstance(request, ExtendRequest)  # the copy is resident
+            assert client.engine.metrics.local_hits == 0
+            await client.close()
+
+        run(scenario())
+
+    def test_no_hit_while_an_own_write_awaits_its_reply(self):
+        async def scenario():
+            wire, clock, client = await self.leased()
+            write = asyncio.ensure_future(client.write(F, b"mine"))
+            await asyncio.sleep(0)
+            (write_request,) = wire.sent
+            assert isinstance(write_request, WriteRequest)
+            # A fetch overtaken by the write puts a valid copy back under
+            # the valid lease: everything a hit needs, but for the write.
+            clock.t = 1.0
+            await self.goes_to_the_server(wire, client)
+            entry = client.engine.cache.peek(F)
+            assert entry.valid and client.engine.leases.valid(F, clock.t)
+            del wire.sent[:]
+            await self.goes_to_the_server(wire, client)
+            assert client.engine.metrics.local_hits == 0 and not write.done()
+            await client.close()
+            with pytest.raises(ReproError, match="client closed"):
+                await write
+
+        run(scenario())
+
+    def test_no_hit_on_a_copy_an_approval_invalidated(self):
+        async def scenario():
+            wire, clock, client = await self.leased()
+            clock.t = 1.0
+            wire.deliver(ApprovalRequest(F, 7, 2), "server")
+            assert wire.sent == [ApprovalReply(F, 7)]
+            assert client.engine.leases.valid(F, clock.t)  # the lease is kept
+            await self.goes_to_the_server(wire, client)
+            assert client.engine.metrics.local_hits == 0
+            clock.t = 2.0
+            assert await client.read(F) == (2, b"v2")  # and a hit again
+            assert client.engine.metrics.local_hits == 1
             await client.close()
 
         run(scenario())

@@ -1,6 +1,7 @@
 """Error-path tests for the asyncio nodes."""
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime import InMemoryHub, LeaseClientNode, LeaseServerNode
+from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
 from repro.storage.store import FileStore
 from repro.types import DatumId
 
@@ -19,21 +21,30 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def make_world(term=1.0, client_config=None):
-    hub = InMemoryHub()
+async def make_world(term=1.0, client_config=None, fabric="hub", obs=None):
+    """One server, one client, ``/doc``; ``hub`` is None over TCP."""
     store = FileStore()
     store.create_file("/doc", b"v1")
+    if fabric == "tcp":
+        hub, listener = None, TcpServerTransport()
+        await listener.start()
+        link = TcpClientTransport("c0")
+        await link.connect(port=listener.port)
+    else:
+        hub = InMemoryHub()
+        listener, link = hub.endpoint("server"), hub.endpoint("c0")
     server = LeaseServerNode(
-        hub.endpoint("server"),
+        listener,
         store,
         FixedTermPolicy(term),
         config=ServerConfig(epsilon=0.01, announce_period=0.5, sweep_period=10.0),
     )
     client = LeaseClientNode(
-        hub.endpoint("c0"),
+        link,
         "server",
         config=client_config
         or ClientConfig(epsilon=0.01, rpc_timeout=0.1, write_timeout=0.1, max_retries=2),
+        obs=obs,
     )
     return hub, store, server, client
 
@@ -236,6 +247,49 @@ class TestSendFailureObservability:
             )
             assert await client.read(store.file_datum("/doc")) == (1, b"v1")
             await client.close()
+            await server.close()
+
+        run(scenario())
+
+
+class TestClosedNode:
+    @pytest.mark.parametrize("fabric", ["tcp", "hub"])
+    @pytest.mark.parametrize("op", ["miss", "hit", "write", "namespace_op", "relinquish"])
+    def test_op_submitted_after_close_is_refused_at_once(self, fabric, op):
+        """Regression: close() failed the ops in flight but took new ones —
+        a miss armed fresh ``rpc:`` timers on the node that had just
+        cancelled its timers and retransmitted into the closed transport
+        until ``max_retries`` ran out (18 s for a read, 405 s for a write
+        at the ``ClientConfig`` defaults), and a hit was still served."""
+
+        async def scenario():
+            bus = TraceBus(capacity=None)
+            _, store, server, client = await make_world(term=60.0, fabric=fabric, obs=bus)
+            held, unread = store.file_datum("/doc"), DatumId.file("file:unread")
+            assert await client.read(held) == (1, b"v1")  # lease and copy: a hit from now on
+            await client.close()
+
+            engine = client.engine
+            before = dataclasses.asdict(engine.metrics), engine._next_op, len(bus)
+            submit = {
+                "miss": lambda: client.read(unread),
+                "hit": lambda: client.read(held),
+                "write": lambda: client.write(held, b"v2"),
+                "namespace_op": lambda: client.namespace_op("mkdir", ("/d",)),
+                "relinquish": lambda: client.relinquish(held),
+            }[op]
+            loop_ran = []
+            asyncio.get_running_loop().call_soon(loop_ran.append, True)
+            with pytest.raises(ReproError, match="client closed"):
+                submitted = submit()
+                if submitted is not None:  # relinquish is a plain method
+                    await submitted
+            assert not loop_ran  # at once: not even one loop iteration later
+            assert len(client._timers) == 0 and not client._futures
+            assert engine.outstanding_requests() == 0 and held in engine.leases
+            assert (dataclasses.asdict(engine.metrics), engine._next_op, len(bus)) == before
+            assert not bus.events(TRANSPORT_DROP)
+            assert store.file_at("/doc").content == b"v1"
             await server.close()
 
         run(scenario())
