@@ -51,8 +51,8 @@ Package map:
 ``repro.obs``       trace-event bus, metrics registry, timing
 ``repro.check``     scenario exploration: generate, run, check, replay,
                     shrink (``python -m repro.check``)
-``repro.parallel``  multiprocess sweep pool with a deterministic
-                    in-order merge
+``repro.parallel``  ``ProcessPoolExecutor`` fan-out for sweeps and
+                    grids, merged in item order
 ``repro.profile``   the two kernel/network storms ``benchmarks/stack``
                     times
 ==================  =====================================================

@@ -21,9 +21,10 @@ run::
 Exit status: 0 when no scenario failed an invariant (expected-class
 clock violations do not fail the sweep; a replayed scenario exits 0 when
 it reproduces its recorded class: failure kinds if any, else violation);
-1 when a scenario failed; 2 when the sweep *itself* errored (generator
-bug, worker crashes past the retry budget, harness exception); 130 on
-interrupt — the worker pool is torn down before exiting either way.
+1 when a scenario failed; 2 on a bad argument (rejected before anything
+runs) or when the sweep *itself* errored (generator bug, a dead worker
+process, harness exception); 130 on interrupt.  No worker process
+outlives the sweep either way.
 """
 
 from __future__ import annotations
@@ -41,13 +42,21 @@ from repro.check.generator import ADVERSARIAL_KINDS, GeneratorConfig, adversaria
 from repro.check.runner import run_scenario
 from repro.check.scenario import Scenario
 from repro.obs.registry import Registry
-from repro.parallel import resolve_workers
+from repro.parallel import workers_arg
 from repro.workload.models import PRESETS, preset
 
 #: ``--workload`` choices: the traffic-model presets plus the adversarial
 #: families (which pick their own grammar, not just a model).  The
 #: ``flash-crowd`` name is in both sets; the adversarial grammar wins.
 WORKLOAD_CHOICES = tuple(sorted(set(PRESETS) | set(ADVERSARIAL_KINDS)))
+
+
+def _positive_int(text: str) -> int:
+    """``argparse`` type of the counts: a sweep of 0 seeds checks nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "seeded fault schedules, check consistency/liveness/convergence, "
         "shrink failures to minimal repro files.",
     )
-    parser.add_argument("--seeds", type=int, default=30, metavar="N",
+    parser.add_argument("--seeds", type=_positive_int, default=30, metavar="N",
                         help="number of scenarios to explore (default 30)")
     parser.add_argument("--base-seed", type=int, default=0,
                         help="seed namespace; same namespace => same sweep")
@@ -78,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eviction", choices=EVICTION_KINDS, default="lru",
                         help="client cache eviction policy for generated "
                         "scenarios (default lru)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
+    parser.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                         help="lease-server shards (default 1 = the classic "
                         "single server; N>1 consistent-hashes files across "
                         "servers s0..s{N-1})")
-    parser.add_argument("--replicas", type=int, default=1, metavar="N",
+    parser.add_argument("--replicas", type=_positive_int, default=1, metavar="N",
                         help="lease-authority replication factor (default 1 "
                         "= unreplicated; N>1 runs each authority as a "
                         "PaxosLease replica group r0..r{N-1})")
@@ -96,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="replay one scenario file instead of exploring")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the per-scenario progress lines")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
+    parser.add_argument("--workers", type=workers_arg, default="1", metavar="N|auto",
                         help="worker processes for the sweep (auto = one "
-                        "per CPU; default 1 = serial); output is "
+                        "per usable CPU; default 1 = serial); output is "
                         "byte-identical either way")
     return parser
 
@@ -141,14 +150,8 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config, workload=preset(args.workload))
         if args.eviction != "lru":
             config = dataclasses.replace(config, eviction=args.eviction)
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
     if args.shards != 1:
         config = dataclasses.replace(config, shards=args.shards)
-    if args.replicas < 1:
-        print(f"error: --replicas must be >= 1, got {args.replicas}", file=sys.stderr)
-        return 2
     if args.replicas != 1:
         config = dataclasses.replace(config, replicas=args.replicas)
 
@@ -177,23 +180,17 @@ def main(argv: list[str] | None = None) -> int:
         print(line)
 
     try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = explorer.explore(args.seeds, progress=progress, workers=workers)
+        report = explorer.explore(args.seeds, progress=progress, workers=args.workers)
     except KeyboardInterrupt:
-        # The pool's context manager already force-terminated and joined
-        # every worker before the interrupt propagated here.
+        # Workers ignore SIGINT; by the time the interrupt reaches here the
+        # sweep has cancelled what no worker started and joined every worker.
         print("interrupted: sweep aborted, worker pool torn down",
               file=sys.stderr)
         return 130
     except Exception:
-        # A sweep *error* (generator bug, worker crash budget exhausted,
-        # harness exception) is not a scenario failure: report loudly and
-        # exit non-zero so CI cannot mistake a broken sweep for a clean one.
+        # A sweep *error* (generator bug, a dead worker process, harness
+        # exception) is not a scenario failure: report loudly and exit
+        # non-zero so CI cannot mistake a broken sweep for a clean one.
         print("sweep error:", file=sys.stderr)
         traceback.print_exc()
         return 2

@@ -28,7 +28,7 @@ from repro.check.scenario import Scenario
 from repro.check.shrink import ShrinkResult, shrink_scenario, strip_unused
 from repro.obs.bus import TraceBus
 from repro.obs.events import CHECK_RUN, CHECK_SHRINK
-from repro.parallel import SweepPool, resolve_workers
+from repro.parallel import ordered_map, resolve_workers
 
 
 @dataclass
@@ -242,7 +242,7 @@ class Explorer:
         """Index-order side effects: obs events, counters, artifacts.
 
         Runs only in the driving process and strictly in scenario-index
-        order — in parallel sweeps the pool's deterministic merge feeds
+        order — in parallel sweeps the index-ordered merge feeds
         outcomes here one by one, so emitted events, counter totals and
         artifact bytes match a serial run exactly.
         """
@@ -296,8 +296,9 @@ class Explorer:
         """Yield ``(outcome, trace_text)`` for scenarios 0..n-1 in order.
 
         ``workers <= 1`` computes inline (honoring any instance patches
-        on :attr:`generator`); otherwise a :class:`SweepPool` fans the
-        computation across processes, each rebuilding the generator from
+        on :attr:`generator`); otherwise
+        :func:`~repro.parallel.ordered_map` fans the computation across
+        processes, each rebuilding the generator from
         ``(type(generator), base_seed, config)``, and streams results
         back in index order.
         """
@@ -316,9 +317,7 @@ class Explorer:
             shrink_budget=self.shrink_budget,
             capture=capture,
         )
-        job = functools.partial(_sweep_job, spec)
-        with SweepPool(job, workers=workers, obs=self.obs) as pool:
-            yield from pool.imap(range(n))
+        yield from ordered_map(functools.partial(_sweep_job, spec), range(n), workers)
 
     def explore(
         self, n: int, progress=None, workers: int | str | None = 1

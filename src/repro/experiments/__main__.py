@@ -19,6 +19,7 @@ from repro.experiments import (
     unix_variant,
     workload_curves,
 )
+from repro.parallel import workers_arg
 
 
 def main(argv: list[str]) -> int:
@@ -30,9 +31,10 @@ def main(argv: list[str]) -> int:
     # the analytic/trace stages are fast at full duration regardless.
     parser.add_argument("--quick", action="store_true",
                         help="skip the discrete-event-heavy stages")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
+    parser.add_argument("--workers", type=workers_arg, default="1",
+                        metavar="N|auto",
                         help="worker processes for grid sweeps (auto = one "
-                        "per CPU); results are identical for any value")
+                        "per usable CPU); results are identical for any value")
     args = parser.parse_args(argv)
     duration = 3600.0
 

@@ -6,7 +6,7 @@ import functools
 import math
 from typing import Any, Callable, Iterable
 
-from repro.parallel import SweepPool, resolve_workers
+from repro.parallel import ordered_map
 from repro.sim.driver import Cluster, build_cluster
 from repro.storage.store import FileStore
 from repro.types import DatumId
@@ -58,8 +58,8 @@ def grid_map(
 
     The workhorse of every experiment sweep: each grid point is an
     independent deterministic simulation, so with ``workers > 1`` the
-    points fan out over a :class:`~repro.parallel.pool.SweepPool` and
-    are merged back **in point order** — the result list is identical to
+    points fan out over :func:`~repro.parallel.ordered_map` and are
+    merged back **in point order** — the result list is identical to
     the serial list comprehension for any worker count.
 
     Args:
@@ -67,24 +67,20 @@ def grid_map(
             function or :func:`functools.partial` of one).
         points: the parameter points, in output order.
         workers: worker-count spec (see
-            :func:`~repro.parallel.pool.resolve_workers`); ``1`` runs
-            inline with no subprocesses.
+            :func:`~repro.parallel.resolve_workers`); ``1`` runs inline
+            with no subprocesses.
     """
-    points = list(points)
-    if resolve_workers(workers) <= 1 or len(points) <= 1:
-        return [job(point) for point in points]
-    with SweepPool(job, workers=workers) as pool:
-        return pool.map(points)
+    return list(ordered_map(job, points, workers))
 
 
 @functools.lru_cache(maxsize=4)
 def cached_v_trace(duration: float, seed: int) -> list[TraceRecord]:
     """Generate (once per process) the synthetic V trace for a config.
 
-    Grid jobs regenerate their trace inside each worker; with warm
-    worker reuse this cache makes that a one-time cost per worker
-    instead of a per-point cost.  Callers must not mutate the returned
-    list.
+    Grid jobs regenerate their trace inside each worker; a worker runs
+    many chunks of points, so this cache makes that a one-time cost per
+    worker instead of a per-point cost.  Callers must not mutate the
+    returned list.
     """
     from repro.workload.vtrace import VTraceConfig, generate_v_trace
 

@@ -77,14 +77,6 @@ ORACLE_VIOLATION = "oracle.violation"
 CHECK_RUN = "check.run"
 CHECK_SHRINK = "check.shrink"
 
-# -- parallel sweep executor (repro.parallel) --------------------------------------
-POOL_START = "parallel.pool_start"
-POOL_DONE = "parallel.pool_done"
-WORKER_SPAWN = "parallel.worker_spawn"
-WORKER_EXIT = "parallel.worker_exit"
-WORKER_CRASH = "parallel.worker_crash"
-CHUNK_DONE = "parallel.chunk_done"
-
 #: Payload fields (beyond ``type``/``ts``/``host``) of each event type.
 #: The parity and schema tests enforce that every emission site matches.
 SCHEMA: dict[str, tuple[str, ...]] = {
@@ -122,12 +114,6 @@ SCHEMA: dict[str, tuple[str, ...]] = {
     ORACLE_VIOLATION: ("datum", "client", "version"),
     CHECK_RUN: ("scenario", "seed", "verdict"),
     CHECK_SHRINK: ("scenario", "before", "after"),
-    POOL_START: ("workers", "jobs", "chunks"),
-    POOL_DONE: ("jobs", "crashes", "requeues"),
-    WORKER_SPAWN: ("worker",),
-    WORKER_EXIT: ("worker",),
-    WORKER_CRASH: ("worker", "chunk", "requeued"),
-    CHUNK_DONE: ("chunk", "worker", "jobs"),
 }
 
 #: Every known event type, in taxonomy order.

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -36,6 +40,14 @@ class RaisingGenerator(ScenarioGenerator):
         if index == 2:
             raise RuntimeError("generator bug at index 2")
         return super().generate(index)
+
+
+def exit_status(argv):
+    """``main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def report_bytes(report):
@@ -114,8 +126,15 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == serial
 
     def test_bad_workers_spec_exits_2(self, capsys):
-        assert main(["--seeds", "1", "--workers", "lots"]) == 2
+        assert exit_status(["--seeds", "1", "--workers", "lots"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_sweep_of_no_seeds_exits_2(self, seeds, capsys):
+        assert exit_status(["--seeds", seeds, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds" in captured.err
 
     def test_sweep_error_exits_2(self, monkeypatch, capsys):
         def boom(self, n, progress=None, workers=1):
@@ -132,3 +151,33 @@ class TestCliExitCodes:
         monkeypatch.setattr(Explorer, "explore", interrupted)
         assert main(["--seeds", "2", "--quiet"]) == 130
         assert "interrupted" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_terminal_ctrl_c_exits_130_and_leaves_no_worker(self):
+        """SIGINT to the whole process group, as a terminal sends it."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.check", "--seeds", "5000",
+             "--workers", "2", "--quiet"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        try:
+            deadline = time.monotonic() + 30
+            workers = []
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                with open(children) as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+            assert len(workers) >= 2, "the sweep never started its workers"
+            time.sleep(0.5)  # let the sweep get going
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=15)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert "interrupted" in err
+        assert "KeyboardInterrupt" not in err
+        assert [pid for pid in workers if os.path.exists(f"/proc/{pid}")] == []

@@ -1,7 +1,12 @@
-"""The experiment harness entry point runs end to end (subprocess)."""
+"""The experiment harness entry point runs end to end (subprocess) and
+rejects a bad argument before it prints anything."""
 
 import subprocess
 import sys
+
+import pytest
+
+from repro.experiments.__main__ import main as experiments_main
 
 
 class TestHarnessEntry:
@@ -21,6 +26,14 @@ class TestHarnessEntry:
         assert "Headline claims" in out
         assert "Scaling analysis" in out
         assert "FAIL" not in out  # every claim passes
+
+    def test_bad_workers_spec_exits_2_before_any_output(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["--quick", "--workers", "lots"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers" in captured.err
 
     def test_baselines_entry(self):
         result = subprocess.run(

@@ -1,21 +1,16 @@
-"""SweepPool: deterministic merge, warm reuse, crash isolation, teardown."""
+"""ordered_map: deterministic merge, warm reuse, failures, teardown."""
 
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.obs import events
-from repro.obs.bus import TraceBus
-from repro.parallel import (
-    SweepError,
-    SweepJobError,
-    SweepPool,
-    WorkerCrashError,
-    resolve_workers,
-)
+from repro.parallel import SweepJobError, ordered_map, resolve_workers
 
 
 def square(x):
@@ -29,27 +24,17 @@ def slow_pid(x):
     return os.getpid()
 
 
-def kill_self_once(arg):
-    """SIGKILL the worker on first sight of the poison item, then succeed.
-
-    ``arg`` is ``(value, poison, marker_dir)``: the first worker to see
-    ``value == poison`` leaves a marker file and dies; the retry (on a
-    replacement worker) finds the marker and completes normally.
-    """
-    value, poison, marker_dir = arg
-    if value == poison:
-        marker = os.path.join(marker_dir, "poisoned")
-        if not os.path.exists(marker):
-            with open(marker, "w"):
-                pass
-            os.kill(os.getpid(), signal.SIGKILL)
-    return value * 10
-
-
 def kill_self_always(x):
     """SIGKILL the worker every time the poison item is attempted."""
     if x == 3:
         os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def interrupt_self(x):
+    """A Ctrl-C delivered to the worker in the middle of its job."""
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(0.01)
     return x
 
 
@@ -60,12 +45,12 @@ def raise_on_seven(x):
     return x
 
 
-def no_sweep_children():
-    """True when no sweep worker processes are left running."""
-    return not [
-        p for p in multiprocessing.active_children()
-        if p.name.startswith("sweep-worker")
-    ]
+@pytest.fixture(autouse=True)
+def no_leftover_children():
+    """Fails the test if it leaves a child process running."""
+    before = set(multiprocessing.active_children())
+    yield
+    assert set(multiprocessing.active_children()) <= before
 
 
 class TestResolveWorkers:
@@ -73,6 +58,11 @@ class TestResolveWorkers:
         assert resolve_workers("auto") >= 1
         assert resolve_workers(None) == resolve_workers("auto")
         assert resolve_workers(0) == resolve_workers("auto")
+
+    def test_auto_counts_only_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers("auto") == 1
 
     def test_numeric_specs(self):
         assert resolve_workers(3) == 3
@@ -89,106 +79,68 @@ class TestDeterministicMerge:
     def test_map_matches_serial_for_any_worker_count(self):
         expected = [square(i) for i in range(40)]
         for workers in (1, 2, 5):
-            with SweepPool(square, workers=workers) as pool:
-                assert pool.map(range(40)) == expected
-
-    def test_chunk_size_does_not_change_output(self):
-        expected = [square(i) for i in range(23)]
-        for chunk_size in (1, 4, 100):
-            with SweepPool(square, workers=3, chunk_size=chunk_size) as pool:
-                assert pool.map(range(23)) == expected
+            assert list(ordered_map(square, range(40), workers)) == expected
 
     def test_imap_streams_in_index_order(self):
-        with SweepPool(square, workers=3, chunk_size=2) as pool:
-            seen = list(pool.imap(range(17)))
+        seen = []
+        for value in ordered_map(square, range(17), 3):
+            seen.append(value)
         assert seen == [square(i) for i in range(17)]
 
     def test_empty_input(self):
-        with SweepPool(square, workers=2) as pool:
-            assert pool.map([]) == []
+        assert list(ordered_map(square, [], 2)) == []
 
 
 class TestWarmReuse:
-    def test_workers_persist_across_chunks_and_map_calls(self):
-        with SweepPool(slow_pid, workers=2, chunk_size=1) as pool:
-            first = set(pool.map(range(8)))
-            second = set(pool.map(range(8)))
-        # 16 jobs in 1-item chunks ran on at most 2 resident processes,
-        # and the second call reused the first call's workers.
-        assert len(first) <= 2
-        assert second <= first
+    def test_workers_persist_across_chunks(self):
+        # 16 jobs in 8 chunks ran on at most 2 resident processes.
+        pids = set(ordered_map(slow_pid, range(16), 2))
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
 
 
 class TestCrashIsolation:
-    def test_killed_worker_chunk_is_requeued(self, tmp_path):
-        items = [(i, 6, str(tmp_path)) for i in range(12)]
-        with SweepPool(kill_self_once, workers=2, chunk_size=3) as pool:
-            out = pool.map(items)
-            assert pool.crashes == 1
-            assert pool.requeues == 1
-        assert out == [i * 10 for i in range(12)]
-        assert no_sweep_children()
-
     def test_retry_budget_is_bounded(self):
-        with pytest.raises(WorkerCrashError):
-            with SweepPool(
-                kill_self_always, workers=2, chunk_size=2, max_retries=1
-            ) as pool:
-                pool.map(range(10))
-        assert no_sweep_children()
+        """The budget is zero: the first dead worker fails the sweep."""
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool, match=r"before job \d+ finished"):
+            list(ordered_map(kill_self_always, range(10), 2))
+        assert time.monotonic() - start < 30
 
     def test_job_exception_reraised_at_its_index(self):
+        seen = []
         with pytest.raises(SweepJobError) as excinfo:
-            with SweepPool(raise_on_seven, workers=2, chunk_size=2) as pool:
-                pool.map(range(12))
+            for value in ordered_map(raise_on_seven, range(12), 2):
+                seen.append(value)
         assert excinfo.value.index == 7
+        assert seen == list(range(7))
         assert "job 7 exploded" in str(excinfo.value)
-        assert no_sweep_children()
 
 
 class TestLifecycle:
     def test_context_exit_leaves_no_children(self):
-        with SweepPool(square, workers=3) as pool:
-            pool.map(range(10))
-        assert no_sweep_children()
+        assert list(ordered_map(square, range(10), 3)) == [square(i) for i in range(10)]
+
+    def test_workers_ignore_sigint(self):
+        try:
+            out = list(ordered_map(interrupt_self, range(8), 2))
+        except KeyboardInterrupt:
+            pytest.fail("a worker took SIGINT instead of leaving it to the parent")
+        assert out == list(range(8))
 
     def test_error_inside_block_forces_teardown(self):
         with pytest.raises(RuntimeError, match="consumer bug"):
-            with SweepPool(square, workers=2) as pool:
-                pool.map(range(4))
+            for _ in ordered_map(square, range(400), 2):
                 raise RuntimeError("consumer bug")
-        assert no_sweep_children()
-
-    def test_pool_unusable_after_shutdown(self):
-        pool = SweepPool(square, workers=2)
-        pool.shutdown()
-        with pytest.raises(SweepError):
-            pool.map(range(3))
 
 
-class TestObservability:
-    def test_lifecycle_events_flow_through_obs(self):
-        bus = TraceBus(capacity=None)
-        with SweepPool(square, workers=2, obs=bus) as pool:
-            pool.map(range(10))
-        counts = bus.counts()
-        assert counts[events.POOL_START] == 1
-        assert counts[events.POOL_DONE] == 1
-        assert counts[events.WORKER_SPAWN] == 2
-        assert counts[events.WORKER_EXIT] == 2
-        assert counts[events.CHUNK_DONE] >= 1
-        for event in bus.events():
-            events.validate(event)
-
-    def test_crash_events_flow_through_obs(self, tmp_path):
-        bus = TraceBus(capacity=None)
-        items = [(i, 2, str(tmp_path)) for i in range(8)]
-        with SweepPool(kill_self_once, workers=2, chunk_size=2, obs=bus) as pool:
-            pool.map(items)
-        crashes = bus.events(events.WORKER_CRASH)
-        assert len(crashes) == 1
-        assert crashes[0]["requeued"] is True
-        # The replacement spawn is visible too: 2 initial + 1 respawn.
-        assert bus.counts()[events.WORKER_SPAWN] == 3
-        for event in bus.events():
-            events.validate(event)
+def test_import_repro_check_loads_no_multiprocessing():
+    """Every benchmark process imports ``repro.check``; only a parallel
+    sweep may pay for the multiprocessing modules."""
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.check; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "repro.parallel" in loaded
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures.process" not in loaded
