@@ -1,14 +1,21 @@
 """Wire codec (format v2): protocol messages to/from positional JSON arrays.
 
 A message travels as ``[<class name>, field1, ..., fieldN]`` in dataclass
-field order.  There is no per-class code: each class's encoder and decoder
-are compiled once, at import, from ``dataclasses.fields()`` and the single
-table :data:`_WIRE` mapping a field's annotation to its wire form —
+field order.  There is no hand-written per-class code: each class's encoder
+and decoder are generated once, at import, as Python source from
+``dataclasses.fields()`` and the single table :data:`_WIRE` mapping a
+field's annotation to its wire form, and compiled with one ``exec`` per
+function (the way :mod:`dataclasses` makes ``__init__``).  The encoder is
+one list display; the decoder checks the arity, unpacks, checks scalars
+inline and calls a converter only for a field that has one, then builds
+the message through its slot setters, bypassing the frozen ``__init__``
+and its ``object.__setattr__`` per field (a wire class therefore may not
+define ``__post_init__``; import fails if one does).  The wire forms —
 
 * ``int``/``str``/``bool`` (and their ``| None`` variants) as themselves,
   type-checked exactly on decode (``int`` never accepts a ``bool``),
 * ``DatumId`` as the ``kind:ident`` string ``str(DatumId)`` prints,
-* declared ``bytes`` as a bare base64 string,
+* declared ``bytes`` as a bare base64 string, in canonical form only,
 * ``float`` terms as numbers, with ``math.inf`` as the string ``"inf"``
   (``-inf`` and NaN have no wire form),
 * ``ExtendRequest.items`` as ``[[datum, version], ...]``,
@@ -31,7 +38,6 @@ from __future__ import annotations
 import binascii
 import dataclasses
 import math
-from operator import attrgetter
 from typing import Any, Callable, NoReturn
 
 from repro.errors import ProtocolError
@@ -114,20 +120,10 @@ def _reject(expected: str, value: Any) -> NoReturn:
     raise ProtocolError(f"expected {expected}, got {type(value).__name__}")
 
 
-def _scalar(tp: type, optional: bool = False) -> Decoder:
-    """Decoder accepting exactly ``tp`` (no subclasses), or also None."""
-    expected = f"{tp.__name__} or null" if optional else tp.__name__
-
-    def decode(value: Any) -> Any:
-        if type(value) is tp or (optional and value is None):
-            return value
-        _reject(expected, value)
-
-    return decode
-
-
-_dec_int = _scalar(int)
-_dec_str = _scalar(str)
+def _dec_str(value: Any) -> str:
+    if type(value) is str:
+        return value
+    _reject("str", value)
 
 
 def _enc_float(value: float) -> Any:
@@ -155,7 +151,12 @@ def _enc_bytes(value: bytes) -> str:
 
 def _dec_bytes(value: Any) -> bytes:
     if type(value) is str:
-        return binascii.a2b_base64(value)
+        data = binascii.a2b_base64(value)
+        # a2b_base64 skips junk and excess padding (strict_mode is 3.11+):
+        # only the one string that encodes ``data`` is well formed.
+        if binascii.b2a_base64(data, newline=False) == value.encode("ascii"):
+            return data
+        raise ProtocolError(f"not canonical base64: {value[:64]!r}")
     _reject("a base64 string", value)
 
 
@@ -185,7 +186,11 @@ def _dec_items(value: Any) -> tuple:
     for pair in value:
         if type(pair) is not list or len(pair) != 2:
             _reject("a [datum, version] pair", pair)
-        items.append((_dec_datum(pair[0]), _dec_int(pair[1])))
+        datum, version = pair
+        datum = _dec_datum(datum)
+        if type(version) is not int:
+            _reject("int", version)
+        items.append((datum, version))
     return tuple(items)
 
 
@@ -215,13 +220,6 @@ def _dec_any(value: Any) -> Any:
     elif tp is float and -_INF < value < _INF:
         return value
     _reject("a scalar, an array or tagged bytes", value)
-
-
-def _optional(encode: Encoder, decode: Decoder) -> tuple[Encoder, Decoder]:
-    return (
-        lambda value: None if value is None else encode(value),
-        lambda value: None if value is None else decode(value),
-    )
 
 
 def _seq(encode: Encoder | None, decode: Decoder) -> tuple[Encoder, Decoder]:
@@ -262,17 +260,20 @@ def _dec_members(value: Any) -> tuple:
 
 
 #: The one place a wire form is declared: field annotation, exactly as
-#: written in :mod:`repro.protocol.messages` -> ``(encode, decode)``.
-_WIRE: dict[str, tuple[Encoder | None, Decoder]] = {
-    "int": (None, _dec_int),
-    "Version": (None, _dec_int),
-    "Version | None": (None, _scalar(int, optional=True)),
-    "str": (None, _dec_str),
-    "str | None": (None, _scalar(str, optional=True)),
-    "bool": (None, _scalar(bool)),
+#: written in :mod:`repro.protocol.messages` -> ``(encode, decode)``.  An
+#: encoder of None means the value is its own wire form; a decoder that is
+#: a type is an exact type check, inlined.  In a ``| None`` annotation,
+#: None passes both ways untouched.
+_WIRE: dict[str, tuple[Encoder | None, Decoder | type]] = {
+    "int": (None, int),
+    "Version": (None, int),
+    "Version | None": (None, int),
+    "str": (None, str),
+    "str | None": (None, str),
+    "bool": (None, bool),
     "float": (_enc_float, _dec_float),
     "bytes": (_enc_bytes, _dec_bytes),
-    "bytes | None": _optional(_enc_bytes, _dec_bytes),
+    "bytes | None": (_enc_bytes, _dec_bytes),
     "DatumId": (_enc_datum, _dec_datum),
     "object": (_enc_any, _dec_any),
     "tuple": _seq(_enc_any, _dec_any),
@@ -284,44 +285,62 @@ _WIRE: dict[str, tuple[Encoder | None, Decoder]] = {
 
 
 def _compile(cls: type, tag: str | None = None) -> tuple[Encoder, Decoder]:
-    """Build one dataclass's array codec from its field annotations.
+    """Generate one dataclass's array encoder and decoder from its fields.
 
     With a ``tag`` the array is ``[tag, *fields]`` (a message); without,
     just the fields (a record nested inside one).
     """
-    fields = dataclasses.fields(cls)
-    wire = []
-    for field in fields:
+    name = cls.__name__
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{name}: decode sets slots directly and would skip __post_init__")
+    scope = {"__name__": __name__, "_reject": _reject, "_new": object.__new__, "_cls": cls}
+    first = 0 if tag is None else 1
+    values = [] if tag is None else [repr(tag)]
+    names = [] if tag is None else ["_"]
+    checks, sets = [], []
+    for i, field in enumerate(dataclasses.fields(cls), first):
         if field.type not in _WIRE:
             raise TypeError(
-                f"{cls.__name__}.{field.name}: no wire form for the "
+                f"{name}.{field.name}: no wire form for the "
                 f"annotation {field.type!r} (add it to codec._WIRE)"
             )
-        wire.append(_WIRE[field.type])
-    head = [] if tag is None else [tag]
-    first = len(head)
-    arity = first + len(fields)
-    # One C call fetches every field; only the fields that are not their
-    # own wire form are then converted, in place.
-    fetch = attrgetter(*(field.name for field in fields))
-    single = len(fields) == 1  # attrgetter then returns the bare value
-    converts = tuple(
-        (index, enc) for index, (enc, _) in enumerate(wire, first) if enc is not None
-    )
-    decoders = tuple(dec for _, dec in wire)
-
-    def encode(obj: Any) -> list:
-        out = [*head, fetch(obj)] if single else [*head, *fetch(obj)]
-        for index, convert in converts:
-            out[index] = convert(out[index])
-        return out
-
-    def decode(frame: Any) -> Any:
-        if type(frame) is not list or len(frame) != arity:
-            _reject(f"{cls.__name__} as an array of {arity}", frame)
-        return cls(*[dec(value) for dec, value in zip(decoders, frame[first:])])
-
-    return encode, decode
+        enc, dec = _WIRE[field.type]
+        optional = field.type.endswith(" | None")
+        value, v = f"m.{field.name}", f"v{i}"
+        if enc is not None:
+            scope[f"_e{i}"] = enc
+            value = (
+                f"None if ({v} := {value}) is None else _e{i}({v})"
+                if optional else f"_e{i}({value})"
+            )
+        if isinstance(dec, type):
+            test, expected = f"type({v}) is not {dec.__name__}", dec.__name__
+            if optional:
+                test, expected = f"{test} and {v} is not None", f"{expected} or null"
+            checks.append(f"if {test}: _reject({expected!r}, {v})")
+        else:
+            scope[f"_d{i}"] = dec
+            convert = f"{v} = _d{i}({v})"
+            checks.append(f"if {v} is not None: {convert}" if optional else convert)
+        scope[f"_s{i}"] = cls.__dict__[field.name].__set__
+        values.append(value)
+        names.append(v)
+        sets.append(f"_s{i}(m, {v})")
+    arity = len(names)
+    body = [
+        f"if type(frame) is not list or len(frame) != {arity}:",
+        f"    _reject({f'{name} as an array of {arity}'!r}, frame)",
+        f"{', '.join(names)}, = frame",
+        *checks,
+        "m = _new(_cls)",
+        *sets,
+        "return m",
+    ]
+    # One exec per function: compiling all fifty functions in one exec
+    # raised peak RSS by 0.5 MB (CPython 3.11), fifty small ones by 0.13 MB.
+    exec(f"def encode_{name}(m):\n    return [{', '.join(values)}]", scope)
+    exec(f"def decode_{name}(frame):\n    " + "\n    ".join(body), scope)
+    return scope[f"encode_{name}"], scope[f"decode_{name}"]
 
 
 _WIRE["tuple[ExtendGrant, ...]"] = _seq(*_compile(ExtendGrant))

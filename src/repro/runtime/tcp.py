@@ -8,8 +8,9 @@ Frames are ``4-byte big-endian length + UTF-8 JSON`` bodies produced by
 
 Both ends put the same thing on a socket: one :class:`_Connection`, an
 ``asyncio.Protocol`` whose ``data_received`` parses every complete frame
-out of its buffer (:func:`_take_frames`) and dispatches it on the spot —
-no reader task, no stream.  ``send`` never waits: a frame is written
+straight out of the chunk it is handed (:func:`_take_frames`; only a
+partial tail is buffered) and dispatches it on the spot — no reader task,
+no stream.  ``send`` never waits: a frame is written
 straight to the socket transport when the connection is up and not
 ``pause_writing``-paused, and otherwise parked in the peer's bounded
 drop-oldest queue, to go out FIFO — ahead of anything newer — on
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import struct
 
 from repro.errors import ProtocolError, RuntimeTransportError
@@ -38,7 +38,7 @@ from repro.protocol.codec import decode_message, encode_message, wire_tag
 from repro.protocol.messages import Message
 from repro.runtime import resilience
 from repro.runtime.resilience import BackoffPolicy, FrameQueue
-from repro.runtime.transport import _dumps, _EndpointBase
+from repro.runtime.transport import _dumps, _EndpointBase, _loads
 from repro.types import HostId
 
 _HEADER = struct.Struct(">I")
@@ -52,32 +52,31 @@ def _frame(payload: list | dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def _take_frames(buf: bytearray) -> tuple[list, bool]:
-    """Remove every complete frame from the head of ``buf``.
+def _take_frames(data: bytes | bytearray) -> tuple[list, int, bool]:
+    """Parse every complete frame at the head of ``data``.
 
-    Returns the frames' JSON values in order and whether the bytes after
-    them are garbage — an oversized length prefix or a body that is not
-    valid JSON — in which case the connection cannot be trusted past the
-    returned frames and must be dropped.  An incomplete tail (mid-header
-    or mid-body) stays in ``buf`` for the next chunk.
+    Returns the frames' JSON values in order, how many bytes they took,
+    and whether the bytes after them are garbage — an oversized length
+    prefix or a body that is not valid JSON — in which case the connection
+    cannot be trusted past the returned frames and must be dropped.  An
+    incomplete tail (mid-header or mid-body) is left for the next chunk.
     """
     frames = []
-    pos, size = 0, len(buf)
+    pos, size = 0, len(data)
     malformed = False
     try:
         while size - pos >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(buf, pos)
+            (length,) = _HEADER.unpack_from(data, pos)
             if length > MAX_FRAME:
                 raise ValueError(f"frame too large: {length} bytes")
             end = pos + _HEADER.size + length
             if end > size:
                 break
-            frames.append(json.loads(buf[pos + _HEADER.size : end].decode("utf-8")))
+            frames.append(_loads(data[pos + _HEADER.size : end].decode("utf-8")))
             pos = end
     except (ValueError, RecursionError):  # not UTF-8, not JSON, nested too deep
         malformed = True
-    del buf[:pos]
-    return frames, malformed
+    return frames, pos, malformed
 
 
 class _Connection(asyncio.Protocol):
@@ -110,8 +109,14 @@ class _Connection(asyncio.Protocol):
         if self._hung_up is not None:
             return  # nothing that arrives after a hang-up is delivered
         owner = self._owner
-        self._buf += data
-        frames, malformed = _take_frames(self._buf)
+        buf = self._buf
+        if buf:  # a frame spans chunks: append, parse, keep the new tail
+            buf += data
+            frames, pos, malformed = _take_frames(buf)
+            del buf[:pos]
+        else:  # parse straight from the chunk; copy only a partial tail
+            frames, pos, malformed = _take_frames(data)
+            buf += data[pos:]
         kind = "?"
         for frame in frames:
             if self._hung_up is not None:

@@ -16,10 +16,42 @@ from repro.types import HostId
 #: Inbound message handler installed by a node.
 MessageHandler = Callable[[Message, HostId], None]
 
-#: The one JSON encoder behind every TCP frame and UDP datagram.
-#: ``json.dumps`` with non-default arguments constructs a fresh
-#: ``JSONEncoder`` per call; this binds one for the life of the process.
-_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+#: The one JSON encoder behind every TCP frame and UDP datagram, built once:
+#: ``JSONEncoder.encode`` builds a new C encoder inside every call.  It keeps
+#: no circular-reference markers (the codec's arrays are fresh and acyclic),
+#: so an encode that raises leaves no stale marker in the reused encoder.
+#: Without ``_json`` it is ``JSONEncoder.encode``; both emit the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+if json.encoder.c_make_encoder is None:
+    _dumps = _ENCODER.encode
+else:
+    _iterencode = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator,
+        _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def _dumps(value) -> str:
+        return "".join(_iterencode(value, 0))
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(text: str):
+    """``json.loads(text)``, through one reused scanner.
+
+    Anything the scan does not consume whole (leading or trailing
+    whitespace, extra data, a syntax error) goes to ``json.loads``, so
+    exactly the same texts are accepted and rejected, with the same errors.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(text)
 
 
 class _EndpointBase:

@@ -22,13 +22,12 @@ emit ``transport.drop`` events (DESIGN.md §11).
 from __future__ import annotations
 
 import asyncio
-import json
 
-from repro.errors import RuntimeTransportError
+from repro.errors import ProtocolError, RuntimeTransportError
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import Message
-from repro.runtime.transport import _dumps, _EndpointBase
+from repro.runtime.transport import _dumps, _EndpointBase, _loads
 from repro.types import HostId
 
 #: Stay under the common 64 KiB UDP limit with headroom for JSON framing.
@@ -43,10 +42,12 @@ class _Endpoint(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr) -> None:
         try:
-            frame = json.loads(data.decode("utf-8"))
+            frame = _loads(data.decode("utf-8"))
+            src = frame.get("src") if type(frame) is dict else None
+            if type(src) is not str:  # it becomes a dict key and a host id
+                raise ProtocolError("a datagram is a {src: name, msg: message} object")
             message = decode_message(frame["msg"])
-            src = frame["src"]
-        except Exception:
+        except (ValueError, RecursionError, KeyError, ProtocolError):
             # Malformed datagram: drop, like any corrupted packet — but
             # observably, so fuzzed/hostile traffic shows in the trace.
             self._owner._emit(

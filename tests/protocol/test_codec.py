@@ -216,6 +216,14 @@ ILL_TYPED = [
     ["BatchRequest", 1, [["BatchRequest", 2, []]]],
     ["BatchRequest", 1, [[]]],
     ["BatchRequest", 1, "ReadRequest"],
+    # Base64 other than the one canonical spelling of the bytes: junk
+    # characters, excess padding, non-zero padding bits.
+    ["ReadReply", 1, "file:f", 1, {"b64": "A A A A"}, 2.0, None, None],
+    ["ReadReply", 1, "file:f", 1, {"b64": "AA!AA"}, 2.0, None, None],
+    ["ReadReply", 1, "file:f", 1, {"b64": "AAAA===="}, 2.0, None, None],
+    ["ReadReply", 1, "file:f", 1, {"b64": "eB=="}, 2.0, None, None],
+    ["WriteRequest", 1, "file:f", "AAAA\n", 0, None],
+    ["RecallReply", "file:f", 1, "eA=\n="],
 ]
 
 

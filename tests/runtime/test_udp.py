@@ -2,6 +2,7 @@
 datagrams."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -12,7 +13,13 @@ from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime import LeaseClientNode, LeaseServerNode
-from repro.runtime.udp import MAX_DATAGRAM, UdpClientTransport, UdpServerTransport, _encode
+from repro.runtime.udp import (
+    MAX_DATAGRAM,
+    UdpClientTransport,
+    UdpServerTransport,
+    _encode,
+    _Endpoint,
+)
 from repro.protocol.messages import WriteRequest
 from repro.storage.store import FileStore
 from repro.types import DatumId
@@ -157,6 +164,28 @@ class TestUdpProtocol:
             await transport.close()
 
         run(scenario())
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"src": ["x"], "msg": ["ReadRequest", 1, "file:f", None]},
+            {"src": 7, "msg": ["ReadRequest", 1, "file:f", None]},
+            {"src": None, "msg": ["ReadRequest", 1, "file:f", None]},
+            {"msg": ["ReadRequest", 1, "file:f", None]},
+            ["x", ["ReadRequest", 1, "file:f", None]],
+        ],
+        ids=["list-src", "int-src", "null-src", "no-src", "not-an-object"],
+    )
+    def test_datagram_without_a_string_src_is_a_malformed_drop(self, frame):
+        """The sender's name becomes a dict key and a host id: anything but
+        a string is dropped, never raised into the loop or handed on."""
+        bus = TraceBus(capacity=None)
+        transport = UdpServerTransport(obs=bus)
+        delivered = []
+        transport.set_handler(lambda message, src: delivered.append(src))
+        _Endpoint(transport).datagram_received(json.dumps(frame).encode(), ("127.0.0.1", 9))
+        assert delivered == [] and transport._peers == {}
+        assert [e["reason"] for e in bus.events(TRANSPORT_DROP)] == ["malformed"]
 
     def test_sends_to_unknown_or_closed_endpoints_are_observable(self):
         async def scenario():
