@@ -41,6 +41,7 @@ from repro.check.explorer import Explorer
 from repro.check.generator import ADVERSARIAL_KINDS, GeneratorConfig, adversarial_config
 from repro.check.runner import run_scenario
 from repro.check.scenario import Scenario
+from repro.errors import ScenarioError
 from repro.obs.registry import Registry
 from repro.parallel import workers_arg
 from repro.workload.models import PRESETS, preset
@@ -113,8 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _replay(path: str, quiet: bool) -> int:
-    """Re-run a scenario file; report whether its failure reproduces."""
-    scenario = Scenario.load(path)
+    """Re-run a scenario file; report whether its failure reproduces.
+
+    A file that cannot be read or does not describe a runnable scenario
+    exits 2 (a bad argument), never 1, which means "did not reproduce".
+    """
+    try:
+        scenario = Scenario.load(path)
+    except (OSError, ValueError, ScenarioError) as exc:
+        print(f"cannot replay {path}: {exc}", file=sys.stderr)
+        return 2
     result = run_scenario(scenario)
     if not quiet:
         print(f"replay {scenario.name}: verdict={result.verdict} "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -261,7 +262,11 @@ class Scenario:
 
         Raises:
             ValueError: an op or fault references an unknown client, file
-                or host, or uses an unknown kind.
+                or host, or uses an unknown kind; or a fault has a number
+                the runner cannot execute (an ``at`` or ``duration`` that
+                is not finite or is negative, a ``drift`` that is not
+                finite or is <= -1 — a clock must advance — or a
+                ``delta`` that is not finite).
         """
         if self.n_clients < 1:
             raise ValueError(f"need at least one client, got {self.n_clients}")
@@ -278,6 +283,19 @@ class Scenario:
         for fault in self.faults:
             if fault.kind not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {fault.kind!r}")
+            for field, ok, rule in (
+                ("at", math.isfinite(fault.at) and fault.at >= 0.0, "finite and >= 0"),
+                ("duration", math.isfinite(fault.duration) and fault.duration >= 0.0,
+                 "finite and >= 0"),
+                ("drift", math.isfinite(fault.drift) and fault.drift > -1.0,
+                 "finite and > -1 (a clock must advance)"),
+                ("delta", math.isfinite(fault.delta), "finite"),
+            ):
+                if not ok:
+                    raise ValueError(
+                        f"{fault.kind} fault {fault.to_json()}: {field} must be "
+                        f"{rule}, got {getattr(fault, field)}"
+                    )
             if fault.host and fault.host not in hosts:
                 raise ValueError(f"fault references unknown host {fault.host!r}")
             if fault.kind == "partition":

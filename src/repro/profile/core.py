@@ -1,7 +1,7 @@
 """Two pinned, deterministic storms for the simulator's hot path.
 
-* :func:`timer_storm` — lease-renewal timer churn (arm, cancel, re-arm:
-  the timer wheel's worst customer), spent almost entirely in the kernel.
+* :func:`timer_storm` — lease-renewal timer churn (arm, cancel, re-arm),
+  spent almost entirely in the kernel's heap and its compaction.
 * :func:`ping_storm` — request/response ping-pong through the simulated
   network under the paper's full timing model.
 
@@ -23,11 +23,10 @@ def timer_storm(lines: int = 64, renewals: int = 400) -> int:
     """Lease-renewal churn: per line, arm a long expiry timer, then
     repeatedly cancel and re-arm it from a short-period renewal timer.
 
-    This is the kernel's worst-case customer (the write-up in DESIGN.md
-    §10): every renewal inserts twice and cancels once, so cancelled
-    entries pile up and force periodic compaction, while the short
-    timers hammer the draining bucket and the long ones the future
-    slots.  Returns the kernel's executed-event count.
+    Every renewal inserts twice and cancels once (DESIGN.md §10), so
+    cancelled entries pile up and force periodic compaction, and the
+    heap holds two live entries per line: a short renewal timer next to
+    a 30 s expiry.  Returns the kernel's executed-event count.
     """
     kernel = Kernel(seed=11)
 

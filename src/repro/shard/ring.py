@@ -15,6 +15,7 @@ re-shard invalidates few cached placements.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from bisect import bisect_right
 
@@ -33,6 +34,24 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
+@functools.lru_cache(maxsize=32)
+def _ring_points(n_shards: int, replicas: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ring's sorted point hashes and their owning shards.
+
+    A pure function of the ring's shape, so it is hashed once per process
+    and shared: every client router and the store of one sharded cluster
+    ask for the same ring, and each would otherwise pay
+    ``n_shards * replicas`` SHA-256 digests and a sort.  Tuples, because
+    every caller holds the same object.
+    """
+    points = sorted(
+        (stable_hash(f"repro.shard/{shard}/{replica}"), shard)
+        for shard in range(n_shards)
+        for replica in range(replicas)
+    )
+    return tuple(h for h, _ in points), tuple(s for _, s in points)
+
+
 class HashRing:
     """Maps string keys onto ``n_shards`` buckets, consistently."""
 
@@ -43,13 +62,7 @@ class HashRing:
             raise ValueError(f"need at least one replica point: {replicas}")
         self.n_shards = n_shards
         self.replicas = replicas
-        points = sorted(
-            (stable_hash(f"repro.shard/{shard}/{replica}"), shard)
-            for shard in range(n_shards)
-            for replica in range(replicas)
-        )
-        self._hashes = [h for h, _ in points]
-        self._owners = [s for _, s in points]
+        self._hashes, self._owners = _ring_points(n_shards, replicas)
 
     def shard_of(self, key: str) -> int:
         """The shard index owning ``key``."""

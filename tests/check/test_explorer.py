@@ -6,6 +6,7 @@ import os
 
 from repro.check import Explorer, Scenario, demo_clock_fault_scenario, run_scenario
 from repro.check.__main__ import main
+from repro.check.scenario import Fault
 from repro.obs.bus import TraceBus
 from repro.obs.registry import Registry
 
@@ -126,3 +127,16 @@ class TestCli:
         path = str(tmp_path / "clean.json")
         scenario.save(path)
         assert main(["--replay", path, "--quiet"]) == 1
+
+    def test_replay_unrunnable_file_exits_two(self, tmp_path, capsys):
+        """A fault the runner cannot execute is a bad argument (2), not a
+        scenario that failed to reproduce (1), and it is named."""
+        scenario = dataclasses.replace(
+            demo_clock_fault_scenario(),
+            faults=(Fault("partition", at=5.0, hosts=("c0",), duration=-2.0),),
+        )
+        path = str(tmp_path / "bad.json")
+        scenario.save(path)
+        assert main(["--replay", path]) == 2
+        err = capsys.readouterr().err
+        assert "cannot replay" in err and "duration must be finite and >= 0" in err

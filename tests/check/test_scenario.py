@@ -177,6 +177,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             scenario.validate()
 
+    @pytest.mark.parametrize(
+        "fault, field",
+        [
+            # each of these used to pass validation and then crash the run
+            # (or, for the crash, silently never restart the host)
+            (Fault("partition", at=5.0, hosts=("c0",), duration=-2.0), "duration"),
+            (Fault("loss", at=5.0, rate=0.5, duration=-2.0), "duration"),
+            (Fault("crash", at=5.0, host="c1", duration=-2.0), "duration"),
+            (Fault("clock_drift", at=1.0, host="c0", drift=-1.0), "drift"),
+            (Fault("crash", at=float("nan"), host="c1", duration=1.0), "at"),
+            (Fault("crash", at=-0.5, host="c1", duration=1.0), "at"),
+            (Fault("partition", at=float("inf"), hosts=("c0",), duration=1.0), "at"),
+            (Fault("crash", at=1.0, host="c1", duration=float("inf")), "duration"),
+            (Fault("clock_drift", at=1.0, host="c0", drift=float("nan")), "drift"),
+            (Fault("clock_step", at=1.0, host="c0", delta=float("-inf")), "delta"),
+        ],
+        ids=[
+            "partition-negative-duration", "loss-negative-duration",
+            "crash-negative-duration", "drift-stops-clock", "nan-at",
+            "negative-at", "infinite-at", "infinite-duration", "nan-drift",
+            "infinite-delta",
+        ],
+    )
+    def test_unrunnable_fault_number_rejected(self, fault, field):
+        scenario = small_scenario().with_events([], [fault])
+        with pytest.raises(ValueError, match=f"{fault.kind} fault .*: {field} must be"):
+            scenario.validate()
+
+    def test_runnable_fault_numbers_accepted(self):
+        small_scenario().with_events([], [
+            Fault("crash", at=0.0, host="c1", duration=0.0),
+            Fault("clock_drift", at=1.0, host="c0", drift=-0.99),
+            Fault("clock_step", at=1.0, host="server", delta=-30.0),
+        ]).validate()
+
     def test_bad_cache_capacity_rejected(self):
         import dataclasses
 

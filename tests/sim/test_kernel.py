@@ -294,8 +294,9 @@ class ReferenceKernel:
     """The kernel's executable specification: one heap, strict
     ``(time, seq)`` order, lazy cancellation, and ``defer_args`` is
     nothing but ``post_args``.  Everything else in ``repro.sim.kernel``
-    (wheel tiers, bucket adoption, compaction, handle-less entries,
-    inline execution) is an optimization that must not show."""
+    (O(1) live counts, compaction, handle-less entries, inline execution
+    and the cancelled heads its quiet check pops) is an optimization that
+    must not show."""
 
     class Handle:
         cancelled = False
@@ -346,16 +347,17 @@ class ReferenceKernel:
 
 #: Delays the generated programs draw from.  Repeats and zeros make
 #: same-instant ties common (where ``(time, seq)`` order and the inline
-#: ``head.time > time`` test are decided); the spread crosses wheel
-#: buckets (0.05 s); the tail lands in the beyond-horizon heap.
+#: ``head.time > time`` test are decided); the spread runs from
+#: sub-millisecond to a lease term; the tail is deadlines of 2**40 s and
+#: beyond, and ``inf``, which must still order strictly by ``seq``.
 _DELAYS = (
     0.0, 0.0, 0.0, 0.01, 0.01, 0.02, 0.05, 0.05, 0.1, 0.3, 1.0, 1.0, 2.5, 7.0,
     30.0, float(2**40), float(2**40), float(2**41) + 3.0, float("inf"),
 )
-#: Delays of a *storm* program: a long, cancel-free run that mostly stays
-#: inside one bucket, so hundreds of entries are consumed from the
-#: draining bucket while more are inserted into it (the consumed-prefix
-#: trim) — the ping-pong shape of a fault-free network.
+#: Delays of a *storm* program: a long, cancel-free run of near-term
+#: events, hundreds consumed while more are inserted just ahead of them —
+#: the ping-pong shape of a fault-free network, where most ``defer_args``
+#: calls run inline.
 _STORM_DELAYS = (0.0, 0.0, 1e-4, 1e-4, 2e-4, 5e-4, 0.06, float(2**40))
 
 
@@ -378,8 +380,11 @@ class Program:
         self.next_id = 0
         # What the run reached inside the real kernel (stay 0 on the model):
         self.inlined = 0  # defer_args calls that ran their event before returning
-        self.far_peak = 0  # most entries in the beyond-horizon heap
-        self.due_pos_peak = 0  # longest consumed prefix of a draining bucket
+        self.pruned = 0  # defer_args calls whose quiet check popped a cancelled head
+        self.dead = None  # cancelled-entry count when a defer_args call began
+        # What the program scheduled (the same on both kernels):
+        self.huge = 0  # deadlines at or beyond 2**40 s, inf included
+        self.infinite = 0  # deadlines of inf
 
     def spawn(self):
         """Schedule one new event through a randomly chosen entry point.
@@ -391,18 +396,31 @@ class Program:
         self.next_id += 1
         delay = rng.choice(self.delays)
         how = rng.choice(("schedule", "schedule_at", "post_args", "defer_args"))
+        deadline = kernel.now + delay
+        self.huge += deadline >= 2**40
+        self.infinite += deadline == float("inf")
         if how == "schedule":
             self.handles.append(kernel.schedule(delay, self.fire, ident))
         elif how == "schedule_at":
-            self.handles.append(kernel.schedule_at(kernel.now + delay, self.fire, ident))
+            self.handles.append(kernel.schedule_at(deadline, self.fire, ident))
         elif how == "post_args":
-            kernel.post_args(kernel.now + delay, self.fire, (ident,))
+            kernel.post_args(deadline, self.fire, (ident,))
         else:
             fired = len(self.log)
-            kernel.defer_args(kernel.now + delay, self.fire, (ident,))
+            self.dead = getattr(kernel, "_cancelled", 0)
+            kernel.defer_args(deadline, self.fire, (ident,))
+            self.quiet_check_done()  # queued (if it ran inline, fire did this)
             self.inlined += len(self.log) > fired
             return True
         return False
+
+    def quiet_check_done(self):
+        """A ``defer_args`` call has decided: count whether its quiet check
+        popped cancelled heads.  Nothing else can drop the cancelled count
+        between the call and its decision — inline ``fire`` or return."""
+        if self.dead is not None:
+            self.pruned += getattr(self.kernel, "_cancelled", 0) < self.dead
+            self.dead = None
 
     def churn(self):
         """Arm and cancel a burst of timers — enough dead entries that the
@@ -431,9 +449,8 @@ class Program:
     def fire(self, ident):
         kernel = self.kernel
         assert ident >= 0, "a cancelled timer fired"
+        self.quiet_check_done()
         self.log.append((ident, kernel.now, kernel.executed, kernel.pending()))
-        self.far_peak = max(self.far_peak, len(getattr(kernel, "_far", ())))
-        self.due_pos_peak = max(self.due_pos_peak, getattr(kernel, "_due_pos", 0))
         self.act()
 
     def checkpoint(self, tag):
@@ -482,24 +499,35 @@ class TestAgainstReferenceModel:
         assert real.kernel.pending() == 0 and real.kernel._size() == 0
         return real, len(bus.events("kernel.compact"))
 
-    def test_seeded_programs_match_reference(self):
-        from repro.sim.kernel import _DUE_TRIM
-
-        fired = inlined = compactions = far = trimmed = 0
-        for seed in range(1000):
+    def check_seeds(self, seeds):
+        """Run every seed in ``seeds`` on both kernels, then demand that the
+        programs reached the mechanisms they are here to check: inline
+        execution, compaction, a quiet check that pops cancelled heads,
+        and deadlines of 2**40 s and beyond, ``inf`` included.  The
+        thresholds are per 1 000 programs."""
+        fired = inlined = compactions = pruned = huge = infinite = 0
+        for seed in seeds:
             program, compacted = self.run_pair(seed)
             fired += sum(isinstance(row[0], int) for row in program.log)
             inlined += program.inlined
             compactions += compacted
-            far += program.far_peak > 0
-            trimmed += program.due_pos_peak > _DUE_TRIM
-        # The programs must reach the mechanisms they are here to check:
-        # inline execution, compaction, the beyond-horizon heap, the trim.
-        assert fired > 50_000
-        assert inlined > 2_000
-        assert compactions > 500
-        assert far > 500
-        assert trimmed > 10
+            pruned += program.pruned
+            huge += program.huge
+            infinite += program.infinite
+        per_1000 = len(seeds) / 1000
+        assert fired > 50_000 * per_1000
+        assert inlined > 2_000 * per_1000
+        assert compactions > 500 * per_1000
+        assert pruned > 1_000 * per_1000
+        assert huge > 20_000 * per_1000
+        assert infinite > 2_000 * per_1000
+
+    def test_seeded_programs_match_reference(self):
+        self.check_seeds(range(1000))
+
+    @pytest.mark.slow
+    def test_seeded_programs_match_reference_deep(self):
+        self.check_seeds(range(1000, 21_000))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
