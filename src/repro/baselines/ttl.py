@@ -58,6 +58,18 @@ class TtlServerEngine:
         """No timers: a stateless TTL server has nothing to maintain."""
         return []
 
+    def reboot(self, now: float) -> "TtlServerEngine":
+        """The next incarnation after a crash.  Nothing carries over: no
+        lease was promised, so there is nothing to wait out, and the write
+        dedup table is volatile."""
+        return type(self)(
+            self.name, self.store, self.policy, config=self.config, now=now, obs=self.obs
+        )
+
+    def master_valid(self, now: float) -> bool:
+        """A lone server: its shard's authority whenever it is up."""
+        return True
+
     def handle_message(self, msg: Message, src: HostId, now: float) -> list[Effect]:
         """Serve reads/extends with TTL hints; commit writes immediately."""
         if isinstance(msg, ReadRequest):

@@ -26,7 +26,6 @@ rest of the vocabulary in :mod:`repro.protocol.messages`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -496,9 +495,7 @@ class WriteBackClientEngine(ClientEngine):
 class WriteBackSimClient(SimClient):
     """SimClient with the write-back application API."""
 
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("engine_cls", WriteBackClientEngine)
-        super().__init__(*args, **kwargs)
+    engine_cls = WriteBackClientEngine
 
     def acquire_write(self, datum: DatumId, callback: Callable | None = None) -> int:
         """Acquire an exclusive write lease; returns the op id."""
@@ -528,22 +525,10 @@ def build_writeback_cluster(
     **kwargs,
 ) -> Cluster:
     """A cluster whose server and clients speak the write-back extension."""
-    from repro.sim.host import Host
-
     kwargs.setdefault("server_engine_factory", WriteBackServerEngine)
-    cluster = build_cluster(n_clients=0, **kwargs)
-    cluster.topology = dataclasses.replace(cluster.topology, clients=n_clients)
-    config = client_config or WriteBackClientConfig()
-    for name in cluster.topology.client_hosts():
-        host = Host(name, cluster.kernel)
-        cluster.network.attach(host)
-        cluster.clients.append(
-            WriteBackSimClient(
-                host,
-                cluster.network,
-                cluster.topology.server_address(),
-                config=config,
-                oracle=cluster.oracle,
-            )
-        )
-    return cluster
+    return build_cluster(
+        n_clients,
+        client_config=client_config or WriteBackClientConfig(),
+        client_cls=WriteBackSimClient,
+        **kwargs,
+    )

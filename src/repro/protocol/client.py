@@ -66,6 +66,10 @@ from repro.protocol.messages import (
 )
 from repro.types import DatumId, HostId, Version
 
+#: How far a reboot moves a client's ``id_base``.  Consecutive
+#: incarnations share no id as long as each issues fewer than this many.
+REBOOT_ID_STEP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClientConfig:
@@ -174,7 +178,8 @@ class ClientEngine:
                 :class:`~repro.protocol.messages.NotMaster` redirects and
                 RPC timeouts rotate it.
             id_base: starting value for op/request/write-sequence counters.
-                A restarted client must pass a fresh base (a boot epoch):
+                A restarted client needs a fresh base (a boot epoch;
+                :meth:`reboot` steps it by ``REBOOT_ID_STEP``):
                 otherwise its new requests collide with pre-crash ids —
                 late replies would mis-match, and worst of all the server's
                 write dedup table would swallow post-restart writes that
@@ -200,6 +205,7 @@ class ClientEngine:
         )
         self.temp = TempFileStore()
         self.metrics = ClientMetrics()
+        self.id_base = id_base
         self._ops: dict[int, _OpCtx] = {}
         self._requests: dict[int, _ReqCtx] = {}
         #: datum -> req_id of the in-flight read/extend covering it.
@@ -236,6 +242,23 @@ class ClientEngine:
         if self.config.anticipatory:
             return [SetTimer("anticipate", self.config.anticipate_margin / 2)]
         return []
+
+    def reboot(self, now: float) -> "ClientEngine":
+        """This client's next incarnation after a crash.
+
+        Nothing survives — cache, leases, pending operations — except
+        the id space moving on: the next incarnation counts from
+        ``id_base + REBOOT_ID_STEP``, so none of its ids collide with
+        this one's (see ``id_base``).
+        """
+        server = self.servers if len(self.servers) > 1 else self.servers[0]
+        return type(self)(
+            self.name,
+            server,
+            config=self.config,
+            id_base=self.id_base + REBOOT_ID_STEP,
+            obs=self.obs,
+        )
 
     # -- application API -------------------------------------------------------
 

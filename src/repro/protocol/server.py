@@ -30,7 +30,7 @@ The engine performs no I/O and never reads a clock: every entry point takes
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 from typing import Callable
 from repro.errors import ReproError
@@ -85,8 +85,8 @@ class ServerConfig:
         announce_period: seconds between installed-cover multicasts.
         announce_grace: extra delay added to installed delayed updates to
             cover announce delivery/queueing slack (see DESIGN.md §6).
-        recovery_delay: how long to defer writes after a restart — a
-            recovering server passes the pre-crash ``max_term_granted``.
+        recovery_delay: how long to defer writes after boot;
+            :meth:`ServerEngine.reboot` raises it to the crash bound.
         sweep_period: how often expired lease records are reclaimed.
     """
 
@@ -250,14 +250,42 @@ class ServerEngine:
 
         The largest term a lease of this incarnation may still run for —
         over the table's grants and the installed-file cover term — is the
-        one datum a server must keep across a crash: the next incarnation
-        takes it as ``recovery_delay`` and commits nothing before it has
-        passed.  Computed here, once, for every driver that restarts us.
+        one datum a server must keep across a crash; :meth:`reboot` hands
+        it to the next incarnation.
         """
         bound = self.table.clear()
         if self.installed is not None:
             bound = max(bound, self.installed.term)
         return bound
+
+    def reboot(self, now: float) -> "ServerEngine":
+        """This server's next incarnation after a crash: §2's crash rule.
+
+        A restarted server keeps one durable datum, the longest term it
+        may have granted (:meth:`crash`), and delays writes that long:
+        the next incarnation's ``recovery_delay`` is that bound, or the
+        delay this one was configured with if that is longer, so a second
+        crash with no grants in between keeps the largest bound.  Which
+        files are installed is configuration and carries over
+        (``InstalledFileManager.fresh``).  Nothing else survives: the
+        lease table, gates, queues, dedup window and statistics start
+        empty.  Built through ``type(self)``, so every subclass reboots
+        as itself.
+        """
+        recovery_delay = max(self.config.recovery_delay, self.crash())
+        return type(self)(
+            self.name,
+            self.store,
+            self.policy,
+            config=replace(self.config, recovery_delay=recovery_delay),
+            installed=None if self.installed is None else self.installed.fresh(),
+            now=now,
+            obs=self.obs,
+        )
+
+    def master_valid(self, now: float) -> bool:
+        """An unreplicated server is its shard's authority whenever it is up."""
+        return True
 
     @property
     def recovering(self) -> bool:

@@ -9,7 +9,7 @@ under §5 clock faults.  This package replicates the authority:
   pair: diskless Paxos specialized for negotiating a *master lease*
   (promised/accepted state itself expires, so nothing needs stable
   storage; a restarted node simply waits out one maximum lease term
-  before rejoining).
+  before rejoining — ``ReplicaEngine.reboot``).
 * :mod:`repro.replica.engine` — :class:`ReplicaEngine`, which runs the
   acceptor/proposer, and — on the replica that wins the master lease —
   an inner :class:`~repro.protocol.server.ServerEngine` that serves the
@@ -18,7 +18,8 @@ under §5 clock faults.  This package replicates the authority:
 * :mod:`repro.replica.node` — the asyncio runtime replica,
   SIGKILL-able for chaos testing.
 
-The DES binding is :class:`repro.sim.driver.SimReplica`, assembled by
+In the DES each replica's engine runs in a plain
+:class:`repro.sim.driver.SimServer`, assembled by
 ``repro.sim.driver.build_cluster(replicas=N)`` over a **shared** store
 per shard: the replicas replicate the *lease authority* (who may grant
 and commit), not the data plane, exactly as PaxosLease replicates the

@@ -32,7 +32,7 @@ clock step, exactly like the inner engine's recovery/write deadlines.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.clock.sync import safe_local_expiry, safe_waitout
 from repro.errors import ReproError
@@ -78,9 +78,8 @@ class ReplicaConfig:
         queue_limit: most client messages held during the handoff wait;
             beyond it the oldest are dropped (clients retransmit).
         join_delay: how long after boot the node abstains from Paxos
-            entirely — the diskless restart rule: a restarted acceptor
-            must not answer until every promise or accepted lease it
-            forgot has expired everywhere.  0 on first boot.
+            entirely; :meth:`ReplicaEngine.reboot` sets it to
+            :func:`restart_join_delay`.  0 on first boot.
         server: config for the inner :class:`ServerEngine` built at each
             serve; its ``recovery_delay`` is ignored (the handoff wait
             subsumes crash recovery).
@@ -186,6 +185,21 @@ class ReplicaEngine:
         """Arm the election tick (delayed past the restart abstention)."""
         delay = max(self._stagger(), self._join_at - now)
         return [SetTimer("paxos:tick", delay)]
+
+    def reboot(self, now: float) -> "ReplicaEngine":
+        """This replica's next incarnation after a crash: the diskless rule.
+
+        A replica keeps nothing across a crash — promised ballots, the
+        accepted and the held master lease, the inner engine's lease table
+        are all gone.  Safety does not rest on any of it surviving: the
+        next incarnation abstains from Paxos for
+        :func:`restart_join_delay` (PaxosLease), after which nothing this
+        one promised or granted can still bind anyone.
+        """
+        config = replace(self.config, join_delay=restart_join_delay(self.config))
+        return type(self)(
+            self.name, self.store, self.policy, config, now=now, obs=self.obs
+        )
 
     def _stagger(self) -> float:
         # Deterministic per-node offset so fresh replicas don't start
@@ -415,13 +429,7 @@ class ReplicaEngine:
             self.name,
             self.store,
             self.policy,
-            config=ServerConfig(
-                epsilon=self.config.server.epsilon,
-                announce_period=self.config.server.announce_period,
-                announce_grace=self.config.server.announce_grace,
-                recovery_delay=0.0,
-                sweep_period=self.config.server.sweep_period,
-            ),
+            config=replace(self.config.server, recovery_delay=0.0),
             now=now,
             obs=self.obs,
         )

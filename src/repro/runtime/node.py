@@ -10,13 +10,19 @@ runs ``transport.send`` on the spot, to its first suspension point.
 Every stock transport finishes there, so a sent message costs no
 Task and no extra loop iteration; only a send that really waits (chaos
 delay) is finished by a Task, which the node tracks until ``close()``.
+
+A server node (:class:`LeaseServerNode`, and
+:class:`~repro.replica.node.ReplicaServerNode` for a replica) can be
+killed and restarted in process.  The node only drops the engine and its
+timers; what survives the crash is decided by the engine's own
+``reboot``, the same rule the simulator's crash fault runs.  A client
+node has no restart: it could not honour the Futures its callers hold.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections.abc
-import dataclasses
 import random
 from typing import Any
 
@@ -81,6 +87,7 @@ class _EngineNode:
         # node is constructed before asyncio.run().
         self._bound_loop: asyncio.AbstractEventLoop | None = None
         self._send_tasks: set[asyncio.Task] = set()
+        self.engine = None
         transport.set_handler(self._on_message)
 
     @property
@@ -95,28 +102,35 @@ class _EngineNode:
 
     # -- overridden by subclasses ------------------------------------------------
 
-    def _engine(self):
-        raise NotImplementedError
-
     def _on_complete(self, effect: Complete) -> None:
         raise ReproError(f"{type(self).__name__} got unexpected Complete")
 
     # -- plumbing -------------------------------------------------------------------
 
+    # Both read ``self.engine`` per event, so an engine swapped in after
+    # construction (a tracing proxy, a reboot) takes effect at once.  A
+    # killed node (``engine is None``) receives nothing.
+
     def _on_message(self, message: Message, src: HostId) -> None:
+        engine = self.engine
+        if engine is None:
+            return
         now = self.clock.now()
         if self.obs.active:
             self.obs.emit(
                 NET_RECV, now, self.name, src=src, dst=self.name, kind=message.kind
             )
-        self._run_effects(self._engine().handle_message(message, src, now))
+        self._run_effects(engine.handle_message(message, src, now))
 
     def _on_timer(self, key: str) -> None:
         self._timers.pop(key, None)
+        engine = self.engine
+        if engine is None:
+            return
         now = self.clock.now()
         if self.obs.active:
             self.obs.emit(TIMER_FIRE, now, self.name, key=key)
-        self._run_effects(self._engine().handle_timer(key, now))
+        self._run_effects(engine.handle_timer(key, now))
 
     def _run_effects(self, effects: list[Effect]) -> None:
         for effect in effects:
@@ -192,7 +206,58 @@ class _EngineNode:
         await self.transport.close()
 
 
-class LeaseServerNode(_EngineNode):
+class _ServerNode(_EngineNode):
+    """A server node that can be killed and restarted in process.
+
+    The crash model is SIGKILL, not shutdown: :meth:`kill` drops the
+    engine and every timer with no goodbye traffic, and the node ignores
+    everything until :meth:`restart`.  The restart runs the dropped
+    engine's own ``reboot``, which carries forward what survives a crash
+    (``ServerEngine.reboot``, ``ReplicaEngine.reboot``).
+    """
+
+    def _start(self, engine) -> None:
+        self.engine = engine
+        self._run_effects(engine.startup_effects(self.clock.now()))
+
+    @property
+    def alive(self) -> bool:
+        """False between :meth:`kill` and :meth:`restart`."""
+        return self.engine is not None
+
+    def kill(self) -> None:
+        """SIGKILL: drop the engine and all timers abruptly, no goodbye.
+
+        The transport stays open (the OS-level connection may even stay
+        up for a moment — just like a killed process's sockets), but
+        every inbound message and timer from here on is ignored, and no
+        farewell or state transfer is ever sent.  Idempotent.
+        """
+        if self.engine is not None:
+            self._crashed, self.engine = self.engine, None
+        for key in list(self._timers):
+            self._cancel_timer(key)
+
+    def restart(self) -> None:
+        """Reboot, killing first if alive: the dropped engine's next
+        incarnation takes over."""
+        self.kill()
+        crashed, self._crashed = self._crashed, None
+        self._start(crashed.reboot(self.clock.now()))
+
+    def is_master(self) -> bool:
+        """True while the engine serves: always for a lone server that is
+        up, only under a currently valid master lease for a replica."""
+        return self.engine is not None and self.engine.master_valid(self.clock.now())
+
+    def status(self) -> dict:
+        """Operational snapshot (``{"state": "down"}`` while killed)."""
+        if self.engine is None:
+            return {"state": "down"}
+        return self.engine.status(self.clock.now())
+
+
+class LeaseServerNode(_ServerNode):
     """A real-time lease file server."""
 
     def __init__(
@@ -206,56 +271,17 @@ class LeaseServerNode(_EngineNode):
         obs=None,
     ):
         super().__init__(transport, clock, obs=obs)
-        self.store = store
-        self.policy = policy
-        self._config = config or ServerConfig()
-        #: Models the small persistent record of the largest term granted —
-        #: the §2 crash rule's one durable datum (mirrors SimServer).
-        self._persisted_max_term = 0.0
-        self.engine = ServerEngine(
-            transport.name,
-            store,
-            policy,
-            config=self._config,
-            installed=installed,
-            now=self.clock.now(),
-            obs=self.obs,
+        self._start(
+            ServerEngine(
+                transport.name,
+                store,
+                policy,
+                config=config,
+                installed=installed,
+                now=self.clock.now(),
+                obs=self.obs,
+            )
         )
-        self._run_effects(self.engine.startup_effects(self.clock.now()))
-
-    def _engine(self) -> ServerEngine:
-        return self.engine
-
-    def restart(self) -> None:
-        """Simulate a crash + reboot of the real-time server.
-
-        Volatile state (lease table, timers, pending writes, what the
-        installed covers last announced or withheld) is dropped; the one
-        thing carried across — per the paper's §2 crash rule — is the
-        largest term ever granted, which ``ServerEngine.crash()`` hands
-        back and which becomes the new engine's ``recovery_delay``.  The
-        restarted engine therefore refuses to commit writes until every
-        lease granted by the previous incarnation has provably expired.
-        """
-        self._persisted_max_term = max(self._persisted_max_term, self.engine.crash())
-        installed = self.engine.installed
-        if installed is not None:
-            installed = installed.fresh()
-        for key in list(self._timers):
-            self._cancel_timer(key)
-        now = self.clock.now()
-        self.engine = ServerEngine(
-            self.transport.name,
-            self.store,
-            self.policy,
-            config=dataclasses.replace(
-                self._config, recovery_delay=self._persisted_max_term
-            ),
-            installed=installed,
-            now=now,
-            obs=self.obs,
-        )
-        self._run_effects(self.engine.startup_effects(now))
 
 
 class LeaseClientNode(_EngineNode):
@@ -292,9 +318,6 @@ class LeaseClientNode(_EngineNode):
         self._futures: dict[int, asyncio.Future] = {}
         self._closed = False
         self._run_effects(self.engine.startup_effects(self.clock.now()))
-
-    def _engine(self) -> ClientEngine:
-        return self.engine
 
     async def close(self) -> None:
         """Fail every operation in flight, then close: the time-outs that

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from repro.obs.bus import NULL_BUS
 from repro.obs.events import SHARD_MISS, SHARD_ROUTE
-from repro.protocol.client import ClientConfig, ClientEngine, ClientMetrics
+from repro.protocol.client import REBOOT_ID_STEP, ClientConfig, ClientEngine, ClientMetrics
 from repro.protocol.effects import CancelTimer, Effect, SetTimer
 from repro.protocol.messages import Message
 from repro.shard.router import SHARD_ID_SPAN, ShardRouter
@@ -79,6 +79,7 @@ class ShardedClientEngine:
         )
         self.config = config or ClientConfig()
         self.obs = obs or NULL_BUS
+        self.id_base = id_base
         self.router = router or ShardRouter(
             len(self.groups), hosts=tuple(group[0] for group in self.groups)
         )
@@ -137,6 +138,20 @@ class ShardedClientEngine:
         for shard, engine in enumerate(self.engines):
             effects.extend(self._wrap(shard, engine.startup_effects(now)))
         return effects
+
+    def reboot(self, now: float) -> "ShardedClientEngine":
+        """The next incarnation after a crash, as
+        :meth:`ClientEngine.reboot`: every shard engine starts empty, and
+        the id space moves on by ``REBOOT_ID_STEP``."""
+        return type(self)(
+            self.name,
+            self.servers,
+            config=self.config,
+            id_base=self.id_base + REBOOT_ID_STEP,
+            obs=self.obs,
+            router=self.router,
+            engine_cls=type(self.engines[0]),
+        )
 
     # -- application API -----------------------------------------------------------
 

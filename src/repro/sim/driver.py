@@ -1,10 +1,10 @@
 """Binds the sans-io protocol engines to the simulated network.
 
-:class:`SimServer`, :class:`SimReplica` and :class:`SimClient` execute
-engine effects against the :class:`~repro.sim.network.Network`, convert
-engine timer requests into kernel events (compensating for clock drift),
-model crash/restart state loss, and surface completed operations to
-workloads and tests.
+:class:`SimServer` and :class:`SimClient` execute engine effects against
+the :class:`~repro.sim.network.Network`, convert engine timer requests
+into kernel events (compensating for clock drift), drop the engine on a
+crash and run its ``reboot`` on restart, and surface completed
+operations to workloads and tests.
 
 :func:`build_cluster` is the one assembler: kernel, network, store,
 oracle, one authority group per shard, clients, fault injector.  The
@@ -14,18 +14,17 @@ one-server cluster is its smallest case, not a separate path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy, TermPolicy, longest_finite_term
 from repro.obs.events import TIMER_FIRE
-from repro.protocol.client import ClientConfig, ClientEngine
+from repro.protocol.client import REBOOT_ID_STEP, ClientConfig, ClientEngine
 from repro.protocol.effects import Broadcast, CancelTimer, Complete, Effect, Send, SetTimer
 from repro.protocol.messages import Message
 from repro.protocol.server import ServerConfig, ServerEngine
-from repro.replica.engine import ReplicaConfig, ReplicaEngine, restart_join_delay
+from repro.replica.engine import ReplicaConfig, ReplicaEngine
 from repro.shard.client import ShardedClientEngine
 from repro.shard.router import ShardRouter
 from repro.shard.store import ShardedStore
@@ -35,7 +34,7 @@ from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import Network, NetworkParams
 from repro.sim.oracle import ConsistencyOracle
 from repro.storage.store import FileStore
-from repro.topology import ServerAddress, Topology
+from repro.topology import Topology
 from repro.types import DatumId, FileClass, HostId
 
 
@@ -82,26 +81,35 @@ class _SimNode:
     """A protocol engine bound to a simulated host.
 
     Owns what every node kind shares: the timer bank, message and timer
-    dispatch into the engine, and effect execution.  Subclasses decide
-    what a boot builds and what a crash loses.
+    dispatch into the engine, effect execution, and the driver's half of
+    a crash.  A crash drops the engine; a restart runs the dropped
+    engine's own ``reboot``, which carries forward whatever survives.
     """
 
     #: False fans a :class:`Broadcast` out as unicasts (footnote-6 ablation).
     use_multicast = True
 
-    def __init__(self, host: Host, network: Network, obs=None):
+    def __init__(self, host: Host, network: Network, engine, obs=None):
         self.host = host
         self.network = network
         self.obs = obs
-        self.engine = None
+        #: The live engine; None while the host is down.
+        self.engine = engine
+        self._crashed = None
         self._timers = _TimerBank(host, self._on_timer, obs=obs)
         host.set_handler(self._on_message)
         host.on_crash(self._on_crash)
         host.on_restart(self._on_restart)
+        self._run_effects(engine.startup_effects(host.clock.now()))
 
     def _on_crash(self) -> None:
-        self.engine = None
+        self._crashed, self.engine = self.engine, None
         self._timers.cancel_all()
+
+    def _on_restart(self) -> None:
+        now = self.host.clock.now()
+        self.engine, self._crashed = self._crashed.reboot(now), None
+        self._run_effects(self.engine.startup_effects(now))
 
     def _on_message(self, payload: Message, src: HostId) -> None:
         self._run_effects(
@@ -137,118 +145,27 @@ class _SimNode:
 
 
 class SimServer(_SimNode):
-    """The file server bound to a simulated host."""
+    """A lease authority bound to a simulated host.
 
-    def __init__(
-        self,
-        host: Host,
-        network: Network,
-        store: FileStore,
-        policy: TermPolicy,
-        config: ServerConfig | None = None,
-        installed: InstalledFileManager | None = None,
-        use_multicast: bool = True,
-        engine_factory: Callable[..., ServerEngine] | None = None,
-        obs=None,
-    ):
-        super().__init__(host, network, obs=obs)
-        self.store = store
-        self.policy = policy
-        self.config = config or ServerConfig()
-        self.use_multicast = use_multicast
-        #: Builds the protocol engine; baseline protocols (§6) substitute
-        #: their own engines with the same duck interface.
-        self._engine_factory = engine_factory or ServerEngine
-        #: The durable half of the installed-file state; every boot starts
-        #: from a fresh copy of it (``InstalledFileManager.fresh``).
-        self._installed = installed
-        #: Models the small persistent record of the largest term granted,
-        #: which bounds the post-crash write delay (paper §2).
-        self._persisted_max_term = 0.0
-        self.engine: ServerEngine | None = None
-        self._boot(recovery_delay=0.0)
-
-    def is_master(self) -> bool:
-        """An unreplicated server is its shard's authority whenever it is up."""
-        return self.engine is not None
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _boot(self, recovery_delay: float) -> None:
-        if self._installed is not None:
-            self._installed = self._installed.fresh()
-        self.engine = self._engine_factory(
-            self.host.name,
-            self.store,
-            self.policy,
-            config=dataclasses.replace(self.config, recovery_delay=recovery_delay),
-            installed=self._installed,
-            now=self.host.clock.now(),
-            obs=self.obs,
-        )
-        self._run_effects(self.engine.startup_effects(self.host.clock.now()))
-
-    def _on_crash(self) -> None:
-        if self.engine is not None:
-            # crash() hands back the pre-crash bound — the §2 crash rule's
-            # one durable datum — so dropping the table cannot lose it.
-            self._persisted_max_term = max(
-                self._persisted_max_term, self.engine.crash()
-            )
-        super()._on_crash()
-
-    def _on_restart(self) -> None:
-        self._boot(recovery_delay=self._persisted_max_term)
-
-
-class SimReplica(_SimNode):
-    """One lease-authority replica bound to a simulated host.
-
-    A replica crash loses *everything* (the engines are diskless:
-    promised ballots, the accepted lease, the master lease, the inner
-    engine's lease table).  Safety does not depend on any of it
-    surviving; it depends on the restarted replica abstaining for
-    :func:`~repro.replica.engine.restart_join_delay` — the PaxosLease
-    rule that makes disklessness safe.
+    It drives whatever authority engine it is handed: a
+    :class:`ServerEngine` (or a §6 baseline's substitute) for an
+    unreplicated shard, a :class:`ReplicaEngine` for one member of a
+    PaxosLease group.
     """
 
     def __init__(
-        self,
-        host: Host,
-        network: Network,
-        store: FileStore,
-        policy: TermPolicy,
-        config: ReplicaConfig,
-        use_multicast: bool = True,
-        obs=None,
+        self, host: Host, network: Network, engine, use_multicast: bool = True, obs=None
     ):
-        super().__init__(host, network, obs=obs)
-        self.store = store
-        self.policy = policy
-        self.config = config
         self.use_multicast = use_multicast
-        self.engine: ReplicaEngine | None = None
-        self._boot(join_delay=config.join_delay)
+        super().__init__(host, network, engine, obs=obs)
 
     def is_master(self) -> bool:
-        """True while this replica holds a valid master lease on its own clock."""
+        """True while the engine serves its shard: whenever it is up, for
+        an unreplicated server; while it holds a valid master lease on its
+        own clock, for a replica."""
         return self.engine is not None and self.engine.master_valid(
             self.host.clock.now()
         )
-
-    def _boot(self, join_delay: float) -> None:
-        self.engine = ReplicaEngine(
-            self.host.name,
-            self.store,
-            self.policy,
-            dataclasses.replace(self.config, join_delay=join_delay),
-            now=self.host.clock.now(),
-            obs=self.obs,
-        )
-        self._run_effects(self.engine.startup_effects(self.host.clock.now()))
-
-    def _on_restart(self) -> None:
-        self._boot(join_delay=restart_join_delay(self.config))
 
 
 @dataclass
@@ -271,44 +188,23 @@ class OpResult:
 class SimClient(_SimNode):
     """A client cache bound to a simulated host."""
 
+    #: The engine :func:`build_cluster` gives an unsharded client.
+    engine_cls: type[ClientEngine] = ClientEngine
+
     def __init__(
         self,
         host: Host,
         network: Network,
-        server: ServerAddress,
-        config: ClientConfig | None = None,
+        engine: ClientEngine | ShardedClientEngine,
         oracle: ConsistencyOracle | None = None,
-        engine_cls: type[ClientEngine] = ClientEngine,
         obs=None,
     ):
-        super().__init__(host, network, obs=obs)
-        self.server = server
-        self.config = config or ClientConfig()
         self.oracle = oracle
-        self._engine_cls = engine_cls
-        self.engine: ClientEngine | None = None
         self.results: dict[int, OpResult] = {}
         self._submit_times: dict[int, float] = {}
         self._op_datum: dict[int, DatumId] = {}
         self._callbacks: dict[int, Callable[[OpResult], None]] = {}
-        self._incarnation = 0
-        self._boot()
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _boot(self) -> None:
-        # Each incarnation gets a disjoint id space so pre-crash requests,
-        # operations and write sequence numbers can never collide with
-        # post-restart ones (see ClientEngine's id_base docstring).
-        self._incarnation += 1
-        self.engine = self._engine_cls(
-            self.host.name,
-            self.server,
-            config=self.config,
-            id_base=self._incarnation * 1_000_000,
-            obs=self.obs,
-        )
-        self._run_effects(self.engine.startup_effects(self.host.clock.now()))
+        super().__init__(host, network, engine, obs=obs)
 
     def _on_crash(self) -> None:
         """A crash loses every piece of volatile state: cache, leases,
@@ -317,9 +213,6 @@ class SimClient(_SimNode):
         self._submit_times.clear()
         self._op_datum.clear()
         self._callbacks.clear()
-
-    def _on_restart(self) -> None:
-        self._boot()
 
     # -- application API ----------------------------------------------------------
 
@@ -406,7 +299,7 @@ class Cluster:
     """A fully wired simulated world.
 
     ``groups[k]`` is shard ``k``'s lease authority: one :class:`SimServer`,
-    or the :class:`SimReplica` members of its PaxosLease group.  ``store``
+    or one per member of its PaxosLease group.  ``store``
     is a plain :class:`FileStore` for one shard and the
     :class:`~repro.shard.store.ShardedStore` facade (with ``router``)
     for several.
@@ -415,7 +308,7 @@ class Cluster:
     kernel: Kernel
     network: Network
     topology: Topology
-    groups: list[list[SimServer | SimReplica]]
+    groups: list[list[SimServer]]
     clients: list[SimClient]
     store: FileStore | ShardedStore
     oracle: ConsistencyOracle
@@ -428,16 +321,16 @@ class Cluster:
         self.faults = FaultInjector(self.network)
 
     @property
-    def server(self) -> SimServer | SimReplica:
+    def server(self) -> SimServer:
         """The first authority node — *the* server of a 1x1 cluster."""
         return self.groups[0][0]
 
     @property
-    def servers(self) -> list[SimServer | SimReplica]:
+    def servers(self) -> list[SimServer]:
         """Every authority node, flat: shard-major, replica-minor."""
         return [node for group in self.groups for node in group]
 
-    def master_of(self, shard: int = 0) -> SimServer | SimReplica | None:
+    def master_of(self, shard: int = 0) -> SimServer | None:
         """The node currently serving shard ``shard`` (None while it is
         down or mid-election)."""
         for node in self.groups[shard]:
@@ -512,13 +405,14 @@ def build_cluster(
     client_clock_params: Callable[[int], tuple[float, float]] | None = None,
     server_clock_params: tuple[float, float] = (0.0, 0.0),
     server_engine_factory: Callable[..., ServerEngine] | None = None,
+    client_cls: type[SimClient] = SimClient,
     obs=None,
 ) -> Cluster:
     """Assemble a simulated cluster of any :class:`~repro.topology.Topology`.
 
     What varies with the topology is host naming (see
-    :mod:`repro.topology`), the node class (:class:`SimReplica` when
-    ``replicas > 1``), the store (one :class:`FileStore` per shard, behind
+    :mod:`repro.topology`), the authority engine (:class:`ReplicaEngine`
+    when ``replicas > 1``), the store (one :class:`FileStore` per shard, behind
     a :class:`ShardedStore` when ``shards > 1``) and the client engine
     (:class:`ShardedClientEngine` when ``shards > 1``).  Everything else —
     kernel, network, oracle, clocks, fault surface — is the same code for
@@ -553,6 +447,8 @@ def build_cluster(
         server_clock_params: (offset, drift) of every authority host;
             per-host clock faults go through the fault injector.
         server_engine_factory: substitute server engine (baselines, §6).
+        client_cls: the client node class; an unsharded client drives its
+            ``engine_cls`` (the write-back extension's client, for one).
         obs: optional :class:`~repro.obs.bus.TraceBus` threaded through
             every layer (kernel, network, engines, timers, oracle) so one
             stream observes the whole cluster.
@@ -597,37 +493,33 @@ def build_cluster(
         oracle.attach_store(shard_stores[k], dir_prefix=f"s{k}/")
 
     offset, drift = server_clock_params
+    server_cls = server_engine_factory or ServerEngine
     groups = []
     for shard_store, group_hosts in zip(shard_stores, topology.groups()):
         group = []
         for index, name in enumerate(group_hosts):
             host = Host(name, kernel, clock_offset=offset, clock_drift=drift)
             network.attach(host)
+            now = host.clock.now()
             if replicas > 1:
-                node = SimReplica(
-                    host,
-                    network,
-                    shard_store,
-                    policy,
-                    ReplicaConfig(hosts=group_hosts, index=index, **replica_knobs),
-                    use_multicast=use_multicast,
-                    obs=obs,
-                )
+                config = ReplicaConfig(hosts=group_hosts, index=index, **replica_knobs)
+                engine = ReplicaEngine(name, shard_store, policy, config, now=now, obs=obs)
             else:
-                node = SimServer(
-                    host,
-                    network,
+                engine = server_cls(
+                    name,
                     shard_store,
                     policy,
                     config=server_config,
                     installed=installed,
-                    use_multicast=use_multicast,
-                    engine_factory=server_engine_factory,
+                    now=now,
                     obs=obs,
                 )
-            group.append(node)
+            group.append(
+                SimServer(host, network, engine, use_multicast=use_multicast, obs=obs)
+            )
         groups.append(group)
 
+    client_engine_cls = client_cls.engine_cls if shards == 1 else ShardedClientEngine
     clients = []
     for i, name in enumerate(topology.client_hosts()):
         offset, drift = (0.0, 0.0)
@@ -635,17 +527,15 @@ def build_cluster(
             offset, drift = client_clock_params(i)
         host = Host(name, kernel, clock_offset=offset, clock_drift=drift)
         network.attach(host)
-        clients.append(
-            SimClient(
-                host,
-                network,
-                topology.server_address(),
-                config=client_config,
-                oracle=oracle,
-                engine_cls=ClientEngine if shards == 1 else ShardedClientEngine,
-                obs=obs,
-            )
+        # The first incarnation counts from one step in, as every reboot does.
+        engine = client_engine_cls(
+            name,
+            topology.server_address(),
+            config=client_config,
+            id_base=REBOOT_ID_STEP,
+            obs=obs,
         )
+        clients.append(client_cls(host, network, engine, oracle=oracle, obs=obs))
     return Cluster(
         kernel=kernel,
         network=network,

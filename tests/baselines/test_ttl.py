@@ -99,3 +99,17 @@ class TestNamespace:
         )
         assert r.ok
         assert cluster.store.file_at("/dir/f").content == b"x"
+
+
+class TestServerCrash:
+    def test_read_completes_after_a_server_restart(self):
+        """A §6 comparison with a server crash used to die here: the
+        driver asked the TTL engine for a crash bound it does not have."""
+        cluster = make()
+        datum = cluster.store.file_datum("/shared.txt")
+        cluster.faults.crash_window("server", 1.0, 1.0)
+        cluster.run(until=2.5)
+        assert cluster.master_of() is cluster.server
+        c = cluster.clients[0]
+        r = cluster.run_until_complete(c, c.read(datum))
+        assert r.ok and r.value == (1, b"v1")

@@ -139,3 +139,18 @@ class TestDemotion:
         manager.unregister(datum)
         covers, _ = manager.announcement(now=31.0)
         assert old_id not in covers
+
+
+class TestCrash:
+    def test_promotions_survive_a_server_crash(self):
+        """Coverage is installed-file membership, which is configuration:
+        the engine's own manager chains through ``fresh()`` from boot to
+        boot, like one passed in."""
+        cluster = make()
+        datum = cluster.store.file_datum("/hot-binary")
+        drive_reads(cluster, datum, duration=30.0)
+        cluster.run(until=30.0)
+        assert datum in cluster.server.engine.covered_datums()
+        cluster.faults.crash_window("server", start=30.5, duration=1.0)
+        cluster.run(until=32.0)
+        assert datum in cluster.server.engine.covered_datums()

@@ -294,3 +294,25 @@ class TestEconomics:
             cluster.run(until=cluster.kernel.now + 3.0)
         assert cluster.oracle.clean
         assert cluster.oracle.reads_checked >= 5
+
+
+class TestAssembly:
+    """Write-back clients come out of build_cluster's one client loop, so
+    they get the cluster's trace bus and client clocks like any other."""
+
+    def test_clients_get_the_configured_clocks(self):
+        cluster = make(client_clock_params=lambda i: (0.0, 0.5))
+        assert [c.host.clock.drift for c in cluster.clients] == [0.5] * 3
+
+    def test_clients_are_traced(self):
+        from repro.obs import TraceBus
+        from repro.obs.events import LOCAL_HIT
+
+        bus = TraceBus(capacity=None)
+        cluster = make(obs=bus)
+        a = cluster.clients[0]
+        assert a.engine.obs is bus and a._timers._obs is bus
+        datum = cluster.store.file_datum("/data")
+        cluster.run_until_complete(a, a.read(datum))
+        assert cluster.run_until_complete(a, a.read(datum)).latency == 0.0
+        assert [e["host"] for e in bus.events(LOCAL_HIT)] == ["c0"]

@@ -180,7 +180,7 @@ class TestServerCrash:
         restart_at = crash_at + 1.0
         cluster.faults.crash_window("server", start=crash_at, duration=1.0)
         cluster.run(until=restart_at + 0.1)
-        assert cluster.server._persisted_max_term == term
+        assert cluster.server.engine.config.recovery_delay == term
         result = cluster.run_until_complete(b, b.write(datum, b"v2"), limit=200.0)
         assert result.ok
         assert result.completed_at >= restart_at + term - 0.01

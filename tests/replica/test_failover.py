@@ -52,7 +52,8 @@ def make_cluster(n_clients=2, obs=None, seed=0):
 
 
 def handoff_wait(cluster) -> float:
-    config = cluster.groups[0][0].config
+    # Every replica has the same timing knobs; read them off a live one.
+    config = next(n.engine.config for n in cluster.groups[0] if n.engine is not None)
     return safe_waitout(
         config.master_term + config.max_file_term, config.epsilon, config.drift_bound
     )
@@ -95,7 +96,7 @@ class TestCrashFailover:
         now = cluster.kernel.now
         cluster.faults.crash_at(dead, now + 0.01)
         cluster.faults.restart_at(dead, now + 0.5)
-        delay = restart_join_delay(cluster.groups[0][0].config)
+        delay = restart_join_delay(cluster.groups[0][0].engine.config)
         # For the whole join delay the corpse is up but abstains.
         for frac in (0.25, 0.6, 0.95):
             cluster.run(until=now + 0.5 + delay * frac)

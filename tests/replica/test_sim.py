@@ -83,7 +83,7 @@ class TestHandoffOutwaitsThePolicy:
             setup_store=setup_basic,
             strict_oracle=False,
         )
-        assert cluster.server.config.max_file_term == pytest.approx(15.1)
+        assert cluster.server.engine.config.max_file_term == pytest.approx(15.1)
         datum = cluster.store.file_datum("/doc")
         a, b = cluster.clients
         cluster.run(until=3.0)

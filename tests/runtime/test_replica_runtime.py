@@ -13,8 +13,6 @@ abstain (the diskless restart rule) instead of stealing mastership back.
 
 import asyncio
 
-import pytest
-
 from repro.clock.system import MonotonicClock
 from repro.lease.policy import FixedTermPolicy
 from repro.obs.bus import TraceBus
@@ -234,10 +232,11 @@ class TestReplicaRuntime:
 
 
 class TestReplicaNodeErrors:
-    def test_engine_access_after_kill_raises(self):
+    def test_killed_replica_ignores_traffic(self):
         async def scenario():
             hub = InMemoryHub()
             store = FileStore()
+            store.create_file("/doc", b"v1")
             node = ReplicaServerNode(
                 hub.endpoint("r0"),
                 store,
@@ -245,8 +244,11 @@ class TestReplicaNodeErrors:
                 ReplicaConfig(hosts=("r0",), index=0),
             )
             node.kill()
-            with pytest.raises(Exception):
-                node._engine()
+            assert node.engine is None and not node._timers
+            node._on_message(ReadRequest(1, store.file_datum("/doc")), "c0")
+            node._on_timer("paxos:tick")
+            assert node.engine is None and not node._timers
+            assert node.status() == {"state": "down"}
             await node.close()
 
         run(scenario())

@@ -103,6 +103,25 @@ class TestServerRestart:
 
         asyncio.run(scenario())
 
+    def test_configured_recovery_delay_survives_restart(self):
+        """The operator's window is a floor: a restart with no grants
+        keeps it rather than dropping to the (zero) crash bound."""
+
+        async def scenario():
+            hub = InMemoryHub()
+            server = LeaseServerNode(
+                hub.endpoint("server"),
+                FileStore(),
+                FixedTermPolicy(0.2),
+                config=dataclasses.replace(SERVER_CONFIG, recovery_delay=0.4),
+            )
+            server.restart()
+            assert server.engine.config.recovery_delay == 0.4
+            assert server.engine.recovering
+            await server.close()
+
+        asyncio.run(scenario())
+
     def test_restart_cancels_stale_timers(self):
         async def scenario():
             hub, store, server, clients = await make_world(term=0.4)
@@ -119,7 +138,8 @@ class TestServerRestart:
         """An installed-file write in flight at the crash withheld its
         cover from the announcements and will never finish: the next
         incarnation must start from clean announcement state
-        (``InstalledFileManager.fresh``, as ``SimServer`` always did), or
+        (``InstalledFileManager.fresh``, which ``ServerEngine.reboot``
+        applies in both fabrics), or
         the cover is never announced again and every read under it is
         deferred for good."""
 

@@ -10,7 +10,8 @@ from repro.lease.policy import FixedTermPolicy, InfiniteTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig, ServerEngine
 from repro.shard.store import ShardedStore
-from repro.sim.driver import SimReplica, SimServer, build_cluster
+from repro.replica.engine import ReplicaEngine
+from repro.sim.driver import SimServer, build_cluster
 from repro.storage.store import FileStore
 from repro.topology import Topology
 
@@ -47,23 +48,24 @@ def test_assembly(shards, replicas):
     assert tuple(cluster.network.hosts) == topology.hosts()
     assert [c.host.name for c in cluster.clients] == list(topology.client_hosts())
 
-    # Shape: one group per shard, one node per replica, right classes.
+    # Shape: one group per shard, one node per replica, right engines.
     assert tuple(
         tuple(node.host.name for node in group) for group in cluster.groups
     ) == topology.groups()
     assert [node.host.name for node in cluster.servers] == list(topology.servers())
     assert cluster.server is cluster.groups[0][0]
-    node_cls = SimReplica if replicas > 1 else SimServer
-    assert all(type(node) is node_cls for node in cluster.servers)
+    engine_cls = ReplicaEngine if replicas > 1 else ServerEngine
+    assert all(type(node) is SimServer for node in cluster.servers)
+    assert all(type(node.engine) is engine_cls for node in cluster.servers)
     if shards > 1:
         assert isinstance(cluster.store, ShardedStore)
         assert cluster.router is cluster.store.router
-        assert [node.store for node in (g[0] for g in cluster.groups)] == cluster.store.shards
+        assert [g[0].engine.store for g in cluster.groups] == cluster.store.shards
     else:
         assert isinstance(cluster.store, FileStore)
         assert cluster.router is None
     for group in cluster.groups:  # replicas share their shard's store
-        assert all(node.store is group[0].store for node in group)
+        assert all(node.engine.store is group[0].engine.store for node in group)
 
     # One authority per shard once elections settle.
     cluster.run(until=5.0)
@@ -128,3 +130,11 @@ class TestServerRestartKeepsItsConfig:
         config = cluster.server.engine.config
         assert isinstance(config, ExtendedConfig)
         assert (config.epsilon, config.extra) == (0.2, 7)
+
+    def test_first_boot_honours_recovery_delay(self):
+        """The first engine is built from ``server_config`` as given; the
+        delay used to be forced to 0 at first boot."""
+        cluster = build_cluster(1, server_config=ServerConfig(recovery_delay=3.0))
+        assert cluster.server.engine.recovering
+        cluster.run(until=3.5)
+        assert not cluster.server.engine.recovering
