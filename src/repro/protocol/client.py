@@ -251,10 +251,9 @@ class ClientEngine:
         ``id_base + REBOOT_ID_STEP``, so none of its ids collide with
         this one's (see ``id_base``).
         """
-        server = self.servers if len(self.servers) > 1 else self.servers[0]
         return type(self)(
             self.name,
-            server,
+            self.servers,
             config=self.config,
             id_base=self.id_base + REBOOT_ID_STEP,
             obs=self.obs,

@@ -217,7 +217,7 @@ class _ServerNode(_EngineNode):
     """
 
     def _start(self, engine) -> None:
-        self.engine = engine
+        self.engine, self._crashed = engine, None
         self._run_effects(engine.startup_effects(self.clock.now()))
 
     @property
@@ -242,8 +242,7 @@ class _ServerNode(_EngineNode):
         """Reboot, killing first if alive: the dropped engine's next
         incarnation takes over."""
         self.kill()
-        crashed, self._crashed = self._crashed, None
-        self._start(crashed.reboot(self.clock.now()))
+        self._start(self._crashed.reboot(self.clock.now()))
 
     def is_master(self) -> bool:
         """True while the engine serves: always for a lone server that is
