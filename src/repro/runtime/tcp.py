@@ -7,10 +7,12 @@ Frames are ``4-byte big-endian length + UTF-8 JSON`` bodies produced by
 :mod:`repro.protocol.codec`.
 
 Both ends put the same thing on a socket: one :class:`_Connection`, an
-``asyncio.Protocol`` whose ``data_received`` parses every complete frame
-straight out of the chunk it is handed (:func:`_take_frames`; only a
-partial tail is buffered) and dispatches it on the spot — no reader task,
-no stream.  ``send`` never waits: a frame is written
+``asyncio.BufferedProtocol`` that receives into one buffer of its own and
+parses every complete frame in place (:func:`_take_frames`), dispatching
+it on the spot — no reader task, no stream, and no allocation per read:
+asyncio's plain ``Protocol`` path would ``recv`` a fresh 256 KiB ``bytes``
+for every readable event (DESIGN.md §10, *The receive path*).  ``send`` never
+waits: a frame is written
 straight to the socket transport when the connection is up and not
 ``pause_writing``-paused, and otherwise parked in the peer's bounded
 drop-oldest queue, to go out FIFO — ahead of anything newer — on
@@ -42,7 +44,12 @@ from repro.runtime.transport import _dumps, _EndpointBase, _loads
 from repro.types import HostId
 
 _HEADER = struct.Struct(">I")
+_HEADER_SIZE = _HEADER.size
+_unpack_header = _HEADER.unpack_from
 MAX_FRAME = 16 * 1024 * 1024
+#: The receive buffer each connection starts with and returns to once a
+#: larger frame has been parsed out of it (DESIGN.md §10, *The receive path*).
+_RECV_BUFFER = 16 * 1024
 
 
 def _frame(payload: list | dict) -> bytes:
@@ -52,35 +59,44 @@ def _frame(payload: list | dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def _take_frames(data: bytes | bytearray) -> tuple[list, int, bool]:
-    """Parse every complete frame at the head of ``data``.
+def _take_frames(data: bytes | bytearray, start: int, end: int) -> tuple[list, int, bool]:
+    """Parse every complete frame in ``data[start:end]``.
 
-    Returns the frames' JSON values in order, how many bytes they took,
-    and whether the bytes after them are garbage — an oversized length
-    prefix or a body that is not valid JSON — in which case the connection
-    cannot be trusted past the returned frames and must be dropped.  An
-    incomplete tail (mid-header or mid-body) is left for the next chunk.
+    Returns the frames' JSON values in order, where the unparsed bytes now
+    begin, and whether the bytes from there on are garbage — an oversized
+    length prefix or a body that is not valid JSON — in which case the
+    connection cannot be trusted past the returned frames and must be
+    dropped.  An incomplete tail (mid-header or mid-body) is left for the
+    next read.
     """
     frames = []
-    pos, size = 0, len(data)
-    malformed = False
     try:
-        while size - pos >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(data, pos)
+        while end - start >= _HEADER_SIZE:
+            (length,) = _unpack_header(data, start)
             if length > MAX_FRAME:
                 raise ValueError(f"frame too large: {length} bytes")
-            end = pos + _HEADER.size + length
-            if end > size:
+            stop = start + _HEADER_SIZE + length
+            if stop > end:
                 break
-            frames.append(_loads(data[pos + _HEADER.size : end].decode("utf-8")))
-            pos = end
+            frames.append(_loads(data[start + _HEADER_SIZE : stop].decode("utf-8")))
+            start = stop
     except (ValueError, RecursionError):  # not UTF-8, not JSON, nested too deep
-        malformed = True
-    return frames, pos, malformed
+        return frames, start, True
+    return frames, start, False
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One framed TCP connection; both transports put exactly this on a socket.
+
+    The socket transport reads straight into ``_buf``: ``_buf[_start:_end]``
+    is what arrived and is not parsed yet (at most one partial frame), and
+    ``get_buffer`` offers the free space after it.  When a read completes
+    the last frame, both offsets go back to 0 with no copy.  Only a full
+    buffer moves its partial frame to the front, into a new buffer of
+    exactly that frame's size if it is larger than ``_RECV_BUFFER``; that
+    buffer is swapped back for one of ``_RECV_BUFFER`` once drained.  A
+    buffer is replaced, never resized, because the transport still holds
+    the view it read into while ``buffer_updated`` runs.
 
     The owning transport supplies ``_handler``, ``_emit``, ``name``,
     ``_parked(peer)`` (the peer's :class:`FrameQueue`, if any) and the
@@ -98,25 +114,33 @@ class _Connection(asyncio.Protocol):
         self.lost = asyncio.Event()
         #: Why *we* hung up; None when the peer or the network did.
         self._hung_up: str | None = None
-        self._buf = bytearray()
+        self._buf = bytearray(_RECV_BUFFER)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0
 
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.writable = True
         self._owner._connection_made(self)
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._end :] if self._end else self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        end = self._end + nbytes
         if self._hung_up is not None:
-            return  # nothing that arrives after a hang-up is delivered
+            self._start = self._end = 0  # nothing that arrives after a hang-up is delivered
+            return
+        frames, start, malformed = _take_frames(self._buf, self._start, end)
+        if start == end or malformed:  # drained (the common case), or the rest is garbage
+            self._start = self._end = 0
+            if len(self._buf) != _RECV_BUFFER:
+                self._move_to_front(0, 0)
+        elif end == len(self._buf):  # full, and ending in a partial frame
+            self._move_to_front(start, end)
+        else:
+            self._start, self._end = start, end
         owner = self._owner
-        buf = self._buf
-        if buf:  # a frame spans chunks: append, parse, keep the new tail
-            buf += data
-            frames, pos, malformed = _take_frames(buf)
-            del buf[:pos]
-        else:  # parse straight from the chunk; copy only a partial tail
-            frames, pos, malformed = _take_frames(data)
-            buf += data[pos:]
         kind = "?"
         for frame in frames:
             if self._hung_up is not None:
@@ -134,6 +158,21 @@ class _Connection(asyncio.Protocol):
         if malformed:
             owner._emit(TRANSPORT_DROP, dst=owner.name, kind=kind, reason="malformed")
             self.hang_up("malformed")
+
+    def _move_to_front(self, start: int, end: int) -> None:
+        """Move ``_buf[start:end]``, a partial frame or nothing, to the front
+        of a buffer of ``_RECV_BUFFER`` bytes or, if that frame is larger,
+        of exactly its size: this buffer if it has that size, else a new one."""
+        tail = end - start
+        size = _RECV_BUFFER
+        if tail >= _HEADER_SIZE:  # _take_frames has capped the length
+            size = max(size, _HEADER_SIZE + _unpack_header(self._buf, start)[0])
+        view = self._view
+        if size != len(self._buf):
+            self._buf = bytearray(size)
+            self._view = memoryview(self._buf)
+        self._view[:tail] = view[start:end]
+        self._start, self._end = 0, tail
 
     def pause_writing(self) -> None:
         self.writable = False
@@ -439,9 +478,11 @@ class TcpClientTransport(_TcpTransport):
             conn.transport.abort()
 
     async def send(self, dst: HostId, message: Message) -> None:
-        """Send to the server (a client's only peer)."""
+        """Send to the server, a client's only peer; anything else is a drop."""
         if dst == self._server_name:
             await super().send(dst, message)
+        else:
+            self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="no_route")
 
     async def close(self) -> None:
         """Tear down the supervisor and the socket; report what stays unsent."""

@@ -15,8 +15,9 @@ belong on a bulk channel in a real deployment.
 
 Observability: datagram transports drop frames by design (that is the
 medium), but never silently when a bus is attached — a malformed inbound
-datagram, a send to a never-seen peer, and a send on a closed socket all
-emit ``transport.drop`` events (DESIGN.md §11).
+datagram, a send to a never-seen peer, a client's send to anyone but its
+server and a send on a closed socket all emit ``transport.drop`` events
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class UdpClientTransport(_EndpointBase):
             self._handler(message, src)
 
     async def send(self, dst: HostId, message: Message) -> None:
-        """Send to the server (a client's only peer)."""
+        """Send to the server, a client's only peer; anything else is a drop."""
         if dst != self._server_name:
+            self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="no_route")
             return
         if self._transport is None:
             self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="closed")

@@ -7,6 +7,7 @@ pinned v2 frame of a write (``cas`` always travels, as ``null`` when
 unset) and the rule that a v1 frame is simply a malformed one.
 """
 
+import asyncio
 import json
 import struct
 
@@ -27,7 +28,14 @@ from repro.protocol.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.runtime.tcp import MAX_FRAME, _Connection, _frame
+from repro.runtime.tcp import (
+    _RECV_BUFFER,
+    MAX_FRAME,
+    TcpClientTransport,
+    TcpServerTransport,
+    _Connection,
+    _frame,
+)
 from repro.types import DatumId
 
 F = DatumId.file("file:1")
@@ -173,7 +181,7 @@ class _Wire:
         self.drops.append(fields)
 
     def _connection_made(self, conn):
-        pass
+        self.conn = conn
 
     def _connection_lost(self, conn, reason):
         self.down.append(reason)
@@ -188,19 +196,50 @@ class _Wire:
         self.closed = True
 
 
-def receive(*chunks: bytes) -> _Wire:
-    """Feed ``chunks`` to a connection as successive ``recv`` results, then EOF."""
+def feed(conn: _Connection, chunk: bytes) -> None:
+    """Put ``chunk`` into ``conn`` as the socket transport does: into the
+    view ``get_buffer`` offers, as many reads as that takes, with the view
+    still held while ``buffer_updated`` runs."""
+    while chunk:
+        view = conn.get_buffer(-1)
+        assert len(view) > 0
+        n = min(len(view), len(chunk))
+        view[:n] = chunk[:n]
+        conn.buffer_updated(n)
+        chunk = chunk[n:]
+
+
+def connect() -> _Wire:
     wire = _Wire()
-    conn = _Connection(wire, peer="peer")
-    conn.connection_made(wire)
+    _Connection(wire, peer="peer").connection_made(wire)
+    return wire
+
+
+def receive(*chunks: bytes) -> _Wire:
+    """Feed ``chunks`` to a connection as successive ``recv`` results, then
+    EOF.  An empty ``recv`` is EOF, so an empty chunk feeds nothing."""
+    wire = connect()
     for chunk in chunks:
-        conn.data_received(chunk)
-    conn.connection_lost(None)
+        feed(wire.conn, chunk)
+    wire.conn.connection_lost(None)
     return wire
 
 
 def framed(msg) -> bytes:
     return _frame(encode_message(msg))
+
+
+def padding(size: int) -> tuple[ReadRequest, bytes]:
+    """A read request whose frame is exactly ``size`` bytes long."""
+    short = framed(ReadRequest(1, DatumId.file("")))
+    msg = ReadRequest(1, DatumId.file("p" * (size - len(short))))
+    frame = framed(msg)
+    assert len(frame) == size
+    return msg, frame
+
+
+#: A frame three initial buffers long.
+BIG = WriteRequest(2, F, b"a" * (3 * _RECV_BUFFER), write_seq=1)
 
 
 MALFORMED = {"dst": "me", "kind": "?", "reason": "malformed"}
@@ -213,19 +252,38 @@ class TestFraming:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        msgs=st.lists(st.sampled_from(BATCH_SAMPLES), max_size=6),
+        msgs=st.lists(st.sampled_from(BATCH_SAMPLES + [BIG]), max_size=6),
         data=st.data(),
     )
     def test_any_chunking_delivers_exactly_the_messages_in_order(self, msgs, data):
         """One ``recv`` may carry several frames and one frame may span
-        several: cuts fall anywhere, mid-header included, and repeat (an
-        empty chunk)."""
+        several: cuts fall anywhere, mid-header included, and may repeat.
+        ``BIG`` does not fit the initial buffer; whatever the cuts, the
+        buffer is back at its initial size once drained, and the next read
+        is offered all of it."""
         stream = b"".join(framed(m) for m in msgs)
         cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=24)))
         chunks = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
         wire = receive(*chunks)
         assert wire.messages == msgs
         assert not wire.drops and wire.down == ["eof"]
+        assert len(wire.conn.get_buffer(-1)) == len(wire.conn._buf) == _RECV_BUFFER
+
+    @pytest.mark.parametrize("in_first", range(5))
+    def test_a_larger_frame_grows_the_buffer_to_fit_exactly_then_shrinks(self, in_first):
+        """``in_first`` bytes of the large frame's header fill the initial
+        buffer to its edge; the buffer grows to exactly header + body and
+        is swapped back once that frame has been parsed."""
+        before, pad = padding(_RECV_BUFFER - in_first)
+        big = framed(BIG)
+        after = BATCH_SAMPLES[0]
+        wire = connect()
+        feed(wire.conn, pad + big[:-1])
+        assert len(wire.conn._buf) == len(big)
+        feed(wire.conn, big[-1:] + framed(after))
+        assert wire.messages == [before, BIG, after]
+        assert len(wire.conn.get_buffer(-1)) == len(wire.conn._buf) == _RECV_BUFFER
+        assert not wire.drops and not wire.closed
 
     def test_truncated_frame_reads_as_eof(self):
         """A truncated tail delivers nothing and is no protocol violation."""
@@ -267,6 +325,49 @@ class TestFraming:
         assert wire.messages == [BATCH_SAMPLES[0]]
         assert wire.drops == [dict(MALFORMED, kind="ReadRequest")]
         assert wire.closed and wire.down == ["malformed"]
+
+    def test_ill_typed_message_larger_than_the_buffer_names_its_class(self):
+        wire = receive(
+            framed(BATCH_SAMPLES[0])
+            + _frame(["WriteRequest", "x" * (2 * _RECV_BUFFER), 5, [1]])
+            + framed(BATCH_SAMPLES[1])
+        )
+        assert wire.messages == [BATCH_SAMPLES[0]]
+        assert wire.drops == [dict(MALFORMED, kind="WriteRequest")]
+        assert wire.closed and wire.down == ["malformed"]
+
+    def test_oversized_length_prefix_across_the_buffer_edge_rejected(self):
+        """Its first two bytes end a full buffer: the claim is refused as
+        soon as it is whole, and no buffer is grown for it."""
+        before, pad = padding(_RECV_BUFFER - 2)
+        wire = receive(pad + struct.pack(">I", MAX_FRAME + 1) + b"x" * 64)
+        assert wire.messages == [before]
+        assert wire.drops == [MALFORMED]
+        assert wire.closed and wire.down == ["malformed"]
+        assert len(wire.conn._buf) == _RECV_BUFFER
+
+    def test_a_one_mib_frame_over_a_real_socket(self):
+        """Through loopback TCP, then back to the initial buffer."""
+        big = WriteRequest(3, F, bytes(range(256)) * 4096, write_seq=1)
+        after = BATCH_SAMPLES[0]
+
+        async def scenario():
+            listener = TcpServerTransport()
+            await listener.start()
+            got = asyncio.Queue()
+            listener.set_handler(lambda message, src: got.put_nowait(message))
+            link = TcpClientTransport("c0", reconnect=False)
+            await link.connect(port=listener.port)
+            await link.send("server", big)
+            await link.send("server", after)
+            assert await asyncio.wait_for(got.get(), 10) == big
+            assert await asyncio.wait_for(got.get(), 10) == after
+            assert len(listener._conns["c0"]._buf) == _RECV_BUFFER
+            await link.close()
+            await listener.close()
+
+        assert len(framed(big)) > 1024 * 1024
+        asyncio.run(scenario())
 
     def test_oversized_outbound_batch_rejected(self):
         huge = BatchRequest(

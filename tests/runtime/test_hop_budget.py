@@ -1,8 +1,8 @@
 """What a sent message may cost the event loop, as exact counts.
 
 A round trip needs three loop iterations: the request is written on the
-caller's stack, the server answers from inside ``data_received``, and
-the client's ``data_received`` resolves the caller's future.  The design
+caller's stack, the server answers from inside ``buffer_updated``, and
+the client's ``buffer_updated`` resolves the caller's future.  The design
 this replaced spent a Task and a done-callback per sent message (and the
 hub another Task per delivery); a counting task factory keeps that from
 drifting back.  Counts repeat exactly, so these are assertions, not
@@ -17,6 +17,7 @@ are pinned through that same shortcut.
 """
 
 import asyncio
+import tracemalloc
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.protocol.messages import (
 )
 from repro.protocol.server import ServerConfig
 from repro.runtime import ChaosTransport, InMemoryHub, LeaseClientNode, LeaseServerNode
-from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
+from repro.runtime.tcp import _RECV_BUFFER, TcpClientTransport, TcpServerTransport
 from repro.shard.client import ShardedClientEngine
 from repro.storage.store import FileStore
 from repro.types import DatumId
@@ -113,6 +114,31 @@ class TestHopBudget:
                 assert await client.read(datum) == (1, b"v1")
             assert client.engine.metrics.read_requests == ROUND_TRIPS + 1
             assert created == []
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_a_round_trip_allocates_nothing_read_sized(self):
+        """Each end reads into its connection's own buffer.  Asyncio's plain
+        ``Protocol`` path allocates a fresh 256 KiB per ``recv`` instead, so
+        the traced peak over 200 round trips stays under one buffer here."""
+
+        async def scenario():
+            # Debug mode keeps a traceback per callback: not what this counts.
+            asyncio.get_running_loop().set_debug(False)
+            datum, server, client = await make_world("tcp")
+            for _ in range(20):  # warm-up: connection, caches, free lists
+                await client.read(datum)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(ROUND_TRIPS):
+                    assert await client.read(datum) == (1, b"v1")
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < _RECV_BUFFER, peak
             await client.close()
             await server.close()
 

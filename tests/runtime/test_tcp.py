@@ -2,13 +2,16 @@
 
 import asyncio
 
-
 from repro.lease.policy import FixedTermPolicy
+from repro.obs.bus import TraceBus
+from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
+from repro.protocol.messages import ReadRequest
 from repro.protocol.server import ServerConfig
 from repro.runtime import LeaseClientNode, LeaseServerNode
 from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
 from repro.storage.store import FileStore
+from repro.types import DatumId
 
 
 def run(coro):
@@ -107,3 +110,10 @@ class TestTcpProtocol:
             await stop_world(server, clients)
 
         run(scenario())
+
+    def test_a_client_send_to_anyone_but_its_server_is_an_observable_drop(self):
+        bus = TraceBus(capacity=None)
+        msg = ReadRequest(1, DatumId.file("f"))
+        run(TcpClientTransport("c0", obs=bus).send("c1", msg))
+        drops = bus.events(TRANSPORT_DROP)
+        assert [(e["dst"], e["kind"], e["reason"]) for e in drops] == [("c1", msg.kind, "no_route")]

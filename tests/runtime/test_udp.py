@@ -207,3 +207,10 @@ class TestUdpProtocol:
             assert reasons.count("closed") == 2
 
         run(scenario())
+
+    def test_a_client_send_to_anyone_but_its_server_is_an_observable_drop(self):
+        bus = TraceBus(capacity=None)
+        msg = WriteRequest(1, DatumId.file("f"), b"x", 1)
+        run(UdpClientTransport("c0", obs=bus).send("c1", msg))
+        drops = bus.events(TRANSPORT_DROP)
+        assert [(e["dst"], e["kind"], e["reason"]) for e in drops] == [("c1", msg.kind, "no_route")]
