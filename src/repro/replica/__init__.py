@@ -15,15 +15,15 @@ under §5 clock faults.  This package replicates the authority:
   an inner :class:`~repro.protocol.server.ServerEngine` that serves the
   ordinary lease protocol until deposed.  Non-masters redirect clients
   with :class:`~repro.protocol.messages.NotMaster`.
-* :mod:`repro.replica.node` — the asyncio runtime replica,
-  SIGKILL-able for chaos testing.
 
-In the DES each replica's engine runs in a plain
-:class:`repro.sim.driver.SimServer`, assembled by
-``repro.sim.driver.build_cluster(replicas=N)`` over a **shared** store
-per shard: the replicas replicate the *lease authority* (who may grant
-and commit), not the data plane, exactly as PaxosLease replicates the
-master lease and nothing else.
+Each replica's engine runs in the driver's plain server node — a
+:class:`repro.sim.driver.SimServer` in the DES, the asyncio runtime's
+SIGKILL-able server node otherwise — assembled by
+``repro.sim.driver.build_cluster(replicas=N)`` or
+``repro.runtime.build_cluster(Topology(replicas=N))`` over a **shared**
+store per shard: the replicas replicate the *lease authority* (who may
+grant and commit), not the data plane, exactly as PaxosLease replicates
+the master lease and nothing else.
 
 The handoff invariant (DESIGN.md §17): a newly elected master may not
 grant or commit anything until the prior master's outstanding file leases

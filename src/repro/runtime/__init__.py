@@ -20,6 +20,10 @@ clocks and real transports:
   :class:`LeaseClientNode`: asyncio hosts that execute engine effects
   (sends, timers) and expose an async application API
   (``await client.read(datum)``).
+* :mod:`repro.runtime.cluster` — :func:`build_cluster`, the one
+  assembler: any :class:`~repro.topology.Topology` (sharded, replicated
+  or both) over the in-memory hub, TCP or UDP, with one consistency
+  oracle — the twin of :func:`repro.sim.driver.build_cluster`.
 
 Lease expiry uses :class:`repro.clock.MonotonicClock`; the epsilon and
 drift-bound configuration carries exactly the same meaning as in the
@@ -27,11 +31,14 @@ paper (§5).
 """
 
 from repro.runtime.chaos import ChaosTransport
+from repro.runtime.cluster import Cluster, build_cluster
 from repro.runtime.node import LeaseClientNode, LeaseServerNode
 from repro.runtime.resilience import BackoffPolicy
 from repro.runtime.transport import InMemoryHub, Transport
 
 __all__ = [
+    "build_cluster",
+    "Cluster",
     "LeaseServerNode",
     "LeaseClientNode",
     "InMemoryHub",

@@ -11,10 +11,12 @@ Every stock transport finishes there, so a sent message costs no
 Task and no extra loop iteration; only a send that really waits (chaos
 delay) is finished by a Task, which the node tracks until ``close()``.
 
-A server node (:class:`LeaseServerNode`, and
-:class:`~repro.replica.node.ReplicaServerNode` for a replica) can be
-killed and restarted in process.  The node only drops the engine and its
-timers; what survives the crash is decided by the engine's own
+A server node drives whatever authority engine it is given — a
+:class:`~repro.protocol.server.ServerEngine` (:class:`LeaseServerNode`
+builds one) or one replica's :class:`~repro.replica.engine.ReplicaEngine`
+(:func:`repro.runtime.cluster.build_cluster` builds the group) — and can
+be killed and restarted in process.  The node only drops the engine and
+its timers; what survives the crash is decided by the engine's own
 ``reboot``, the same rule the simulator's crash fault runs.  A client
 node has no restart: it could not honour the Futures its callers hold.
 """
@@ -209,12 +211,17 @@ class _EngineNode:
 class _ServerNode(_EngineNode):
     """A server node that can be killed and restarted in process.
 
-    The crash model is SIGKILL, not shutdown: :meth:`kill` drops the
-    engine and every timer with no goodbye traffic, and the node ignores
+    It is given its engine, as the simulator's ``SimServer`` is.  The
+    crash model is SIGKILL, not shutdown: :meth:`kill` drops the engine
+    and every timer with no goodbye traffic, and the node ignores
     everything until :meth:`restart`.  The restart runs the dropped
     engine's own ``reboot``, which carries forward what survives a crash
     (``ServerEngine.reboot``, ``ReplicaEngine.reboot``).
     """
+
+    def __init__(self, transport: Transport, engine, clock=None, obs=None):
+        super().__init__(transport, clock, obs=obs)
+        self._start(engine)
 
     def _start(self, engine) -> None:
         self.engine, self._crashed = engine, None
@@ -269,18 +276,17 @@ class LeaseServerNode(_ServerNode):
         clock=None,
         obs=None,
     ):
-        super().__init__(transport, clock, obs=obs)
-        self._start(
-            ServerEngine(
-                transport.name,
-                store,
-                policy,
-                config=config,
-                installed=installed,
-                now=self.clock.now(),
-                obs=self.obs,
-            )
+        clock = clock or MonotonicClock()
+        engine = ServerEngine(
+            transport.name,
+            store,
+            policy,
+            config=config,
+            installed=installed,
+            now=clock.now(),
+            obs=obs,
         )
+        super().__init__(transport, engine, clock, obs=obs)
 
 
 class LeaseClientNode(_EngineNode):
@@ -297,9 +303,12 @@ class LeaseClientNode(_EngineNode):
         engine_cls: type[ClientEngine] = ClientEngine,
     ):
         """Args:
-            server: the server host name — or, with ``engine_cls`` set to
-                :class:`~repro.shard.client.ShardedClientEngine`, the
-                tuple of shard host names (pair it with a
+            server: the server host name, or the tuple of a replica
+                group's host names (the plain ``ClientEngine`` fails over
+                between them on ``NotMaster`` redirects) — or, with
+                ``engine_cls`` set to
+                :class:`~repro.shard.client.ShardedClientEngine`, one such
+                address per shard (pair it with a
                 :class:`~repro.shard.transport.FanoutTransport` or a hub
                 endpoint that reaches every shard).
             engine_cls: the sans-io engine to drive (the single-server

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.obs.bus import NULL_BUS
-from repro.obs.events import SHARD_MISS
+from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.messages import Message
-from repro.runtime.transport import MessageHandler, Transport
+from repro.runtime.transport import Transport, _EndpointBase
 from repro.types import HostId
 
 
-class FanoutTransport:
+class FanoutTransport(_EndpointBase):
     """Routes ``send`` calls across per-shard transports by destination.
 
     Args:
@@ -44,41 +43,22 @@ class FanoutTransport:
     ):
         if not transports:
             raise ValueError("need at least one shard transport")
-        self._name = name
+        super().__init__(name, obs, clock)
         self._transports = dict(transports)
-        self._obs = obs or NULL_BUS
-        self._clock = clock
-        self._handler: MessageHandler | None = None
         for transport in self._transports.values():
             transport.set_handler(self._deliver)
-
-    @property
-    def name(self) -> HostId:
-        """This endpoint's host name."""
-        return self._name
-
-    def set_handler(self, handler: MessageHandler) -> None:
-        """Install the node's inbound callback (shared by every shard)."""
-        self._handler = handler
 
     def _deliver(self, message: Message, src: HostId) -> None:
         if self._handler is not None:
             self._handler(message, src)
 
     async def send(self, dst: HostId, message: Message) -> None:
-        """Forward to the transport bound to ``dst``.
-
-        A destination no transport is bound to is dropped with a
-        ``shard.miss`` event — same contract as the real transports,
-        which drop rather than raise on unreachable peers.
-        """
+        """Forward to the transport bound to ``dst``; anything else is a
+        ``transport.drop`` (reason ``no_route``), as for the client
+        transports, which drop rather than raise on unreachable peers."""
         transport = self._transports.get(dst)
         if transport is None:
-            if self._obs.active:
-                now = self._clock.now() if self._clock is not None else 0.0
-                self._obs.emit(
-                    SHARD_MISS, now, self._name, src=dst, kind=message.kind
-                )
+            self._emit(TRANSPORT_DROP, dst=dst, kind=message.kind, reason="no_route")
             return
         await transport.send(dst, message)
 

@@ -14,6 +14,7 @@ one-server cluster is its smallest case, not a separate path.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +35,7 @@ from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.network import Network, NetworkParams
 from repro.sim.oracle import ConsistencyOracle
 from repro.storage.store import FileStore
-from repro.topology import Topology
+from repro.topology import Assembled, Topology
 from repro.types import DatumId, FileClass, HostId
 
 
@@ -295,14 +296,16 @@ class SimClient(_SimNode):
 
 
 @dataclass
-class Cluster:
+class Cluster(Assembled):
     """A fully wired simulated world.
 
     ``groups[k]`` is shard ``k``'s lease authority: one :class:`SimServer`,
-    or one per member of its PaxosLease group.  ``store``
-    is a plain :class:`FileStore` for one shard and the
-    :class:`~repro.shard.store.ShardedStore` facade (with ``router``)
-    for several.
+    or one per member of its PaxosLease group; ``server``, ``servers``,
+    ``master_of`` and ``client`` come from
+    :class:`~repro.topology.Assembled`.  ``store`` is a plain
+    :class:`FileStore` for one shard and the
+    :class:`~repro.shard.store.ShardedStore` facade (with ``router``) for
+    several.
     """
 
     kernel: Kernel
@@ -319,28 +322,6 @@ class Cluster:
 
     def __post_init__(self) -> None:
         self.faults = FaultInjector(self.network)
-
-    @property
-    def server(self) -> SimServer:
-        """The first authority node — *the* server of a 1x1 cluster."""
-        return self.groups[0][0]
-
-    @property
-    def servers(self) -> list[SimServer]:
-        """Every authority node, flat: shard-major, replica-minor."""
-        return [node for group in self.groups for node in group]
-
-    def master_of(self, shard: int = 0) -> SimServer | None:
-        """The node currently serving shard ``shard`` (None while it is
-        down or mid-election)."""
-        for node in self.groups[shard]:
-            if node.host.up and node.is_master():
-                return node
-        return None
-
-    def client(self, index: int) -> SimClient:
-        """The index-th client (``c<index>``)."""
-        return self.clients[index]
 
     def live_clients(self) -> list[SimClient]:
         """Clients whose hosts are currently up."""
@@ -460,37 +441,17 @@ def build_cluster(
     """
     topology = Topology(shards=shards, replicas=replicas, clients=n_clients)
     policy = policy or FixedTermPolicy(10.0)
-    if installed is not None and shards * replicas > 1:
-        raise ValueError(
-            "installed files need a single authority node (shards=1, replicas=1)"
-        )
-    if replicas > 1:
-        if server_engine_factory is not None:
-            raise ValueError("replicas build their own inner server engine")
-        clocks = client_config or ClientConfig()
-        replica_knobs = dict(
-            master_term=master_term,
-            max_file_term=longest_finite_term(policy),
-            epsilon=clocks.epsilon,
-            drift_bound=clocks.drift_bound,
-            server=server_config or ServerConfig(),
-        )
+    template = replica_template(
+        topology, policy, installed, client_config, server_config, master_term
+    )
+    if template is not None and server_engine_factory is not None:
+        raise ValueError("replicas build their own inner server engine")
 
     kernel = Kernel(seed=seed, obs=obs)
     network = Network(kernel, network_params or NetworkParams(), obs=obs)
-    if shards == 1:
-        store, router = FileStore(), None
-        shard_stores = [store]
-    else:
-        store = ShardedStore(shards)
-        router, shard_stores = store.router, store.shards
-    if setup_store is not None:
-        setup_store(store)
-    # Shard 0 seeds the oracle's history; the rest attach with prefixed
-    # directory ids (every shard's namespace has its own root and counter).
-    oracle = ConsistencyOracle(kernel, shard_stores[0], strict=strict_oracle, obs=obs)
-    for k in range(1, shards):
-        oracle.attach_store(shard_stores[k], dir_prefix=f"s{k}/")
+    store, router, shard_stores, oracle = checked_store(
+        topology, setup_store, kernel, strict=strict_oracle, obs=obs
+    )
 
     offset, drift = server_clock_params
     server_cls = server_engine_factory or ServerEngine
@@ -502,7 +463,7 @@ def build_cluster(
             network.attach(host)
             now = host.clock.now()
             if replicas > 1:
-                config = ReplicaConfig(hosts=group_hosts, index=index, **replica_knobs)
+                config = dataclasses.replace(template, hosts=group_hosts, index=index)
                 engine = ReplicaEngine(name, shard_store, policy, config, now=now, obs=obs)
             else:
                 engine = server_cls(
@@ -547,6 +508,59 @@ def build_cluster(
         router=router,
         obs=obs,
     )
+
+
+def replica_template(
+    topology: Topology,
+    policy: TermPolicy,
+    installed: InstalledFileManager | None = None,
+    client_config: ClientConfig | None = None,
+    server_config: ServerConfig | None = None,
+    master_term: float = 2.0,
+) -> ReplicaConfig | None:
+    """Both assemblers' authority rules: the config each replica's is
+    filled from (placeholder ``hosts`` and ``index``; None unreplicated).
+
+    Raises:
+        ValueError: installed files on more than one authority node, or an
+            unbounded term policy under replication.
+    """
+    if installed is not None and topology.shards * topology.replicas > 1:
+        raise ValueError(
+            "installed files need a single authority node (shards=1, replicas=1)"
+        )
+    if topology.replicas == 1:
+        return None
+    clocks = client_config or ClientConfig()
+    return ReplicaConfig(
+        hosts=(), index=0, master_term=master_term, max_file_term=longest_finite_term(policy),
+        epsilon=clocks.epsilon, drift_bound=clocks.drift_bound,
+        server=server_config or ServerConfig(),
+    )
+
+
+def checked_store(topology: Topology, setup_store, kernel, strict=True, obs=None) -> tuple:
+    """Both assemblers' store: ``(store, router, shard_stores, oracle)``.
+
+    One :class:`FileStore` per shard, behind the :class:`ShardedStore`
+    facade (and its ``router``) when there are several, populated by
+    ``setup_store`` before any node starts; one oracle on ``kernel``
+    (anything with a ``now``) over every shard.
+    """
+    if topology.shards == 1:
+        store, router = FileStore(), None
+        shard_stores = [store]
+    else:
+        store = ShardedStore(topology.shards)
+        router, shard_stores = store.router, store.shards
+    if setup_store is not None:
+        setup_store(store)
+    # Shard 0 seeds the oracle's history; the rest attach with prefixed
+    # directory ids (every shard's namespace has its own root and counter).
+    oracle = ConsistencyOracle(kernel, shard_stores[0], strict=strict, obs=obs)
+    for k in range(1, topology.shards):
+        oracle.attach_store(shard_stores[k], dir_prefix=f"s{k}/")
+    return store, router, shard_stores, oracle
 
 
 def install_tree(

@@ -20,8 +20,9 @@ N       M         ``("s{k}r0", ..)``          ``(("s0r0", ..), ..)``
 Clients are always ``c0 .. c{n-1}``.  Scenario files, fault schedules
 and traces address hosts by these names, so they are frozen.  This
 module is sim-free (it imports nothing but the type aliases): the
-scenario grammar, the generator, the DES assembler and the shard router
-all derive names from it instead of spelling them.
+scenario grammar, the generator, both assemblers and the shard router
+all derive names from it instead of spelling them, and both assemblers'
+clusters share :class:`Assembled`.
 """
 
 from __future__ import annotations
@@ -127,3 +128,30 @@ class Topology:
             group[0] if len(group) == 1 else group for group in self.groups()
         )
         return per_shard[0] if len(per_shard) == 1 else per_shard
+
+
+class Assembled:
+    """What a cluster assembled from a :class:`Topology` derives from its
+    ``groups`` (shard ``k``'s authority nodes, in :meth:`Topology.group`
+    order) and ``clients`` (``c0`` ..), with one meaning for both
+    :func:`repro.sim.driver.build_cluster` and
+    :func:`repro.runtime.build_cluster`."""
+
+    @property
+    def server(self):
+        """The first authority node — *the* server of a 1x1 cluster."""
+        return self.groups[0][0]
+
+    @property
+    def servers(self) -> list:
+        """Every authority node, flat: shard-major, replica-minor."""
+        return [node for group in self.groups for node in group]
+
+    def master_of(self, shard: int = 0):
+        """The node currently serving shard ``shard`` (None while it is
+        down or mid-election)."""
+        return next((node for node in self.groups[shard] if node.is_master()), None)
+
+    def client(self, index: int):
+        """The index-th client (``c<index>``)."""
+        return self.clients[index]

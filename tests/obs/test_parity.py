@@ -8,15 +8,13 @@ both streams with the same payload fields.  Only the meaning of ``ts``
 differs (virtual vs wall-clock seconds).
 """
 
-import asyncio
-
 from repro.lease.policy import FixedTermPolicy
 from repro.obs import TraceBus, events
-from repro.protocol.client import ClientConfig
-from repro.protocol.server import ServerConfig
-from repro.runtime import InMemoryHub, LeaseClientNode, LeaseServerNode
 from repro.sim.driver import build_cluster
 from repro.storage.store import FileStore
+from repro.topology import Topology
+
+from tests.runtime import run_cluster
 
 #: Protocol events every run of the shared scenario must produce.
 EXPECTED_COMMON = {
@@ -53,37 +51,20 @@ def asyncio_trace() -> list[dict]:
     """Run the same scenario on the asyncio runtime; return the stream."""
     bus = TraceBus(capacity=None)
 
-    async def scenario():
-        hub = InMemoryHub()
-        store = FileStore()
+    def setup(store: FileStore) -> None:
         store.create_file("/doc", b"v1")
-        server = LeaseServerNode(
-            hub.endpoint("server"),
-            store,
-            FixedTermPolicy(10.0),
-            config=ServerConfig(epsilon=0.01, sweep_period=30.0),
-            obs=bus,
-        )
-        clients = [
-            LeaseClientNode(
-                hub.endpoint(f"c{i}"),
-                "server",
-                config=ClientConfig(epsilon=0.01, rpc_timeout=0.5, write_timeout=5.0),
-                obs=bus,
-            )
-            for i in range(2)
-        ]
-        datum = store.file_datum("/doc")
-        a, b = clients
+
+    async def scenario(cluster):
+        datum = cluster.store.file_datum("/doc")
+        a, b = cluster.clients
         await a.read(datum)
         await a.read(datum)  # cached: local hit
         await b.write(datum, b"v2")
         await a.read(datum)
-        for c in clients:
-            await c.close()
-        await server.close()
 
-    asyncio.run(scenario())
+    run_cluster(
+        scenario, Topology(clients=2), policy=FixedTermPolicy(10.0), setup_store=setup, obs=bus
+    )
     return bus.events()
 
 

@@ -24,6 +24,7 @@ from repro.protocol.client import ClientConfig
 from repro.protocol.messages import ReadRequest
 from repro.protocol.server import ServerConfig
 from repro.runtime import ChaosTransport, LeaseClientNode, LeaseServerNode, pathapi
+from repro.runtime.cluster import WallKernel
 from repro.runtime.resilience import BackoffPolicy
 from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
 from repro.sim.oracle import ConsistencyOracle
@@ -209,17 +210,6 @@ class TestChaosUnits:
             ChaosTransport(_FakeInner(), **kwargs)
 
 
-class _WallKernel:
-    """Adapts a wall clock to the oracle's ``kernel.now`` attribute."""
-
-    def __init__(self, clock):
-        self._clock = clock
-
-    @property
-    def now(self):
-        return self._clock.now()
-
-
 class TestChaosIntegration:
     def test_forced_disconnects_trigger_reconnects(self):
         async def scenario():
@@ -268,7 +258,7 @@ class TestChaosIntegration:
             datum = store.file_datum("/doc")
             clock = MonotonicClock()
             oracle = ConsistencyOracle(
-                _WallKernel(clock), store, strict=True, obs=bus
+                WallKernel(clock), store, strict=True, obs=bus
             )
 
             term = 0.3

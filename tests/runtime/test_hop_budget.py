@@ -37,11 +37,14 @@ from repro.protocol.messages import (
     WriteRequest,
 )
 from repro.protocol.server import ServerConfig
-from repro.runtime import ChaosTransport, InMemoryHub, LeaseClientNode, LeaseServerNode
-from repro.runtime.tcp import _RECV_BUFFER, TcpClientTransport, TcpServerTransport
+from repro.runtime import ChaosTransport, LeaseClientNode
+from repro.runtime.tcp import _RECV_BUFFER
 from repro.shard.client import ShardedClientEngine
 from repro.storage.store import FileStore
+from repro.topology import Topology
 from repro.types import DatumId
+
+from tests.runtime import create_doc, run_cluster
 
 ROUND_TRIPS = 200
 HITS = 200
@@ -78,56 +81,46 @@ def count_futures() -> list:
     return created
 
 
-async def make_world(
-    fabric, wrap_client=lambda transport: transport, policy=None, authority="server", **client_kwargs
-):
-    """A server (zero-term unless told: every read is a round trip) and one client."""
-    store = FileStore()
-    store.create_file("/doc", b"v1")
-    if fabric == "tcp":
-        listener = TcpServerTransport()
-        await listener.start()
-        link = TcpClientTransport("c0")
-        await link.connect(port=listener.port)
-    else:
-        hub = InMemoryHub()
-        listener, link = hub.endpoint("server"), hub.endpoint("c0")
-    server = LeaseServerNode(
-        listener, store, policy or ZeroTermPolicy(),
-        config=ServerConfig(epsilon=0.01, sweep_period=3600.0),
+CLIENT_CONFIG = ClientConfig(epsilon=0.01, rpc_timeout=5.0)
+
+
+def on_cluster(scenario, fabric="hub", policy=None, clients=1, shards=1):
+    """Run ``scenario(cluster)`` on a server holding ``/doc`` (zero-term
+    unless told: every read is a round trip) per shard, and one client."""
+    run_cluster(
+        scenario,
+        Topology(shards=shards, clients=clients),
+        fabric=fabric,
+        policy=policy or ZeroTermPolicy(),
+        server_config=ServerConfig(epsilon=0.01, sweep_period=3600.0),
+        client_config=CLIENT_CONFIG,
+        setup_store=create_doc,
     )
-    client = LeaseClientNode(
-        wrap_client(link), authority,
-        config=ClientConfig(epsilon=0.01, rpc_timeout=5.0), **client_kwargs,
-    )
-    return store.file_datum("/doc"), server, client
 
 
 class TestHopBudget:
     @pytest.mark.parametrize("fabric", ["tcp", "hub"])
     def test_a_round_trip_creates_no_task(self, fabric):
-        async def scenario():
-            datum, server, client = await make_world(fabric)
+        async def scenario(cluster):
+            datum, client = cluster.store.file_datum("/doc"), cluster.client(0)
             await client.read(datum)  # the connection is up and said hello
             created = count_tasks()
             for _ in range(ROUND_TRIPS):
                 assert await client.read(datum) == (1, b"v1")
             assert client.engine.metrics.read_requests == ROUND_TRIPS + 1
             assert created == []
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, fabric)
 
     def test_a_round_trip_allocates_nothing_read_sized(self):
         """Each end reads into its connection's own buffer.  Asyncio's plain
         ``Protocol`` path allocates a fresh 256 KiB per ``recv`` instead, so
         the traced peak over 200 round trips stays under one buffer here."""
 
-        async def scenario():
+        async def scenario(cluster):
             # Debug mode keeps a traceback per callback: not what this counts.
             asyncio.get_running_loop().set_debug(False)
-            datum, server, client = await make_world("tcp")
+            datum, client = cluster.store.file_datum("/doc"), cluster.client(0)
             for _ in range(20):  # warm-up: connection, caches, free lists
                 await client.read(datum)
             tracemalloc.start()
@@ -139,21 +132,14 @@ class TestHopBudget:
             finally:
                 tracemalloc.stop()
             assert peak < _RECV_BUFFER, peak
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, "tcp")
 
     def test_a_send_that_really_waits_costs_exactly_one_task(self):
-        async def scenario():
-            chaos = None
-
-            def delayed(transport):
-                nonlocal chaos
-                chaos = ChaosTransport(transport, delay=0.002, seed=7)
-                return chaos
-
-            datum, server, client = await make_world("hub", delayed)
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            chaos = ChaosTransport(cluster.hub.endpoint("c0"), delay=0.002, seed=7)
+            client = LeaseClientNode(chaos, "server", config=CLIENT_CONFIG)
             created = count_tasks()
             for _ in range(20):
                 assert await client.read(datum) == (1, b"v1")
@@ -168,9 +154,8 @@ class TestHopBudget:
             with pytest.raises(ReproError, match="client closed"):
                 await read
             assert asyncio.all_tasks() == {asyncio.current_task()}
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, clients=0)
 
     def test_a_send_that_raises_creates_no_task_and_is_one_drop(self):
         class CutWire:
@@ -215,11 +200,13 @@ class TestHitBudget:
         """Plain or behind ``ShardedClientEngine`` (whose ``_wrap`` passes
         the lone ``Complete`` through), a hit takes the same shortcut."""
 
-        async def scenario():
-            over = dict(authority=("server",), engine_cls=ShardedClientEngine) if sharded else {}
-            datum, server, client = await make_world(fabric, policy=FixedTermPolicy(60.0), **over)
+        async def scenario(cluster):
+            datum, client = cluster.store.file_datum("/doc"), cluster.client(0)
             assert await client.read(datum) == (1, b"v1")  # the one round trip
-            engine = client.engine.engines[0] if sharded else client.engine
+            engine = client.engine
+            if sharded:
+                assert type(engine) is ShardedClientEngine
+                engine = engine.engines[cluster.store.shard_of(datum)]
             metrics = engine.metrics
             sent = metrics.read_requests, metrics.extend_requests
             first_op, hits = engine._next_op, metrics.local_hits
@@ -234,10 +221,8 @@ class TestHitBudget:
             assert engine._next_op == first_op + HITS  # one op id each
             assert not engine._ops and not client._futures
             assert engine.outstanding_requests() == 0
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, fabric, FixedTermPolicy(60.0), shards=2 if sharded else 1)
 
 
 class SettableClock:

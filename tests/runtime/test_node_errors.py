@@ -12,91 +12,70 @@ from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime import InMemoryHub, LeaseClientNode, LeaseServerNode
-from repro.runtime.tcp import TcpClientTransport, TcpServerTransport
 from repro.storage.store import FileStore
+from repro.topology import Topology
 from repro.types import DatumId
 
-
-def run(coro):
-    return asyncio.run(coro)
+from tests.runtime import create_doc, run_cluster
 
 
-async def make_world(term=1.0, client_config=None, fabric="hub", obs=None):
-    """One server, one client, ``/doc``; ``hub`` is None over TCP."""
-    store = FileStore()
-    store.create_file("/doc", b"v1")
-    if fabric == "tcp":
-        hub, listener = None, TcpServerTransport()
-        await listener.start()
-        link = TcpClientTransport("c0")
-        await link.connect(port=listener.port)
-    else:
-        hub = InMemoryHub()
-        listener, link = hub.endpoint("server"), hub.endpoint("c0")
-    server = LeaseServerNode(
-        listener,
-        store,
-        FixedTermPolicy(term),
-        config=ServerConfig(epsilon=0.01, announce_period=0.5, sweep_period=10.0),
+CLIENT_CONFIG = ClientConfig(epsilon=0.01, rpc_timeout=0.1, write_timeout=0.1, max_retries=2)
+SERVER_CONFIG = ServerConfig(epsilon=0.01, announce_period=0.5, sweep_period=10.0)
+
+
+def on_cluster(scenario, policy=FixedTermPolicy(1.0), client_config=CLIENT_CONFIG, **kwargs):
+    """Run ``scenario(cluster)`` on one server holding ``/doc`` and one client."""
+    run_cluster(
+        scenario,
+        Topology(clients=1),
+        policy=policy,
+        server_config=SERVER_CONFIG,
+        client_config=client_config,
+        setup_store=create_doc,
+        **kwargs,
     )
-    client = LeaseClientNode(
-        link,
-        "server",
-        config=client_config
-        or ClientConfig(epsilon=0.01, rpc_timeout=0.1, write_timeout=0.1, max_retries=2),
-        obs=obs,
-    )
-    return hub, store, server, client
 
 
 class TestNodeErrors:
     def test_missing_datum_raises_repro_error(self):
-        async def scenario():
-            hub, store, server, client = await make_world()
+        async def scenario(cluster):
+            client = cluster.client(0)
             with pytest.raises(ReproError, match="no such datum"):
                 await client.read(DatumId.file("file:404"))
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_unreachable_server_times_out(self):
-        async def scenario():
-            hub, store, server, client = await make_world()
-            hub.isolate("c0")
+        async def scenario(cluster):
+            client, datum = cluster.client(0), cluster.store.file_datum("/doc")
+            cluster.hub.isolate("c0")
             with pytest.raises(ReproError, match="timed out"):
-                await asyncio.wait_for(client.read(store.file_datum("/doc")), 5.0)
-            await client.close()
-            await server.close()
+                await asyncio.wait_for(client.read(datum), 5.0)
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_namespace_error_propagates(self):
-        async def scenario():
-            hub, store, server, client = await make_world()
+        async def scenario(cluster):
+            client = cluster.client(0)
             with pytest.raises(ReproError):
                 await client.namespace_op("unbind", ("/ghost",))
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_failed_op_does_not_poison_later_ops(self):
-        async def scenario():
-            hub, store, server, client = await make_world()
+        async def scenario(cluster):
+            store, client = cluster.store, cluster.client(0)
             with pytest.raises(ReproError):
                 await client.read(DatumId.file("file:404"))
             version, payload = await client.read(store.file_datum("/doc"))
             assert payload == b"v1"
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_relinquish_then_read_revalidates(self):
-        async def scenario():
-            hub, store, server, client = await make_world(term=5.0)
-            datum = store.file_datum("/doc")
+        async def scenario(cluster):
+            server, client = cluster.server, cluster.client(0)
+            datum = cluster.store.file_datum("/doc")
             await client.read(datum)
             client.relinquish(datum)
             await asyncio.sleep(0.05)
@@ -105,31 +84,17 @@ class TestNodeErrors:
             )
             version, payload = await client.read(datum)
             assert payload == b"v1"
-            await client.close()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, policy=FixedTermPolicy(5.0))
 
     def test_zero_term_server_still_serves(self):
-        async def scenario():
-            hub = InMemoryHub()
-            store = FileStore()
-            store.create_file("/doc", b"v1")
-            server = LeaseServerNode(
-                hub.endpoint("server"), store, ZeroTermPolicy(),
-                config=ServerConfig(epsilon=0.01, announce_period=0.5, sweep_period=10.0),
-            )
-            client = LeaseClientNode(
-                hub.endpoint("c0"), "server", config=ClientConfig(epsilon=0.01)
-            )
-            datum = store.file_datum("/doc")
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
             for _ in range(3):
-                assert (await client.read(datum))[1] == b"v1"
-            assert server.engine.table.lease_count() == 0
-            await client.close()
-            await server.close()
+                assert (await cluster.client(0).read(datum))[1] == b"v1"
+            assert cluster.server.engine.table.lease_count() == 0
 
-        run(scenario())
+        on_cluster(scenario, policy=ZeroTermPolicy())
 
 
 class _BrokenTransport:
@@ -171,7 +136,7 @@ class TestSendFailureObservability:
             assert drops[0]["dst"] == "server"
             await client.close()
 
-        run(scenario())
+        asyncio.run(scenario())
 
     def test_sends_cancelled_by_close_are_not_reported_as_drops(self):
         """A send that really waits is the one case a Task finishes; one cut
@@ -197,18 +162,15 @@ class TestSendFailureObservability:
                 await asyncio.wait_for(read, 1.0)
             assert not bus.events(TRANSPORT_DROP)
 
-        run(scenario())
+        asyncio.run(scenario())
 
     def test_op_in_flight_at_close_fails_instead_of_hanging(self):
         """Regression: close() cancels the very time-out that would have
         failed a pending op, so its caller used to wait forever."""
 
-        async def scenario():
-            hub, store, server, client = await make_world(
-                client_config=ClientConfig(epsilon=0.01, rpc_timeout=0.05, max_retries=1)
-            )
-            hub.isolate("c0")
-            datum = store.file_datum("/doc")
+        async def scenario(cluster):
+            client, datum = cluster.client(0), cluster.store.file_datum("/doc")
+            cluster.hub.isolate("c0")
             ops = [
                 asyncio.ensure_future(op)
                 for op in (
@@ -224,9 +186,8 @@ class TestSendFailureObservability:
             for op in ops:
                 with pytest.raises(ReproError, match="client closed"):
                     op.result()
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, client_config=ClientConfig(epsilon=0.01, rpc_timeout=0.05, max_retries=1))
 
     def test_node_constructed_before_asyncio_run_binds_the_right_loop(self):
         # The loop is resolved lazily from inside the running loop; eager
@@ -249,7 +210,7 @@ class TestSendFailureObservability:
             await client.close()
             await server.close()
 
-        run(scenario())
+        asyncio.run(scenario())
 
 
 class TestClosedNode:
@@ -262,9 +223,10 @@ class TestClosedNode:
         until ``max_retries`` ran out (18 s for a read, 405 s for a write
         at the ``ClientConfig`` defaults), and a hit was still served."""
 
-        async def scenario():
-            bus = TraceBus(capacity=None)
-            _, store, server, client = await make_world(term=60.0, fabric=fabric, obs=bus)
+        bus = TraceBus(capacity=None)
+
+        async def scenario(cluster):
+            store, client = cluster.store, cluster.client(0)
             held, unread = store.file_datum("/doc"), DatumId.file("file:unread")
             assert await client.read(held) == (1, b"v1")  # lease and copy: a hit from now on
             await client.close()
@@ -290,6 +252,5 @@ class TestClosedNode:
             assert (dataclasses.asdict(engine.metrics), engine._next_op, len(bus)) == before
             assert not bus.events(TRANSPORT_DROP)
             assert store.file_at("/doc").content == b"v1"
-            await server.close()
 
-        run(scenario())
+        on_cluster(scenario, policy=FixedTermPolicy(60.0), fabric=fabric, obs=bus)

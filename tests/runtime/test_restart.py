@@ -1,6 +1,6 @@
 """Crash-recovery of the asyncio server node.
 
-Regression suite for the runtime restart path: ``LeaseServerNode.restart``
+Regression suite for the runtime restart path: a server node's ``restart``
 must carry the pre-crash ``max_term_granted`` (returned by
 ``LeaseTable.clear()``) into the new engine's ``recovery_delay``, so a
 rebooted real-time server delays writes until every lease granted by its
@@ -14,9 +14,10 @@ from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
-from repro.runtime import InMemoryHub, LeaseClientNode, LeaseServerNode
-from repro.storage.store import FileStore
+from repro.topology import Topology
 from repro.types import DatumId, FileClass
+
+from tests.runtime import create_doc, run_cluster
 
 SERVER_CONFIG = ServerConfig(epsilon=0.01, sweep_period=30.0)
 CLIENT_CONFIG = ClientConfig(
@@ -24,60 +25,46 @@ CLIENT_CONFIG = ClientConfig(
 )
 
 
-async def make_world(term: float):
-    hub = InMemoryHub()
-    store = FileStore()
-    store.create_file("/doc", b"v1")
-    server = LeaseServerNode(
-        hub.endpoint("server"),
-        store,
-        FixedTermPolicy(term),
-        config=SERVER_CONFIG,
+def on_cluster(scenario, term, server_config=SERVER_CONFIG, client_config=CLIENT_CONFIG, **kwargs):
+    """Run ``scenario(cluster)`` on one server holding ``/doc`` and two clients."""
+    kwargs.setdefault("setup_store", create_doc)
+    run_cluster(
+        scenario,
+        Topology(clients=2),
+        policy=FixedTermPolicy(term),
+        server_config=server_config,
+        client_config=client_config,
+        **kwargs,
     )
-    clients = [
-        LeaseClientNode(hub.endpoint(f"c{i}"), "server", config=CLIENT_CONFIG)
-        for i in range(2)
-    ]
-    return hub, store, server, clients
-
-
-async def close_world(server, clients):
-    for c in clients:
-        await c.close()
-    await server.close()
 
 
 class TestServerRestart:
     def test_restart_without_grants_recovers_instantly(self):
-        async def scenario():
-            hub, store, server, clients = await make_world(term=0.5)
+        async def scenario(cluster):
+            server = cluster.server
             server.restart()
             assert server.engine.config.recovery_delay == 0.0
             assert not server.engine.recovering
-            datum = store.file_datum("/doc")
-            version = await asyncio.wait_for(clients[0].write(datum, b"v2"), 1.0)
+            datum = cluster.store.file_datum("/doc")
+            version = await asyncio.wait_for(cluster.client(0).write(datum, b"v2"), 1.0)
             assert version == 2
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(scenario, term=0.5)
 
     def test_restart_carries_max_term_into_recovery_delay(self):
-        async def scenario():
-            hub, store, server, clients = await make_world(term=0.4)
-            datum = store.file_datum("/doc")
-            await clients[0].read(datum)  # grants a 0.4 s lease
+        async def scenario(cluster):
+            server, datum = cluster.server, cluster.store.file_datum("/doc")
+            await cluster.client(0).read(datum)  # grants a 0.4 s lease
             server.restart()
             assert server.engine.config.recovery_delay == 0.4
             assert server.engine.recovering
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(scenario, term=0.4)
 
     def test_write_after_restart_waits_out_precrash_leases(self):
-        async def scenario():
-            hub, store, server, clients = await make_world(term=0.4)
-            datum = store.file_datum("/doc")
-            a, b = clients
+        async def scenario(cluster):
+            server, datum = cluster.server, cluster.store.file_datum("/doc")
+            a, b = cluster.clients
             await a.read(datum)
             server.restart()
             loop = asyncio.get_running_loop()
@@ -87,52 +74,41 @@ class TestServerRestart:
             assert version == 2
             assert elapsed >= 0.3  # held for (most of) the recovery window
             assert not server.engine.recovering
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(scenario, term=0.4)
 
     def test_repeated_restarts_keep_the_largest_bound(self):
-        async def scenario():
-            hub, store, server, clients = await make_world(term=0.4)
-            datum = store.file_datum("/doc")
-            await clients[0].read(datum)
+        async def scenario(cluster):
+            server, datum = cluster.server, cluster.store.file_datum("/doc")
+            await cluster.client(0).read(datum)
             server.restart()  # bound 0.4 from the first incarnation
             server.restart()  # no grants since; the bound must persist
             assert server.engine.config.recovery_delay == 0.4
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(scenario, term=0.4)
 
     def test_configured_recovery_delay_survives_restart(self):
         """The operator's window is a floor: a restart with no grants
         keeps it rather than dropping to the (zero) crash bound."""
 
-        async def scenario():
-            hub = InMemoryHub()
-            server = LeaseServerNode(
-                hub.endpoint("server"),
-                FileStore(),
-                FixedTermPolicy(0.2),
-                config=dataclasses.replace(SERVER_CONFIG, recovery_delay=0.4),
-            )
+        async def scenario(cluster):
+            server = cluster.server
             server.restart()
             assert server.engine.config.recovery_delay == 0.4
             assert server.engine.recovering
-            await server.close()
 
-        asyncio.run(scenario())
+        config = dataclasses.replace(SERVER_CONFIG, recovery_delay=0.4)
+        on_cluster(scenario, term=0.2, server_config=config)
 
     def test_restart_cancels_stale_timers(self):
-        async def scenario():
-            hub, store, server, clients = await make_world(term=0.4)
-            datum = store.file_datum("/doc")
-            await clients[0].read(datum)
+        async def scenario(cluster):
+            server, datum = cluster.server, cluster.store.file_datum("/doc")
+            await cluster.client(0).read(datum)
             before = dict(server._timers)
             server.restart()
             assert all(handle.cancelled() for handle in before.values())
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(scenario, term=0.4)
 
     def test_restart_with_installed_write_in_flight_announces_the_cover_again(self):
         """An installed-file write in flight at the crash withheld its
@@ -143,27 +119,16 @@ class TestServerRestart:
         the cover is never announced again and every read under it is
         deferred for good."""
 
-        async def scenario():
-            hub = InMemoryHub()
-            store = FileStore()
+        installed = InstalledFileManager(announce_period=0.1, term=0.2)
+
+        def setup(store):
             store.namespace.mkdir("/bin")
             record = store.create_file("/bin/cat", b"v1", file_class=FileClass.INSTALLED)
-            datum = DatumId.file(record.file_id)
-            installed = InstalledFileManager(announce_period=0.1, term=0.2)
-            installed.register("cover:/bin", datum)
-            server = LeaseServerNode(
-                hub.endpoint("server"),
-                store,
-                FixedTermPolicy(0.2),
-                config=ServerConfig(epsilon=0.01, announce_period=0.1),
-                installed=installed,
-            )
-            config = dataclasses.replace(CLIENT_CONFIG, write_timeout=0.4)
-            clients = [
-                LeaseClientNode(hub.endpoint(f"c{i}"), "server", config=config)
-                for i in range(2)
-            ]
-            a, b = clients
+            installed.register("cover:/bin", DatumId.file(record.file_id))
+
+        async def scenario(cluster):
+            server, datum = cluster.server, cluster.store.file_datum("/bin/cat")
+            a, b = cluster.clients
             assert await a.read(datum) == (1, b"v1")
             write = asyncio.ensure_future(b.write(datum, b"v2"))
             await asyncio.sleep(0.05)  # the write is waiting out the cover
@@ -176,6 +141,12 @@ class TestServerRestart:
             assert await asyncio.wait_for(write, 3.0) == 2
             await asyncio.sleep(0.15)  # one announce period on
             assert await asyncio.wait_for(a.read(datum), 1.0) == (2, b"v2")
-            await close_world(server, clients)
 
-        asyncio.run(scenario())
+        on_cluster(
+            scenario,
+            term=0.2,
+            server_config=ServerConfig(epsilon=0.01, announce_period=0.1),
+            client_config=dataclasses.replace(CLIENT_CONFIG, write_timeout=0.4),
+            installed=installed,
+            setup_store=setup,
+        )

@@ -12,7 +12,6 @@ from repro.obs.bus import TraceBus
 from repro.obs.events import TRANSPORT_DROP
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
-from repro.runtime import LeaseClientNode, LeaseServerNode
 from repro.runtime.udp import (
     MAX_DATAGRAM,
     UdpClientTransport,
@@ -21,89 +20,61 @@ from repro.runtime.udp import (
     _Endpoint,
 )
 from repro.protocol.messages import WriteRequest
-from repro.storage.store import FileStore
+from repro.topology import Topology
 from repro.types import DatumId
 
-
-def run(coro):
-    return asyncio.run(coro)
+from tests.runtime import create_doc, run_cluster
 
 
-async def start_world(n_clients=2, term=1.0):
-    store = FileStore()
-    store.create_file("/doc", b"v1")
-    server_transport = UdpServerTransport()
-    await server_transport.start()
-    server = LeaseServerNode(
-        server_transport,
-        store,
-        FixedTermPolicy(term),
-        config=ServerConfig(epsilon=0.01, announce_period=0.2, sweep_period=5.0),
+def on_cluster(scenario, clients=2, term=1.0):
+    """Run ``scenario(cluster)`` on one server holding ``/doc`` over UDP."""
+    run_cluster(
+        scenario,
+        Topology(clients=clients),
+        fabric="udp",
+        policy=FixedTermPolicy(term),
+        server_config=ServerConfig(epsilon=0.01, announce_period=0.2, sweep_period=5.0),
+        client_config=ClientConfig(epsilon=0.01, rpc_timeout=0.5, write_timeout=3.0),
+        setup_store=create_doc,
     )
-    clients = []
-    for i in range(n_clients):
-        transport = UdpClientTransport(f"c{i}")
-        await transport.connect(port=server_transport.port)
-        clients.append(
-            LeaseClientNode(
-                transport,
-                "server",
-                config=ClientConfig(epsilon=0.01, rpc_timeout=0.5, write_timeout=3.0),
-            )
-        )
-    return store, server, clients
-
-
-async def stop_world(server, clients):
-    for c in clients:
-        await c.close()
-    await server.close()
-    await asyncio.sleep(0)
 
 
 class TestUdpProtocol:
     def test_read_over_datagrams(self):
-        async def scenario():
-            store, server, clients = await start_world()
-            datum = store.file_datum("/doc")
-            assert await clients[0].read(datum) == (1, b"v1")
-            await stop_world(server, clients)
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            assert await cluster.client(0).read(datum) == (1, b"v1")
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_write_with_approval_callback(self):
         """The server pushes an ApprovalRequest to the reader's learned
         address — server-initiated traffic over UDP."""
 
-        async def scenario():
-            store, server, clients = await start_world(term=5.0)
-            datum = store.file_datum("/doc")
-            a, b = clients
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            a, b = cluster.clients
             await a.read(datum)
             version = await b.write(datum, b"v2")
             assert version == 2
             assert await a.read(datum) == (2, b"v2")
-            await stop_world(server, clients)
 
-        run(scenario())
+        on_cluster(scenario, term=5.0)
 
     def test_cached_reads_need_no_datagrams(self):
-        async def scenario():
-            store, server, clients = await start_world(n_clients=1, term=2.0)
-            datum = store.file_datum("/doc")
-            c = clients[0]
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            c = cluster.client(0)
             await c.read(datum)
             await c.transport.close()  # no socket at all
             assert await asyncio.wait_for(c.read(datum), 0.2) == (1, b"v1")
-            await stop_world(server, clients)
 
-        run(scenario())
+        on_cluster(scenario, clients=1, term=2.0)
 
     def test_vanished_client_delays_writes_one_term(self):
-        async def scenario():
-            store, server, clients = await start_world(term=0.4)
-            datum = store.file_datum("/doc")
-            a, b = clients
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            a, b = cluster.clients
             await a.read(datum)
             await a.close()  # socket gone; approval datagrams vanish
             loop = asyncio.get_running_loop()
@@ -111,9 +82,8 @@ class TestUdpProtocol:
             version = await asyncio.wait_for(b.write(datum, b"v2"), 5.0)
             assert version == 2
             assert loop.time() - start < 1.0
-            await stop_world(server, [b])
 
-        run(scenario())
+        on_cluster(scenario, term=0.4)
 
     def test_oversized_datagram_refused(self):
         with pytest.raises(RuntimeTransportError):
@@ -123,27 +93,25 @@ class TestUdpProtocol:
             )
 
     def test_malformed_datagram_ignored(self):
-        async def scenario():
-            store, server, clients = await start_world()
+        async def scenario(cluster):
             # fire raw garbage straight at the server socket
             loop = asyncio.get_running_loop()
             garbage_transport, _ = await loop.create_datagram_endpoint(
                 asyncio.DatagramProtocol, local_addr=("0.0.0.0", 0)
             )
             garbage_transport.sendto(
-                b"not json at all", ("127.0.0.1", server.transport.port)
+                b"not json at all", ("127.0.0.1", cluster.server.transport.port)
             )
             garbage_transport.sendto(
-                b'{"src": "x"}', ("127.0.0.1", server.transport.port)
+                b'{"src": "x"}', ("127.0.0.1", cluster.server.transport.port)
             )
             await asyncio.sleep(0.05)
             # the server is still alive and serving
-            datum = store.file_datum("/doc")
-            assert await clients[0].read(datum) == (1, b"v1")
+            datum = cluster.store.file_datum("/doc")
+            assert await cluster.client(0).read(datum) == (1, b"v1")
             garbage_transport.close()
-            await stop_world(server, clients)
 
-        run(scenario())
+        on_cluster(scenario)
 
     def test_malformed_datagram_is_an_observable_drop(self):
         async def scenario():
@@ -163,7 +131,7 @@ class TestUdpProtocol:
             garbage_transport.close()
             await transport.close()
 
-        run(scenario())
+        asyncio.run(scenario())
 
     @pytest.mark.parametrize(
         "frame",
@@ -206,11 +174,11 @@ class TestUdpProtocol:
             assert reasons.count("no_peer") == 1
             assert reasons.count("closed") == 2
 
-        run(scenario())
+        asyncio.run(scenario())
 
     def test_a_client_send_to_anyone_but_its_server_is_an_observable_drop(self):
         bus = TraceBus(capacity=None)
         msg = WriteRequest(1, DatumId.file("f"), b"x", 1)
-        run(UdpClientTransport("c0", obs=bus).send("c1", msg))
+        asyncio.run(UdpClientTransport("c0", obs=bus).send("c1", msg))
         drops = bus.events(TRANSPORT_DROP)
         assert [(e["dst"], e["kind"], e["reason"]) for e in drops] == [("c1", msg.kind, "no_route")]
