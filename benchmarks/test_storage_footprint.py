@@ -16,13 +16,11 @@ from repro.types import DatumId
 
 
 def deep_size(table: LeaseTable) -> int:
-    """Approximate bytes held by the table's containers and lease records."""
+    """Approximate bytes held by the table's containers and stored expiries."""
     gc.collect()
     seen = set()
     total = 0
-    stack = [table._by_datum, table._by_holder]
-    for lease in table.iter_leases():
-        stack.append(lease)
+    stack = [table._by_datum, table._min_expiry]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:

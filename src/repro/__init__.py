@@ -85,7 +85,6 @@ from repro.lease import (
     DistanceCompensatingPolicy,
     FixedTermPolicy,
     InfiniteTermPolicy,
-    Lease,
     LeaseSet,
     LeaseTable,
     PerClassPolicy,
@@ -134,7 +133,6 @@ __all__ = [
     # build
     "build_info",
     # core mechanism
-    "Lease",
     "LeaseTable",
     "LeaseSet",
     "INFINITE_TERM",

@@ -61,6 +61,8 @@ class AdaptiveCoverageServerEngine(ServerEngine):
     """
 
     coverage_policy = CoveragePolicy()
+    #: Promotion and demotion read the per-datum statistics.
+    reads_stats = True
 
     def __init__(self, *args, **kwargs):
         if kwargs.get("installed") is None:

@@ -103,7 +103,7 @@ class WriteBackServerEngine(ServerEngine):
         from repro.protocol.messages import ReadReply
 
         version, payload = self.store.read_datum(msg.datum)
-        self._stats_of(msg.datum).record_read(now)
+        self._record_read(msg.datum, now)
         return [
             Send(
                 src,
@@ -186,13 +186,13 @@ class WriteBackServerEngine(ServerEngine):
                 )
             ]
         self._wlease_owner[datum] = src
-        lease = self.table.lease_of(datum, src)
-        if lease is not None and lease.valid(now):
-            lease.renew(now, term)
+        expiry = self.table.expiry_of(datum, src)
+        if expiry is not None and now < expiry:
+            self.table.extend(datum, src, now, term)
         elif not self.table.write_pending(datum):
             self.table.grant(datum, src, now, term)
         version, payload = self.store.read_datum(datum)
-        self._stats_of(datum).record_read(now)
+        self._record_read(datum, now)
         return [
             Send(
                 src,
@@ -215,8 +215,8 @@ class WriteBackServerEngine(ServerEngine):
         recall_id = self._next_recall
         self._next_recall += 1
         self._recalls[datum] = recall_id
-        lease = self.table.lease_of(datum, owner)
-        remaining = lease.remaining(now) if lease is not None else 0.0
+        expiry = self.table.expiry_of(datum, owner)
+        remaining = 0.0 if expiry is None else max(0.0, expiry - now)
         return [
             Send(owner, RecallRequest(datum, recall_id)),
             SetTimer(f"recall:{datum}", remaining),
@@ -251,7 +251,7 @@ class WriteBackServerEngine(ServerEngine):
             effects.append(CancelTimer(f"recall:{datum}"))
         if dirty is not None:
             self.store.commit_file_write(datum, dirty, now)
-            self._stats_of(datum).record_write(now, 1)
+            self._record_write(datum, now, 1)
         effects.extend(self._flush_deferred(datum, now))
         return effects
 
@@ -267,13 +267,12 @@ class WriteBackServerEngine(ServerEngine):
             ]
         self._inflight.add((src, msg.write_seq))
         version = self.store.commit_file_write(msg.datum, msg.content, now)
-        self._stats_of(msg.datum).record_write(now, 1)
+        self._record_write(msg.datum, now, 1)
         self._record_commit(src, msg.write_seq, version, None)
         # flushing demonstrates liveness; extend the lease alongside
-        lease = self.table.lease_of(msg.datum, src)
-        if lease is not None:
+        if self.table.expiry_of(msg.datum, src) is not None:
             term = self.policy.term(msg.datum, src, now, stats=self.stats.get(msg.datum))
-            lease.renew(now, term)
+            self.table.extend(msg.datum, src, now, term)
         return [Send(src, WriteReply(msg.req_id, msg.datum, version=version))]
 
     def _commit_owner_write(

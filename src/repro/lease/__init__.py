@@ -8,9 +8,10 @@ same code runs under the discrete-event simulator and the asyncio runtime.
 
 Modules:
 
-* :mod:`repro.lease.lease` — the :class:`Lease` record and term helpers.
-* :mod:`repro.lease.table` — server-side bookkeeping: grants, extensions,
-  expiry, the per-datum pending-write queue, and the write-starvation guard.
+* :mod:`repro.lease.lease` — term helpers (:data:`INFINITE_TERM`).
+* :mod:`repro.lease.table` — server-side bookkeeping, a lease being one
+  stored expiry: grants, extensions, expiry, the per-datum pending-write
+  queue, and the write-starvation guard.
 * :mod:`repro.lease.holder` — client-side holdings with conservative local
   expiry and batched-extension support.
 * :mod:`repro.lease.policy` — term policies: fixed, zero, infinite,
@@ -23,7 +24,7 @@ Modules:
   delayed update on write and no per-client record.
 """
 
-from repro.lease.lease import INFINITE_TERM, Lease, is_infinite
+from repro.lease.lease import INFINITE_TERM, is_infinite
 from repro.lease.holder import Holding, LeaseSet
 from repro.lease.policy import (
     AdaptiveTermPolicy,
@@ -39,7 +40,6 @@ from repro.lease.table import LeaseTable, PendingWrite
 
 __all__ = [
     "INFINITE_TERM",
-    "Lease",
     "is_infinite",
     "LeaseTable",
     "PendingWrite",

@@ -18,7 +18,7 @@ from typing import Container
 from repro.types import DatumId
 
 
-@dataclass
+@dataclass(slots=True)
 class Holding:
     """The client's record of one lease.
 
@@ -84,7 +84,7 @@ class LeaseSet:
         """Record a granted or extended lease.
 
         Extension never moves expiry backward: a shorter re-grant keeps the
-        longer previously promised validity (mirrors ``Lease.renew``), and
+        longer previously promised validity (mirrors ``LeaseTable.grant``), and
         with it the later renew point.
 
         Args:

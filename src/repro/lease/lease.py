@@ -1,11 +1,12 @@
-"""The lease record."""
+"""Lease terms.
+
+The server stores a lease as its expiry alone (:class:`repro.lease.table.LeaseTable`);
+what is left to say about one is how long it runs.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from repro.types import DatumId, HostId
 
 #: Sentinel term for an infinite lease (the later-Andrew callback scheme,
 #: §6).  Infinite leases never expire; a write can only proceed once every
@@ -17,56 +18,3 @@ INFINITE_TERM = math.inf
 def is_infinite(term: float) -> bool:
     """True when ``term`` denotes an infinite lease."""
     return math.isinf(term)
-
-
-@dataclass
-class Lease:
-    """The server's record of one granted lease.
-
-    Attributes:
-        datum: the covered datum (file contents or directory metadata).
-        holder: the client holding the lease.
-        granted_at: server-clock time of the most recent grant/extension.
-        term: duration of the most recent grant in seconds (may be inf).
-        expires_at: server-clock time after which the lease is void.
-    """
-
-    datum: DatumId
-    holder: HostId
-    granted_at: float
-    term: float
-    expires_at: float
-
-    @classmethod
-    def granted(cls, datum: DatumId, holder: HostId, now: float, term: float) -> "Lease":
-        """Build a lease granted at ``now`` for ``term`` seconds."""
-        if term < 0:
-            raise ValueError(f"negative lease term: {term}")
-        return cls(
-            datum=datum,
-            holder=holder,
-            granted_at=now,
-            term=term,
-            expires_at=now + term,
-        )
-
-    def valid(self, now: float) -> bool:
-        """True while the server must honor this lease."""
-        return now < self.expires_at
-
-    def renew(self, now: float, term: float) -> None:
-        """Extend the lease from ``now`` for ``term`` seconds.
-
-        Extension never shortens a lease: a holder that was promised
-        validity through ``expires_at`` keeps that promise even if the
-        policy now assigns a shorter term.
-        """
-        if term < 0:
-            raise ValueError(f"negative lease term: {term}")
-        self.granted_at = now
-        self.term = term
-        self.expires_at = max(self.expires_at, now + term)
-
-    def remaining(self, now: float) -> float:
-        """Seconds of validity left (zero when expired)."""
-        return max(0.0, self.expires_at - now)

@@ -54,6 +54,18 @@ class TermPolicy(Protocol):
         ...
 
 
+def reads_stats(policy: TermPolicy) -> bool:
+    """True when ``policy.term`` may look at its ``stats`` argument.
+
+    A server keeps per-datum statistics only for a policy (or an engine
+    class) that reads them.  A policy states it with a ``reads_stats``
+    attribute; one that does not is assumed to read them, since keeping
+    statistics nobody reads costs memory, while withholding them from a
+    policy that reads them would change its terms.
+    """
+    return getattr(policy, "reads_stats", True)
+
+
 def longest_finite_term(policy: TermPolicy) -> float:
     """``policy.longest_term()``, required to exist and be finite.
 
@@ -72,6 +84,8 @@ def longest_finite_term(policy: TermPolicy) -> float:
 
 class FixedTermPolicy:
     """Always grant the same term."""
+
+    reads_stats = False
 
     def __init__(self, seconds: float):
         if seconds < 0:
@@ -119,6 +133,11 @@ class PerClassPolicy:
         self.default = default
         self.by_class = dict(by_class or {})
 
+    @property
+    def reads_stats(self) -> bool:
+        """True when any sub-policy reads statistics."""
+        return any(reads_stats(p) for p in (self.default, *self.by_class.values()))
+
     def term(self, datum, client, now, stats=None, file_class=FileClass.NORMAL) -> float:
         """Delegate to the sub-policy for the file's class."""
         policy = self.by_class.get(file_class, self.default)
@@ -150,6 +169,11 @@ class DistanceCompensatingPolicy:
         self.inner = inner
         self.overhead_of = overhead_of
         self.epsilon = epsilon
+
+    @property
+    def reads_stats(self) -> bool:
+        """True when the inner policy reads statistics."""
+        return reads_stats(self.inner)
 
     def term(self, datum, client, now, stats=None, file_class=FileClass.NORMAL) -> float:
         """The inner policy's term, padded for this client's distance."""
@@ -185,6 +209,8 @@ class AdaptiveTermPolicy:
 
     Datums with no statistics yet get ``default_term``.
     """
+
+    reads_stats = True
 
     def __init__(
         self,

@@ -23,6 +23,8 @@ class RateEstimator:
     "observed file access characteristics" at a useful granularity.
     """
 
+    __slots__ = ("tau", "_weight", "_last")
+
     def __init__(self, tau: float = 60.0):
         if tau <= 0:
             raise ValueError(f"tau must be positive: {tau}")
@@ -53,7 +55,7 @@ class RateEstimator:
         self._last = now
 
 
-@dataclass
+@dataclass(slots=True)
 class DatumStats:
     """Observed access characteristics of one datum.
 

@@ -10,8 +10,10 @@ which writes are waiting.  It enforces the paper's two server-side rules:
 
 The table is pure bookkeeping: it never does I/O and takes an explicit
 ``now`` everywhere, so the protocol engines can drive it from simulated or
-real time.  Storage cost matches the paper's observation: a couple of
-references per lease, indexed both by datum and by holder.
+real time.  Storage cost matches the paper's observation ("each lease
+requires only a couple of pointers", §2): a lease is one entry of its
+datum's ``holder -> expiry`` dict, the expiry a float on the server's
+clock.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.errors import LeaseDeniedError
-from repro.lease.lease import Lease
 from repro.obs.bus import NULL_BUS
 from repro.obs.events import LEASE_EXPIRE, LEASE_GRANT, LEASE_RELEASE, LEASE_RENEW
 from repro.types import DatumId, HostId
@@ -42,8 +43,9 @@ class PendingWrite:
         write_id: server-assigned id used to match approval replies.
         awaiting: holders whose approval is still outstanding.
         expiries: each awaited holder's lease expiry as of ``begin_write``
-            (no lease can be renewed while the write is pending — the
-            starvation guard — so these stay accurate).
+            (:meth:`LeaseTable.grant` renews no lease while the write is
+            pending — the starvation guard — so these stay accurate;
+            :meth:`LeaseTable.extend` is the one exception).
         not_before: a server-clock time no approval can pull the deadline
             below: the last announced expiry of an installed cover, or the
             demotion barrier of a datum that just left one (nobody can be
@@ -92,8 +94,8 @@ class LeaseTable:
                 ``lease.*`` lifecycle events.
             owner: host id stamped on emitted events (the owning server).
         """
-        self._by_datum: dict[DatumId, dict[HostId, Lease]] = {}
-        self._by_holder: dict[HostId, set[DatumId]] = {}
+        #: datum -> holder -> server-clock expiry: the whole lease.
+        self._by_datum: dict[DatumId, dict[HostId, float]] = {}
         self._pending: dict[DatumId, deque[PendingWrite]] = {}
         #: Earliest expiry among each datum's leases, maintained lazily so
         #: :meth:`_prune` can skip its holder scan while nothing can have
@@ -111,8 +113,12 @@ class LeaseTable:
 
     # -- grants -------------------------------------------------------------
 
-    def grant(self, datum: DatumId, holder: HostId, now: float, term: float) -> Lease:
+    def grant(self, datum: DatumId, holder: HostId, now: float, term: float) -> None:
         """Grant or extend a lease on ``datum`` to ``holder``.
+
+        Extension never shortens a lease: a holder promised validity
+        through its expiry keeps that promise even if the policy now
+        assigns a shorter term.
 
         Raises:
             LeaseDeniedError: when a write is pending on the datum (the
@@ -128,25 +134,17 @@ class LeaseTable:
         holders = by_datum.get(datum)
         if holders is None:
             holders = by_datum[datum] = {}
-        lease = holders.get(holder)
-        renewal = lease is not None and now < lease.expires_at
+        expiry = holders.get(holder)
+        expires = now + term
+        renewal = expiry is not None and now < expiry
         if renewal:
-            # Lease.renew, inlined (extension never shortens a lease).
-            lease.granted_at = now
-            lease.term = term
-            expires = now + term
-            if expires > lease.expires_at:
-                lease.expires_at = expires
+            if expires > expiry:
+                holders[holder] = expires
         else:
-            lease = Lease.granted(datum, holder, now, term)
-            holders[holder] = lease
+            holders[holder] = expires
             min_expiry = self._min_expiry.get(datum)
-            if min_expiry is None or lease.expires_at < min_expiry:
-                self._min_expiry[datum] = lease.expires_at
-        held = self._by_holder.get(holder)
-        if held is None:
-            held = self._by_holder[holder] = set()
-        held.add(datum)
+            if min_expiry is None or expires < min_expiry:
+                self._min_expiry[datum] = expires
         if term > self.max_term_granted:
             self.max_term_granted = term
         if self.obs.active:
@@ -154,7 +152,26 @@ class LeaseTable:
                 LEASE_RENEW if renewal else LEASE_GRANT, now, self.owner,
                 datum=str(datum), holder=holder, term=term,
             )
-        return lease
+
+    def extend(self, datum: DatumId, holder: HostId, now: float, term: float) -> None:
+        """Extend ``holder``'s recorded lease on ``datum`` past the
+        starvation guard: its expiry becomes ``now + term`` unless that
+        is earlier (a record that has expired but not been pruned
+        revives).
+
+        The write-back extension renews its exclusive write lease this
+        way; :meth:`grant` is the way for everyone else.  Raises
+        ``KeyError`` when there is no record.
+        """
+        if term < 0:
+            raise ValueError(f"negative lease term: {term}")
+        holders = self._by_datum[datum]
+        expires = now + term
+        if expires > holders[holder]:
+            # Only ever raised, so the min-expiry cache stays stale-low.
+            holders[holder] = expires
+        if term > self.max_term_granted:
+            self.max_term_granted = term
 
     def release(self, datum: DatumId, holder: HostId, now: float = 0.0) -> None:
         """Relinquish a lease voluntarily (client option, §4).
@@ -172,44 +189,32 @@ class LeaseTable:
                 self.obs.emit(
                     LEASE_RELEASE, now, self.owner, datum=str(datum), holder=holder
                 )
-        held = self._by_holder.get(holder)
-        if held:
-            held.discard(datum)
-            if not held:
-                del self._by_holder[holder]
         self._on_holder_gone(datum, holder)
-
-    def release_holder(self, holder: HostId, now: float = 0.0) -> None:
-        """Drop every lease held by ``holder`` (e.g. observed client death)."""
-        for datum in list(self._by_holder.get(holder, ())):
-            self.release(datum, holder, now)
 
     # -- queries ------------------------------------------------------------
 
-    def lease_of(self, datum: DatumId, holder: HostId) -> Lease | None:
-        """The lease record, valid or not, or None if never granted."""
-        return self._by_datum.get(datum, {}).get(holder)
+    def expiry_of(self, datum: DatumId, holder: HostId) -> float | None:
+        """The recorded expiry, passed or not, or None if never granted."""
+        holders = self._by_datum.get(datum)
+        return None if holders is None else holders.get(holder)
 
     def live_holders(self, datum: DatumId, now: float) -> set[HostId]:
         """Clients whose leases on ``datum`` are still valid at ``now``."""
         return {
             holder
-            for holder, lease in self._by_datum.get(datum, {}).items()
-            if now < lease.expires_at
+            for holder, expiry in self._by_datum.get(datum, {}).items()
+            if now < expiry
         }
-
-    def holdings(self, holder: HostId) -> set[DatumId]:
-        """Datums on which ``holder`` has a (possibly expired) lease."""
-        return set(self._by_holder.get(holder, ()))
 
     def lease_count(self) -> int:
         """Total lease records currently stored (storage-cost metric, §2)."""
         return sum(len(holders) for holders in self._by_datum.values())
 
-    def iter_leases(self) -> Iterator[Lease]:
-        """Iterate over every stored lease record."""
-        for holders in self._by_datum.values():
-            yield from holders.values()
+    def iter_leases(self) -> Iterator[tuple[DatumId, HostId, float]]:
+        """Every stored lease as ``(datum, holder, expiry)``."""
+        for datum, holders in self._by_datum.items():
+            for holder, expiry in holders.items():
+                yield datum, holder, expiry
 
     # -- writes ----------------------------------------------------------------
 
@@ -234,9 +239,8 @@ class LeaseTable:
         """
         self._prune(datum, now)
         awaiting = self.live_holders(datum, now) - {writer}
-        expiries = {
-            holder: self._by_datum[datum][holder].expires_at for holder in awaiting
-        }
+        holders = self._by_datum.get(datum, {})
+        expiries = {holder: holders[holder] for holder in awaiting}
         write = PendingWrite(
             datum=datum,
             writer=writer,
@@ -307,7 +311,6 @@ class LeaseTable:
         """
         bound = self.max_term_granted
         self._by_datum.clear()
-        self._by_holder.clear()
         self._pending.clear()
         self._min_expiry.clear()
         self.max_term_granted = 0.0
@@ -322,7 +325,7 @@ class LeaseTable:
         holders = self._by_datum.get(datum)
         if not holders:
             return 0
-        dead = [h for h, lease in holders.items() if now >= lease.expires_at]
+        dead = [h for h, expiry in holders.items() if now >= expiry]
         obs = self.obs
         for holder in dead:
             del holders[holder]
@@ -330,18 +333,11 @@ class LeaseTable:
                 obs.emit(
                     LEASE_EXPIRE, now, self.owner, datum=str(datum), holder=holder
                 )
-            held = self._by_holder.get(holder)
-            if held:
-                held.discard(datum)
-                if not held:
-                    del self._by_holder[holder]
         if not holders:
             del self._by_datum[datum]
             self._min_expiry.pop(datum, None)
         else:
-            self._min_expiry[datum] = min(
-                lease.expires_at for lease in holders.values()
-            )
+            self._min_expiry[datum] = min(holders.values())
         return len(dead)
 
     def _on_holder_gone(self, datum: DatumId, holder: HostId) -> None:

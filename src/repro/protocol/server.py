@@ -35,7 +35,7 @@ from math import inf
 from typing import Callable
 from repro.errors import ReproError
 from repro.lease.installed import InstalledFileManager
-from repro.lease.policy import TermPolicy
+from repro.lease.policy import TermPolicy, reads_stats
 from repro.lease.stats import DatumStats
 from repro.lease.table import LeaseTable, PendingWrite
 from repro.obs.bus import NULL_BUS
@@ -171,7 +171,16 @@ class _Gate:
 
 
 class ServerEngine:
-    """The file server's protocol state machine."""
+    """The file server's protocol state machine.
+
+    Per-datum access statistics (:class:`DatumStats`) are kept only when
+    something reads them: the term policy (:func:`reads_stats`) or the
+    engine class, through ``reads_stats``.  Otherwise ``stats`` stays
+    empty and recording one costs a flag test.
+    """
+
+    #: True for an engine class that reads ``stats`` itself.
+    reads_stats = False
 
     def __init__(
         self,
@@ -193,6 +202,7 @@ class ServerEngine:
         self.obs = obs or NULL_BUS
         self.table = LeaseTable(obs=self.obs, owner=name)
         self.stats: dict[DatumId, DatumStats] = {}
+        self._keeps_stats = self.reads_stats or reads_stats(policy)
         self.known_clients: set[HostId] = set()
         self._recovering_until = now + self.config.recovery_delay
         #: Last authoritative answer to "is the recovery window open?";
@@ -385,7 +395,7 @@ class ServerEngine:
                 )
             return []
         version, payload = self.store.read_datum(datum)
-        self._stats_of(datum).record_read(now)
+        self._record_read(datum, now)
         term, cover = self._grant(datum, src, now)
         return [
             Send(
@@ -415,7 +425,7 @@ class ServerEngine:
             # Extensions are the server's only ongoing visibility into a
             # leased datum's popularity; count them as read activity for
             # the adaptive policies (§4, §7).
-            self._stats_of(datum).record_read(now)
+            self._record_read(datum, now)
             version, payload = self.store.read_datum(datum)
             changed = cached_version != version
             grants.append(
@@ -503,7 +513,7 @@ class ServerEngine:
                 WRITE_COMMIT, now, self.name,
                 datum=str(msg.datum), writer=gate.src, version=version,
             )
-        self._stats_of(msg.datum).record_write(now, gate.sharing)
+        self._record_write(msg.datum, now, gate.sharing)
         self._record_commit(gate.src, msg.write_seq, version, None)
         return [Send(gate.src, WriteReply(msg.req_id, msg.datum, version=version))]
 
@@ -749,7 +759,7 @@ class ServerEngine:
             error = f"{type(exc).__name__}: {exc}"
         for pending in gate.pendings:
             datum = pending.datum
-            self._stats_of(datum).record_write(now, len(pending.awaiting) + 1)
+            self._record_write(datum, now, len(pending.awaiting) + 1)
             if self.obs.active:
                 self.obs.emit(
                     WRITE_COMMIT, now, self.name,
@@ -826,6 +836,14 @@ class ServerEngine:
             self.stats[datum] = stats
         return stats
 
+    def _record_read(self, datum: DatumId, now: float) -> None:
+        if self._keeps_stats:
+            self._stats_of(datum).record_read(now)
+
+    def _record_write(self, datum: DatumId, now: float, holders: int) -> None:
+        if self._keeps_stats:
+            self._stats_of(datum).record_write(now, holders)
+
     def _class_of(self, datum: DatumId) -> FileClass:
         if datum.kind is DatumKind.FILE:
             return self.store.file(datum.ident).file_class
@@ -843,6 +861,8 @@ class ServerEngine:
         The paper's storage argument (§2: "around one kilobyte per
         client") is observable here: ``lease_records`` stays small under
         short terms because expired records are reclaimed.
+        ``tracked_datums`` counts the datums with access statistics; it
+        is 0 on a server that keeps none (see the class docstring).
         """
         deferred = sum(len(waiting) for waiting in self._deferred.values())
         waiting = {id(gate) for gate in (*self._gates.values(), *self._ns_queue)}

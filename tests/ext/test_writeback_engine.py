@@ -139,6 +139,67 @@ class TestServerEngine:
         assert store.file_at("/f").version == 1  # nothing committed
 
 
+class SettableTerm:
+    """A policy whose term the test changes between requests."""
+
+    reads_stats = False
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def term(self, datum, client, now, stats=None, file_class=None):
+        return self.seconds
+
+    def longest_term(self):
+        return self.seconds
+
+
+def renew_by_request(engine, datum, now):
+    (reply,) = sends(engine.handle_message(WriteLeaseRequest(9, datum), "c0", now), WriteLeaseReply)
+    assert reply.message.error is None
+
+
+def renew_by_flush(engine, datum, now):
+    flush = FlushRequest(9, datum, b"flushed", write_seq=1)
+    (reply,) = sends(engine.handle_message(flush, "c0", now), WriteReply)
+    assert reply.message.error is None
+
+
+RENEWALS = [
+    pytest.param(renew_by_request, id="write-lease-request"),
+    pytest.param(renew_by_flush, id="flush"),
+]
+
+
+class TestRenewal:
+    """The owner's write lease is renewed by re-requesting it and by
+    every flush; both go through ``LeaseTable.extend``."""
+
+    @pytest.mark.parametrize("renew", RENEWALS)
+    def test_renewal_extends_the_stored_expiry(self, renew):
+        engine, _, datum = make_server(term=10.0)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        assert engine.table.expiry_of(datum, "c0") == 10.0
+        renew(engine, datum, 4.0)
+        assert engine.table.expiry_of(datum, "c0") == 14.0
+        assert engine.table.live_holders(datum, 12.0) == {"c0"}
+
+    @pytest.mark.parametrize("renew", RENEWALS)
+    def test_a_longer_renewal_raises_the_crash_bound(self, renew):
+        """§2's crash rule: the restarted server must wait out the
+        longest lease it may have granted, renewals included."""
+        store = FileStore()
+        store.create_file("/f", b"v1")
+        datum = store.file_datum("/f")
+        policy = SettableTerm(10.0)
+        engine = WriteBackServerEngine("server", store, policy)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        policy.seconds = 50.0
+        renew(engine, datum, 1.0)
+        assert engine.table.expiry_of(datum, "c0") == 51.0
+        assert engine.crash() >= 50.0
+
+
 class TestAcquisitionGate:
     """Acquiring a write lease over read leases is the server's one write
     gate with a grant for an ending (``repro.protocol.server._Gate``):

@@ -1,74 +1,79 @@
-"""Tests for the Lease record."""
+"""Tests for one lease: the expiry the server's table stores for it."""
 
 import math
 
 import pytest
 
-from repro.lease import INFINITE_TERM, Lease, is_infinite
+from repro.lease import INFINITE_TERM, LeaseTable, is_infinite
 from repro.types import DatumId
 
 F = DatumId.file("f1")
 
 
+def granted(now: float, term: float) -> LeaseTable:
+    table = LeaseTable()
+    table.grant(F, "c0", now=now, term=term)
+    return table
+
+
+def valid(table: LeaseTable, now: float) -> bool:
+    return table.live_holders(F, now) == {"c0"}
+
+
 class TestGrant:
     def test_granted_sets_expiry(self):
-        lease = Lease.granted(F, "c0", now=100.0, term=10.0)
-        assert lease.expires_at == 110.0
-        assert lease.granted_at == 100.0
-        assert lease.term == 10.0
+        table = granted(now=100.0, term=10.0)
+        assert table.expiry_of(F, "c0") == 110.0
+        assert table.max_term_granted == 10.0
 
     def test_valid_within_term(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=10.0)
-        assert lease.valid(5.0)
+        assert valid(granted(now=0.0, term=10.0), 5.0)
 
     def test_invalid_at_expiry_instant(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=10.0)
-        assert not lease.valid(10.0)
+        assert not valid(granted(now=0.0, term=10.0), 10.0)
 
     def test_zero_term_never_valid(self):
-        lease = Lease.granted(F, "c0", now=5.0, term=0.0)
-        assert not lease.valid(5.0)
+        assert not valid(granted(now=5.0, term=0.0), 5.0)
 
     def test_infinite_term_always_valid(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=INFINITE_TERM)
-        assert lease.valid(1e12)
-        assert math.isinf(lease.expires_at)
+        table = granted(now=0.0, term=INFINITE_TERM)
+        assert valid(table, 1e12)
+        assert math.isinf(table.expiry_of(F, "c0"))
 
     def test_negative_term_rejected(self):
         with pytest.raises(ValueError):
-            Lease.granted(F, "c0", now=0.0, term=-1.0)
+            granted(now=0.0, term=-1.0)
 
 
 class TestRenew:
     def test_renew_extends_expiry(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=10.0)
-        lease.renew(now=8.0, term=10.0)
-        assert lease.expires_at == 18.0
+        table = granted(now=0.0, term=10.0)
+        table.extend(F, "c0", now=8.0, term=10.0)
+        assert table.expiry_of(F, "c0") == 18.0
 
     def test_renew_never_shortens(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=100.0)
-        lease.renew(now=1.0, term=5.0)
-        assert lease.expires_at == 100.0
+        table = granted(now=0.0, term=100.0)
+        table.extend(F, "c0", now=1.0, term=5.0)
+        assert table.expiry_of(F, "c0") == 100.0
 
     def test_renew_after_expiry_revives(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=1.0)
-        lease.renew(now=50.0, term=10.0)
-        assert lease.valid(55.0)
+        table = granted(now=0.0, term=1.0)
+        table.extend(F, "c0", now=50.0, term=10.0)
+        assert valid(table, 55.0)
 
     def test_renew_rejects_negative(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=1.0)
+        table = granted(now=0.0, term=1.0)
         with pytest.raises(ValueError):
-            lease.renew(now=0.5, term=-2.0)
+            table.extend(F, "c0", now=0.5, term=-2.0)
 
+    def test_renew_raises_the_crash_bound(self):
+        table = granted(now=0.0, term=10.0)
+        table.extend(F, "c0", now=1.0, term=50.0)
+        assert table.max_term_granted == 50.0
 
-class TestRemaining:
-    def test_remaining_counts_down(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=10.0)
-        assert lease.remaining(4.0) == pytest.approx(6.0)
-
-    def test_remaining_clamps_at_zero(self):
-        lease = Lease.granted(F, "c0", now=0.0, term=10.0)
-        assert lease.remaining(99.0) == 0.0
+    def test_renew_needs_a_record(self):
+        with pytest.raises(KeyError):
+            LeaseTable().extend(F, "c0", now=0.0, term=1.0)
 
 
 class TestIsInfinite:

@@ -14,7 +14,7 @@ from repro.lease import (
     PerClassPolicy,
     ZeroTermPolicy,
 )
-from repro.lease.policy import longest_finite_term
+from repro.lease.policy import longest_finite_term, reads_stats
 from repro.types import DatumId, FileClass
 
 F = DatumId.file("f1")
@@ -184,3 +184,33 @@ class TestLongestTerm:
 
         with pytest.raises(ValueError, match="longest_term"):
             longest_finite_term(Weird())
+
+
+class TestReadsStats:
+    """A server keeps per-datum statistics only for a policy that reads
+    them (``ServerEngine`` asks :func:`reads_stats`)."""
+
+    def test_the_adaptive_policy_and_wrappers_around_it_read_them(self):
+        adaptive = AdaptiveTermPolicy(v_params())
+        assert reads_stats(adaptive)
+        assert reads_stats(
+            PerClassPolicy(FixedTermPolicy(5), {FileClass.TEMPORARY: adaptive})
+        )
+        assert reads_stats(DistanceCompensatingPolicy(adaptive, {}, epsilon=0.1))
+
+    def test_fixed_terms_and_wrappers_around_them_do_not(self):
+        for policy in (
+            FixedTermPolicy(5),
+            ZeroTermPolicy(),
+            InfiniteTermPolicy(),
+            PerClassPolicy(FixedTermPolicy(5), {FileClass.INSTALLED: InfiniteTermPolicy()}),
+            DistanceCompensatingPolicy(FixedTermPolicy(5), {}, epsilon=0.1),
+        ):
+            assert not reads_stats(policy), policy
+
+    def test_a_policy_that_does_not_say_is_assumed_to(self):
+        class Opaque:
+            def term(self, *args, **kwargs):
+                return 3.0
+
+        assert reads_stats(Opaque())

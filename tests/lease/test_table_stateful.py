@@ -7,7 +7,7 @@ invariants after every step:
 * a write is ready iff every *other* live holder approved or expired and
   its ``not_before`` floor has passed;
 * no new lease is granted while a write is pending (starvation guard);
-* the holder index and the datum index never disagree.
+* every stored expiry is the model's expiry for that (datum, holder).
 """
 
 import math
@@ -133,9 +133,12 @@ class LeaseTableMachine(RuleBasedStateMachine):
             assert head["pending"].deadline >= head["floor"]
 
     @invariant()
-    def indexes_agree(self):
-        for lease in self.table.iter_leases():
-            assert lease.datum in self.table.holdings(lease.holder)
+    def stored_expiries_match_model(self):
+        """Pruning may drop an expired record early, but whatever the
+        table stores is exactly what the model says the lease runs to."""
+        for datum, holder, expiry in self.table.iter_leases():
+            assert expiry == self.model[(datum, holder)]
+            assert self.table.expiry_of(datum, holder) == expiry
 
 
 TestLeaseTableMachine = LeaseTableMachine.TestCase

@@ -24,7 +24,8 @@ from repro.baselines.ttl import TtlServerEngine
 from repro.ext.coverage import AdaptiveCoverageServerEngine
 from repro.ext.writeback import WriteBackClientEngine, WriteBackServerEngine
 from repro.lease.installed import InstalledFileManager
-from repro.lease.policy import FixedTermPolicy
+from repro.analytic import v_params
+from repro.lease.policy import AdaptiveTermPolicy, FixedTermPolicy
 from repro.protocol.client import REBOOT_ID_STEP, ClientEngine
 from repro.protocol.effects import Send
 from repro.protocol.messages import (
@@ -80,7 +81,7 @@ def _server_empty(engine) -> bool:
         or engine._recovery_queue
         or engine._write_dedup
         or engine._inflight
-        or engine.stats
+        or engine.stats  # kept only where read: the coverage server here
         or engine.known_clients
     )
 
@@ -308,3 +309,16 @@ def test_configured_recovery_delay_outlasts_a_shorter_crash_bound():
     engine.handle_message(ReadRequest(1, _doc(engine)), "c0", 0.0)  # a 1 s lease
     assert engine.table.max_term_granted == 1.0
     assert recovery_delay(engine.reboot(1.0)) == 4.0
+
+
+def test_statistics_start_empty_at_every_reboot():
+    """A server whose policy reads statistics keeps them, and each
+    incarnation starts with none."""
+    engine = ServerEngine("server", _store(), AdaptiveTermPolicy(v_params()))
+    engine.handle_message(ReadRequest(1, _doc(engine)), "c0", 0.0)
+    assert set(engine.stats) == {_doc(engine)}
+    first = engine.reboot(1.0)
+    assert not first.stats
+    first.handle_message(ReadRequest(1, _doc(first)), "c0", 2.0)
+    assert set(first.stats) == {_doc(first)}
+    assert not first.reboot(3.0).stats

@@ -1,17 +1,18 @@
 """Tests for the server's operational status snapshot."""
 
 
-from repro.lease.policy import FixedTermPolicy
+from repro.analytic import v_params
+from repro.lease.policy import AdaptiveTermPolicy, FixedTermPolicy
 from repro.protocol.messages import ReadRequest, WriteRequest
 from repro.protocol.server import ServerConfig, ServerEngine
 from repro.storage.store import FileStore
 
 
-def make_engine(**config):
+def make_engine(policy=None, **config):
     store = FileStore()
     store.create_file("/f", b"v1")
     engine = ServerEngine(
-        "server", store, FixedTermPolicy(10.0), config=ServerConfig(**config)
+        "server", store, policy or FixedTermPolicy(10.0), config=ServerConfig(**config)
     )
     return engine, store
 
@@ -35,7 +36,15 @@ class TestStatus:
         status = engine.status(1.0)
         assert status["known_clients"] == 2
         assert status["lease_records"] == 2
-        assert status["tracked_datums"] == 1
+        # A fixed term reads no statistics, so none are kept.
+        assert status["tracked_datums"] == 0
+
+    def test_tracked_datums_under_a_policy_that_reads_them(self):
+        engine, store = make_engine(AdaptiveTermPolicy(v_params()))
+        datum = store.file_datum("/f")
+        engine.handle_message(ReadRequest(1, datum), "c0", 0.0)
+        engine.handle_message(ReadRequest(2, datum), "c1", 0.0)
+        assert engine.status(1.0)["tracked_datums"] == 1
 
     def test_pending_and_deferred_visible(self):
         engine, store = make_engine()
