@@ -49,7 +49,7 @@ from repro.obs.events import (
     WRITE_COMMIT,
     WRITE_DEFER,
 )
-from repro.protocol.effects import Broadcast, Effect, Send, SetTimer
+from repro.protocol.effects import Broadcast, CancelTimer, Effect, Send, SetTimer
 from repro.protocol.messages import (
     ApprovalReply,
     ApprovalRequest,
@@ -119,7 +119,8 @@ class _Gate:
 
     **One timer.**  A gate owns the timer ``write:<id of its first
     pending write>`` and nothing else does.  ``armed`` is the deadline that
-    timer is set for, ``None`` when it has fired or was never set.
+    timer is set for, ``None`` when it has fired, was never set or was
+    cancelled.
 
     **One re-arm rule.**  Every look at a waiting gate — its timer firing,
     an approval, a relinquish, reaching the head of its queue — goes
@@ -133,10 +134,11 @@ class _Gate:
     release, and no lease on the datum can be granted or renewed while
     the gate is in the table (the starvation guard).  (2) ``not_before``
     — the leases the table has no record of — is never lowered, so no
-    approval pulls the deadline below it.  (3) A gate that proceeded is
-    out of the dict, so a timer that fires late finds nothing and does
-    nothing; one that fires early finds the deadline still ahead and is
-    re-armed for the remainder.
+    approval pulls the deadline below it.  (3) The timer ends with the
+    wait: a gate that proceeds while ``armed`` cancels it, so no timer
+    outlives its gate.  A firing that still finds no gate (a driver kept
+    it across a crash) does nothing; one that fires early finds the
+    deadline still ahead and is re-armed for the remainder.
     """
 
     src: HostId
@@ -375,7 +377,7 @@ class ServerEngine:
         if key.startswith("write:"):
             gate = self._gates.get(int(key.split(":", 1)[1]))
             if gate is None:
-                return []  # proceeded already: a late timer is a no-op
+                return []  # no such gate: kept across a crash
             gate.armed = None  # spent
             return self._look(gate, now)
         raise ReproError(f"server got unexpected timer {key!r}")
@@ -607,10 +609,15 @@ class ServerEngine:
     def _proceed(
         self, gate: _Gate, now: float, rejected: list[Effect] | None = None
     ) -> list[Effect]:
-        """The wait is over: take the gate out of the dict, the lease
-        table, its cover and the namespace queue; run its ending (unless
-        it was ``rejected`` at activation); let what queued behind it go."""
+        """The wait is over: cancel its timer; take the gate out of the
+        dict, the lease table, its cover and the namespace queue; run its
+        ending (unless it was ``rejected`` at activation); let what queued
+        behind it go."""
         namespace = bool(self._ns_queue) and self._ns_queue[0] is gate
+        effects: list[Effect] = []
+        if gate.armed is not None:
+            effects.append(CancelTimer(f"write:{gate.pendings[0].write_id}"))
+            gate.armed = None
         for pending in gate.pendings:
             self.table.finish_write(pending.datum, pending.write_id)
             del self._gates[pending.write_id]
@@ -618,7 +625,7 @@ class ServerEngine:
             self.installed.finish_write(gate.datums[0])
         if namespace:
             self._ns_queue.popleft()
-        effects = gate.ending(gate, now) if rejected is None else rejected
+        effects.extend(gate.ending(gate, now) if rejected is None else rejected)
         for datum in gate.datums:
             effects.extend(self._after_write_drains(datum, now))
         if namespace and self._ns_queue:

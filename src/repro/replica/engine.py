@@ -44,7 +44,7 @@ from repro.obs.events import (
     REPLICA_REDIRECT,
     REPLICA_SERVE,
 )
-from repro.protocol.effects import Effect, Send, SetTimer
+from repro.protocol.effects import CancelTimer, Effect, Send, SetTimer
 from repro.protocol.messages import (
     Message,
     NotMaster,
@@ -262,9 +262,15 @@ class ReplicaEngine:
         self._queue.clear()
         self._believed_master = ""
         self._belief_expiry = 0.0
-        # No CancelTimer fan-out for the dropped inner engine: its timers
-        # carry the old epoch in their key and fire as no-ops.
-        return []
+        # The round, the handoff wait and the validity check end with the
+        # mastership, so their timers go with it.  The dropped inner
+        # engine's timers are not enumerated: they carry the old epoch in
+        # their key and stop in _on_inner_timer.
+        return [
+            CancelTimer("paxos:round"),
+            CancelTimer("handoff"),
+            CancelTimer("master:check"),
+        ]
 
     def _rearm_master_check(self, now: float) -> list[Effect]:
         """(Re-)arm the expiry check for the remaining validity.
@@ -360,7 +366,7 @@ class ReplicaEngine:
             ))
             return effects
         if outcome.kind == ELECTED:
-            return self._on_elected(outcome, now)
+            return [CancelTimer("paxos:round"), *self._on_elected(outcome, now)]
         if outcome.kind == BACKOFF:
             wait = self._stagger()
             if outcome.retry_after > 0.0:
@@ -370,6 +376,7 @@ class ReplicaEngine:
                     outcome.retry_after, 0.0, self.config.drift_bound
                 )
             self._next_attempt_at = now + wait
+            return [CancelTimer("paxos:round")]
         return []
 
     def _on_elected(self, outcome, now: float) -> list[Effect]:
@@ -478,6 +485,8 @@ class ReplicaEngine:
         for effect in effects:
             if isinstance(effect, SetTimer):
                 wrapped.append(SetTimer(prefix + effect.key, effect.delay))
+            elif isinstance(effect, CancelTimer):
+                wrapped.append(CancelTimer(prefix + effect.key))
             else:
                 wrapped.append(effect)
         return wrapped

@@ -13,7 +13,7 @@ from repro.lease.policy import FixedTermPolicy
 from repro.obs.bus import TraceBus
 from repro.obs.events import LOCAL_HIT
 from repro.protocol.client import ClientEngine
-from repro.protocol.effects import Broadcast, Complete, Send, SetTimer
+from repro.protocol.effects import Broadcast, CancelTimer, Complete, Send, SetTimer
 from repro.protocol.messages import (
     ApprovalReply,
     ApprovalRequest,
@@ -253,6 +253,22 @@ class TestAcquisitionGate:
         effects = engine.handle_message(RelinquishRequest((datum,)), "c1", now=5.5)
         assert effects == [SetTimer(timer.key, 4.5)]
         assert sends(engine.handle_timer(timer.key, now=10.0), WriteLeaseReply)
+
+    def test_early_approvals_leave_no_armed_timer(self):
+        """The gate's timer ends with its wait: once every reader has
+        approved, the grant cancels ``write:<id>`` instead of leaving it
+        armed until the old deadline a term away."""
+        engine, datum, effects, timer = self.gated(0.0, 4.0)
+        armed = {timer.key}
+        for holder, now in (("c0", 5.1), ("c1", 5.2)):
+            effects = engine.handle_message(ApprovalReply(datum, 1), holder, now=now)
+            for effect in effects:
+                if isinstance(effect, SetTimer):
+                    armed.add(effect.key)
+                elif isinstance(effect, CancelTimer):
+                    armed.discard(effect.key)
+        assert sends(effects, WriteLeaseReply)
+        assert not [key for key in armed if key.startswith("write:")]
 
     def test_write_queued_behind_the_gate_runs_first(self):
         engine, store, datum = make_server(term=10.0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
-from repro.protocol.effects import Broadcast, Send, SetTimer
+from repro.protocol.effects import Broadcast, CancelTimer, Send, SetTimer
 from repro.protocol.messages import (
     ApprovalReply,
     ApprovalRequest,
@@ -247,6 +247,15 @@ class TestWrite:
             SetTimer("write:1", pytest.approx(4.0))
         ]  # c1 is still unanswered: nothing commits before its lease ends
         assert sends(engine.handle_timer("write:1", now=14.0), WriteReply)
+
+    def test_early_commit_cancels_its_timer(self):
+        """The timer ends with the wait: a write every holder approved
+        before its deadline takes its ``write:`` timer with it."""
+        engine, datum = self.shared_write()
+        engine.handle_message(ApprovalReply(datum, 1), "c0", now=5.1)
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c1", now=5.2)
+        assert CancelTimer("write:1") in effects
+        assert sends(effects, WriteReply)
 
     def test_relinquish_rearms_only_when_the_deadline_moved(self):
         engine, datum = self.shared_write()

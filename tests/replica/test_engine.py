@@ -11,8 +11,8 @@ import pytest
 
 from repro.clock.sync import safe_waitout
 from repro.lease.policy import FixedTermPolicy
-from repro.protocol.effects import Send, SetTimer
-from repro.protocol.messages import NotMaster, ReadRequest
+from repro.protocol.effects import CancelTimer, Send, SetTimer
+from repro.protocol.messages import ApprovalReply, NotMaster, ReadRequest, WriteRequest
 from repro.replica.engine import (
     FOLLOWER,
     MASTER,
@@ -156,6 +156,27 @@ class TestClockStepRearm:
         assert any(isinstance(e.message, NotMaster) for e in sends)
 
 
+class TestTimersEndWithTheirWait:
+    def test_resolved_round_cancels_its_timer(self):
+        effects = elect(make_engine(), now=1.0)  # a solo round resolves at once
+        round_effects = [
+            e for e in effects if getattr(e, "key", None) == "paxos:round"
+        ]
+        assert round_effects == [
+            SetTimer("paxos:round", solo_config().round_timeout),
+            CancelTimer("paxos:round"),
+        ]
+
+    def test_depose_cancels_round_handoff_and_check(self):
+        engine = make_engine(history=True)
+        elect(engine, now=1.0)
+        assert engine.state == WAITING
+        effects = engine.handle_timer("master:check", engine.proposer.lease_expiry)
+        assert engine.state == FOLLOWER
+        for key in ("paxos:round", "handoff", "master:check"):
+            assert CancelTimer(key) in effects
+
+
 class TestClientTraffic:
     def test_follower_redirects_with_hint(self):
         engine = make_engine()
@@ -213,6 +234,23 @@ class TestInnerTimers:
         assert engine.state == FOLLOWER
         # A timer from the dead epoch fires harmlessly.
         assert engine.handle_timer("inner:1:sweep", 100.0) == []
+
+    def test_inner_cancel_removes_the_wrapped_timer(self):
+        """A cancel from the inner server names the same epoch-prefixed key
+        its ``SetTimer`` did, so a write approved early takes its timer
+        with it."""
+        engine = make_engine()
+        elect(engine, now=1.0)
+        datum = engine.store.file_datum("/doc")
+        engine.handle_message(ReadRequest(req_id=1, datum=datum), "c0", 1.0)
+        effects = engine.handle_message(
+            WriteRequest(2, datum, b"v2", write_seq=1), "c1", 1.1
+        )
+        (key,) = [k for k in timer_keys(effects) if ":write:" in k]
+        assert key.startswith("inner:1:write:")
+        write_id = int(key.rsplit(":", 1)[1])
+        effects = engine.handle_message(ApprovalReply(datum, write_id), "c0", 1.2)
+        assert CancelTimer(key) in effects
 
     def test_unknown_timer_raises(self):
         engine = make_engine()

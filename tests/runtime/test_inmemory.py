@@ -11,6 +11,8 @@ import pytest
 from repro.errors import ReproError
 from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
+from repro.obs.bus import TraceBus
+from repro.obs.events import APPROVAL_REQUEST
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.runtime import LeaseClientNode
@@ -144,6 +146,27 @@ class TestFaultTolerance:
             await lossy.close()
 
         on_cluster(scenario)
+
+
+class TestTimers:
+    def test_approved_writes_leave_only_the_sweep_timer(self):
+        """Under an hour-long term every write below waits for c0's
+        approval.  The gate's ``write:`` timer ends with that wait, so the
+        server's timers stay at ``sweep`` instead of growing by one per
+        write until the term runs out."""
+        writes = 20
+
+        async def scenario(cluster):
+            datum = cluster.store.file_datum("/doc")
+            a, b = cluster.clients
+            for i in range(writes):
+                await a.read(datum)  # a fresh lease for the next write to ask
+                await b.write(datum, b"w%d" % i)
+            assert cluster.store.file_at("/doc").version == 1 + writes
+            assert len(cluster.obs.events(APPROVAL_REQUEST)) == writes
+            assert list(cluster.server._timers) == ["sweep"]
+
+        on_cluster(scenario, term=3600.0, obs=TraceBus(capacity=None))
 
 
 class TestInstalledFiles:
