@@ -31,7 +31,6 @@ the request that produced the lease.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
@@ -82,10 +81,13 @@ class ClientConfig:
         announce_delay_bound: assumed maximum delivery delay of an
             announce multicast; subtracted from cover-lease terms because
             announcements have no request send-time to anchor on.
-        rpc_timeout: retransmission timeout for reads/extensions.
-        write_timeout: retransmission timeout for writes — generous,
-            because a write is *designed* to wait up to a lease term.
-        max_retries: retransmissions before an operation fails.
+        rpc_timeout: retransmission timeout for reads/extensions; against
+            a replica group, the first wait of every request.
+        write_timeout: retransmission timeout for writes and namespace
+            ops — generous, because a write is *designed* to wait up to a
+            lease term; against a group, the cap of the doubling wait.
+        max_retries: the failure budget, in request timeouts (see
+            :meth:`ClientEngine._on_rpc_timeout`).
         batching: pipeline *all* outbound requests issued within one
             instant into :class:`~repro.protocol.messages.BatchRequest`
             frames (see :mod:`repro.protocol.pipeline`).  Off by default:
@@ -135,7 +137,11 @@ class _ReqCtx:
     message: Message
     sent_local: float
     timeout: float
+    #: The rpc wait armed for the current transmission.
+    delay: float
     retries: int = 0
+    #: Sum of the rpc waits that have fired, in units of ``timeout``.
+    waited: float = 0.0
     #: NotMaster redirects answered with an *immediate* resend since the
     #: last (re)transmission; bounded so a hint loop between confused
     #: replicas degrades to ordinary timeout-paced retries, never a storm.
@@ -455,6 +461,9 @@ class ClientEngine:
             message=msg,
             sent_local=now,
             timeout=timeout,
+            delay=timeout
+            if len(self.servers) <= 1
+            else min(timeout, self.config.rpc_timeout),
             waiters=waiters,
         )
         if op_ids:
@@ -468,10 +477,7 @@ class ClientEngine:
             for datum in waiters:
                 if datum is not None:
                     self._datum_req[datum] = msg.req_id
-        return [
-            *self._outbound(msg),
-            SetTimer(f"rpc:{msg.req_id}", self._retry_delay(timeout)),
-        ]
+        return [*self._outbound(msg), SetTimer(f"rpc:{msg.req_id}", req.delay)]
 
     def _outbound(self, msg: Message) -> list[Effect]:
         """Route one outbound request: direct send, or into the pipeline.
@@ -677,10 +683,7 @@ class ClientEngine:
         if not useful or req.redirects >= self._MAX_REDIRECT_RESENDS:
             return []  # rpc timer will retransmit to the new target
         req.redirects += 1
-        return [
-            *self._outbound(req.message),
-            SetTimer(f"rpc:{msg.req_id}", self._retry_delay(req.timeout)),
-        ]
+        return [*self._outbound(req.message), SetTimer(f"rpc:{msg.req_id}", req.delay)]
 
     def _rotate_server(self) -> None:
         if len(self.servers) <= 1:
@@ -691,44 +694,29 @@ class ClientEngine:
             idx = -1
         self.server = self.servers[(idx + 1) % len(self.servers)]
 
-    def _retry_delay(self, timeout: float) -> float:
-        """Retransmission pacing for one request.
-
-        Against a single server the request's own timeout paces retries —
-        in particular the generous write timeout, because a live server
-        holds a write silently for up to a lease term before replying.
-        Against a replica group silence is ambiguous: the master may be
-        holding our write, or it may be SIGKILLed (and a dead master sends
-        nothing, not even ``NotMaster``).  Probe at the short rpc timeout
-        so failover is found quickly; a duplicate arriving at a master
-        that is still holding the original is absorbed by server-side
-        write dedup.
-        """
-        if len(self.servers) <= 1:
-            return timeout
-        return min(timeout, self.config.rpc_timeout)
-
-    def _retry_budget(self, req: _ReqCtx) -> int:
-        """Retries before the request fails.
-
-        Probing faster (``_retry_delay``) must not shrink the operation's
-        wall-clock failure budget — ``max_retries * timeout`` worth of
-        waiting stays the same, it is just sliced into more, shorter
-        probes (rounded up per slice).
-        """
-        delay = self._retry_delay(req.timeout)
-        if delay >= req.timeout:
-            return self.config.max_retries
-        return self.config.max_retries * math.ceil(req.timeout / delay)
-
     # -- timers ---------------------------------------------------------------------------
 
     def _on_rpc_timeout(self, req_id: int, now: float) -> list[Effect]:
+        """Retransmit, or fail the request.
+
+        Against a single server every wait is the request's timeout: a
+        live server holds a write silently for up to a lease term.
+        Against a replica group silence is ambiguous (a holding master,
+        or a dead one that sends nothing), so transmission *k* waits
+        ``min(timeout, rpc_timeout * 2**k)``: a dead master is found
+        within ``rpc_timeout``, and a holding one is not abandoned every
+        ``rpc_timeout`` for a follower that redirects straight back.  A
+        ``NotMaster`` resend re-arms the current wait; only a firing
+        doubles it.  The request fails on the firing that takes its fired
+        waits past ``max_retries`` timeouts — exactly ``max_retries``
+        retransmissions against a single server.
+        """
         req = self._requests.get(req_id)
         if req is None:
             return []
         req.retries += 1
-        if req.retries > self._retry_budget(req):
+        req.waited += req.delay / req.timeout
+        if req.waited > self.config.max_retries:
             self._close_request(req_id)
             all_ops = [op for ops in req.waiters.values() for op in ops]
             self.metrics.failures += 1
@@ -747,7 +735,8 @@ class ClientEngine:
             # nothing, not even NotMaster): try the next replica.
             self._rotate_server()
             req.redirects = 0
-        return [*self._outbound(req.message), SetTimer(f"rpc:{req_id}", req.timeout)]
+        req.delay = min(req.timeout, 2 * req.delay)
+        return [*self._outbound(req.message), SetTimer(f"rpc:{req_id}", req.delay)]
 
     def _on_anticipate(self, now: float) -> list[Effect]:
         """Anticipatory extension (§4): renew soon-to-expire leases so

@@ -292,17 +292,26 @@ class ReplicaEngine:
         effects: list[Effect] = [SetTimer("paxos:tick", self.config.tick)]
         if now < self._join_at:
             return effects
+        if self.proposer.phase != "idle":
+            # A round in flight re-sends its request to every peer that
+            # has not answered, so one lost leg costs a tick, not the
+            # round: a renewal has until the master lease runs out.
+            request, answered = self.proposer.in_flight()
+            effects.extend(
+                Send(peer, request)
+                for peer in self.config.hosts
+                if peer != self.name and peer not in answered
+            )
+            return effects
         if self.state in (MASTER, WAITING):
             # Renew before the lease runs out; WAITING renews too — the
             # handoff wait can be longer than one master term.
             remaining = self.proposer.lease_expiry - now
-            if remaining < self.config.master_term / 2.0 and self.proposer.phase == "idle":
+            if remaining < self.config.master_term / 2.0:
                 effects.extend(self._start_round(now))
             return effects
         # Follower: start a round only when no unexpired lease is known
         # locally and our backoff has elapsed.
-        if self.proposer.phase != "idle":
-            return effects
         if self.acceptor.accepted_remaining(now) > 0.0:
             return effects
         if now < self._next_attempt_at:

@@ -190,6 +190,7 @@ class Proposer:
         self.lease_expiry = 0.0
         self._promises: set[str] = set()
         self._accepts: set[str] = set()
+        self._proposal: ProposeRequest | None = None
         self._foreign_remaining = 0.0
         self._any_history = False
         self._virgin_round = False
@@ -216,6 +217,19 @@ class Proposer:
         self._virgin_round = False
         self._anchor = now
         return PrepareRequest(ballot=self.ballot)
+
+    def in_flight(self) -> tuple[PrepareRequest | ProposeRequest, set[str]]:
+        """The running round's current request and the acceptors that have
+        answered it, so the engine can re-send a lost leg.
+
+        Both phases are idempotent at an acceptor: an equal ballot
+        re-promises, and a re-accepted proposal only restarts the
+        acceptor's full term from the later receive, which stays later
+        than this proposer's start-anchored validity.
+        """
+        if self.phase == "preparing":
+            return PrepareRequest(ballot=self.ballot), self._promises
+        return self._proposal, self._accepts
 
     def abort_round(self) -> None:
         """Abandon the in-flight round (engine-side round timeout)."""
@@ -253,12 +267,10 @@ class Proposer:
             return Outcome(BACKOFF, retry_after=self._foreign_remaining)
         self.phase = "proposing"
         self._virgin_round = not self._any_history
-        return Outcome(
-            PROPOSE,
-            message=ProposeRequest(
-                ballot=self.ballot, holder=self.name, term=self.master_term
-            ),
+        self._proposal = ProposeRequest(
+            ballot=self.ballot, holder=self.name, term=self.master_term
         )
+        return Outcome(PROPOSE, message=self._proposal)
 
     def on_propose_reply(self, src: str, msg: ProposeReply, now: float) -> Outcome:
         """Feed in one acceptor's phase-2 reply; returns what to do next.

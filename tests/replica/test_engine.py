@@ -12,7 +12,14 @@ import pytest
 from repro.clock.sync import safe_waitout
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.effects import CancelTimer, Send, SetTimer
-from repro.protocol.messages import ApprovalReply, NotMaster, ReadRequest, WriteRequest
+from repro.protocol.messages import (
+    ApprovalReply,
+    NotMaster,
+    PrepareRequest,
+    ProposeRequest,
+    ReadRequest,
+    WriteRequest,
+)
 from repro.replica.engine import (
     FOLLOWER,
     MASTER,
@@ -175,6 +182,85 @@ class TestTimersEndWithTheirWait:
         assert engine.state == FOLLOWER
         for key in ("paxos:round", "handoff", "master:check"):
             assert CancelTimer(key) in effects
+
+
+def group(n=3):
+    """``n`` replicas over one store; r0's stagger puts its tick first."""
+    hosts = tuple(f"r{i}" for i in range(n))
+    store = FileStore()
+    store.create_file("/doc", b"v1")
+    return {
+        host: ReplicaEngine(
+            host,
+            store,
+            FixedTermPolicy(FILE_TERM),
+            ReplicaConfig(
+                hosts=hosts, index=i, master_term=MASTER_TERM,
+                max_file_term=FILE_TERM, epsilon=EPS,
+            ),
+        )
+        for i, host in enumerate(hosts)
+    }
+
+
+def deliver(engines, src, effects, now, drop=lambda send: False):
+    """Deliver ``src``'s sends and every reply they provoke, all at
+    ``now``, except the sends ``drop`` loses."""
+    pending = [(src, e) for e in effects if isinstance(e, Send)]
+    while pending:
+        sender, send = pending.pop(0)
+        if drop(send):
+            continue
+        replies = engines[send.dst].handle_message(send.message, sender, now)
+        pending.extend((send.dst, e) for e in replies if isinstance(e, Send))
+
+
+def sends(effects):
+    return [e for e in effects if isinstance(e, Send)]
+
+
+class TestRenewalResend:
+    """A renewal round re-sends its request to unanswered peers at every
+    tick, so losing one Paxos leg does not cost the master lease."""
+
+    def test_lost_legs_are_resent_until_the_lease_is_renewed(self):
+        engines = group()
+        r0 = engines["r0"]
+        deliver(engines, "r0", r0.handle_timer("paxos:tick", 0.0), 0.0)
+        assert r0.state == MASTER
+        expiry = r0.proposer.lease_expiry
+        # Renewal starts inside the last half term; every prepare is lost.
+        t = expiry - 0.9
+        prepare = sends(r0.handle_timer("paxos:tick", t))[0].message
+        assert isinstance(prepare, PrepareRequest)
+        # The next tick re-sends it to both silent peers, not a new ballot.
+        t += 0.25
+        resent = sends(r0.handle_timer("paxos:tick", t))
+        assert resent == [Send("r1", prepare), Send("r2", prepare)]
+        # r1 promises; every proposal and accept is lost.
+        deliver(
+            engines, "r0", resent, t,
+            drop=lambda send: isinstance(send.message, ProposeRequest)
+            or send.dst == "r2",
+        )
+        assert r0.proposer.phase == "proposing"
+        t += 0.25
+        proposals = sends(r0.handle_timer("paxos:tick", t))
+        assert [send.dst for send in proposals] == ["r1", "r2"]
+        assert all(isinstance(send.message, ProposeRequest) for send in proposals)
+        deliver(engines, "r0", proposals, t, drop=lambda send: send.dst == "r2")
+        assert r0.state == MASTER
+        assert r0.proposer.lease_expiry > expiry
+        assert r0.master_valid(expiry + 0.5)
+
+    def test_answered_peers_are_not_resent_to(self):
+        engines = group(n=5)  # a majority is 3: r0 and r1 are not enough
+        r0 = engines["r0"]
+        prepare = sends(r0.handle_timer("paxos:tick", 0.0))[0].message
+        deliver(engines, "r0", [Send("r1", prepare)], 0.0)
+        assert r0.proposer.phase == "preparing"
+        resent = sends(r0.handle_timer("paxos:tick", 0.25))
+        assert resent == [Send(peer, prepare) for peer in ("r2", "r3", "r4")]
 
 
 class TestClientTraffic:

@@ -172,6 +172,20 @@ class TestProposer:
         out = p.on_prepare_reply("a", reply, 1.0)
         assert out.kind == NONE
 
+    def test_in_flight_names_the_request_and_who_answered(self):
+        p = make_proposer()
+        prepare = p.start_round(now=0.0)
+        a0, a1 = Acceptor(), Acceptor()
+        p.on_prepare_reply("r0", a0.on_prepare(prepare, 0.0), 0.0)
+        assert p.in_flight() == (prepare, {"r0"})
+        propose = p.on_prepare_reply("r1", a1.on_prepare(prepare, 0.0), 0.0).message
+        p.on_propose_reply("r0", a0.on_propose(propose, 0.0), 0.0)
+        assert p.in_flight() == (propose, {"r0"})
+        # A re-sent proposal is re-accepted, from the later receive.
+        a1.on_propose(propose, 0.0)
+        assert a1.on_propose(propose, 0.3).accepted
+        assert a1.accepted_expiry == 0.3 + propose.term
+
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             Proposer("r9", 9, 3, 2.0)

@@ -46,10 +46,10 @@ REPLICA_CONFIG = ReplicaConfig(
 
 
 #: Wall-clock budget per op in the SIGKILL test.  A write lost to the 20%
-#: chaos (or sent to the corpse) is retransmitted only after
-#: ``write_timeout`` = 10 s, so two unlucky legs used to overrun a 20 s
-#: budget about one run in eight; 60 s covers five.
-OP_BUDGET = 60.0
+#: chaos (or sent to the corpse) is retransmitted after 0.2, 0.4, 0.8, ...
+#: seconds, doubling up to ``write_timeout`` = 10 s, so a failover costs
+#: a few seconds; 20 s leaves room for a second unlucky leg.
+OP_BUDGET = 20.0
 
 
 def on_group(scenario, clients=0, obs=None):
