@@ -13,8 +13,10 @@ extension:
   reads from the dirty copy — repeated writes are *absorbed* into one
   eventual flush;
 * when any other client touches the datum the server **recalls** the
-  lease: the owner flushes its dirty bytes in the recall reply and the
-  server commits them before serving anyone else;
+  lease with one more write gate, whose one awaited holder is the owner:
+  the owner's surrender (its recall reply, carrying the dirty bytes) is
+  the approval, and the server commits those bytes before serving anyone
+  else;
 * an unreachable owner delays others at most one term — but its unflushed
   writes are **lost**, the failure-semantics cost the paper's
   write-through design deliberately avoids.  A background timer flushes
@@ -31,6 +33,7 @@ from typing import Callable
 
 from repro.clock.sync import safe_local_expiry
 from repro.protocol.client import ClientConfig, ClientEngine
+from repro.lease.table import PendingWrite
 from repro.protocol.effects import (
     CancelTimer,
     Complete,
@@ -52,112 +55,85 @@ from repro.protocol.messages import (
 )
 from repro.protocol.server import ServerEngine, _Gate
 from repro.sim.driver import Cluster, SimClient, build_cluster
-from repro.types import DatumId, HostId
+from repro.types import DatumId, DatumKind, HostId
 
 
 # -- server ---------------------------------------------------------------------
 
 
 class WriteBackServerEngine(ServerEngine):
-    """Lease server extended with exclusive write leases and recall."""
+    """Lease server extended with exclusive write leases and recall.
+
+    A recall is one more write gate (``repro.protocol.server._Gate``):
+    the first request from anyone but the owner — alone, batched or
+    replayed from ``_deferred`` — enters a gate that awaits the owner
+    alone, asks it with a :class:`RecallRequest`, takes its
+    :class:`RecallReply` as the approval and, when the wait is over,
+    commits what was surrendered and releases the owner.  Everything
+    else on the datum queues behind it.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: datum -> current write-lease owner.
         self._wlease_owner: dict[DatumId, HostId] = {}
-        #: datum -> recall id of the in-flight recall.
-        self._recalls: dict[DatumId, int] = {}
-        self._next_recall = 1
+        self._dispatch[WriteLeaseRequest] = self._handle_write_lease
+        self._dispatch[FlushRequest] = self._handle_flush
+        self._dispatch[RecallReply] = self._handle_recall_reply
 
-    # -- dispatch ----------------------------------------------------------------
+    # -- requests on owned datums ------------------------------------------------
 
-    def handle_message(self, msg: Message, src: HostId, now: float) -> list[Effect]:
+    def _handle_read(self, msg: ReadRequest, src: HostId, now: float) -> list[Effect]:
+        return self._recall(msg.datum, src, now) + super()._handle_read(msg, src, now)
+
+    def _handle_extend(self, msg: ExtendRequest, src: HostId, now: float) -> list[Effect]:
         effects: list[Effect] = []
-        # Any touch of a write-leased datum by a non-owner triggers recall.
-        for datum in self._datums_of(msg):
-            owner = self._wlease_owner.get(datum)
-            if owner is not None and owner != src:
-                effects.extend(self._ensure_recall(datum, now))
-        if isinstance(msg, WriteLeaseRequest):
-            effects.extend(self._handle_write_lease(msg, src, now))
-            return effects
-        if isinstance(msg, FlushRequest):
-            effects.extend(self._handle_flush(msg, src, now))
-            return effects
-        if isinstance(msg, RecallReply):
-            effects.extend(self._handle_recall_reply(msg, src, now))
-            return effects
-        if isinstance(msg, WriteRequest) and self._wlease_owner.get(msg.datum) == src:
-            # The owner wrote through explicitly: commit under exclusivity.
-            effects.extend(self._commit_owner_write(msg, src, now))
-            return effects
-        if isinstance(msg, ReadRequest) and self._wlease_owner.get(msg.datum) == src:
-            # The owner's own read must not defer behind its own lease
-            # (e.g. refetch after local eviction of a clean copy).
-            effects.extend(self._serve_owner_read(msg, src, now))
-            return effects
-        effects.extend(super().handle_message(msg, src, now))
+        for datum, _ in msg.items:
+            effects.extend(self._recall(datum, src, now))
+        effects.extend(super()._handle_extend(msg, src, now))
         return effects
 
-    def _serve_owner_read(self, msg: ReadRequest, src: HostId, now: float) -> list[Effect]:
-        from repro.protocol.messages import ReadReply
+    def _handle_write(self, msg: WriteRequest, src: HostId, now: float) -> list[Effect]:
+        if self._wlease_owner.get(msg.datum) == src:
+            # The owner wrote through explicitly: commit under exclusivity.
+            flush = FlushRequest(msg.req_id, msg.datum, msg.content, write_seq=msg.write_seq)
+            return self._handle_flush(flush, src, now)
+        return self._recall(msg.datum, src, now) + super()._handle_write(msg, src, now)
 
-        version, payload = self.store.read_datum(msg.datum)
-        self._record_read(msg.datum, now)
-        return [
-            Send(
-                src,
-                ReadReply(
-                    msg.req_id,
-                    msg.datum,
-                    version=version,
-                    payload=None if msg.cached_version == version else payload,
-                    term=0.0,  # the write lease already covers the datum
-                ),
-            )
-        ]
-
-    def handle_timer(self, key: str, now: float) -> list[Effect]:
-        if key.startswith("recall:"):
-            return self._on_recall_deadline(key.split(":", 1)[1], now)
-        return super().handle_timer(key, now)
-
-    # -- blocking ---------------------------------------------------------------------
-
-    def _write_blocked(self, datum: DatumId) -> bool:
-        return datum in self._wlease_owner or super()._write_blocked(datum)
+    def _grant(self, datum: DatumId, src: HostId, now: float) -> tuple[float, str | None]:
+        if self._wlease_owner.get(datum) == src:
+            # The owner's own read is served (e.g. a refetch after local
+            # eviction of a clean copy) under its write lease: term 0,
+            # and no read lease stretches the one a recall waits out.
+            return 0.0, None
+        return super()._grant(datum, src, now)
 
     # -- write-lease acquisition ----------------------------------------------------------
 
     def _handle_write_lease(
         self, msg: WriteLeaseRequest, src: HostId, now: float
     ) -> list[Effect]:
-        self.known_clients.add(src)
         datum = msg.datum
+        if datum.kind is not DatumKind.FILE:
+            return [Send(src, WriteLeaseReply(msg.req_id, datum, error="not a file datum"))]
         if not self.store.datum_exists(datum):
             return [Send(src, WriteLeaseReply(msg.req_id, datum, error="no such datum"))]
         if self._wlease_owner.get(datum) == src:
-            if datum in self._recalls:
-                # The starvation-guard analog: once someone else wants the
-                # datum, the owner may not renew past its current expiry —
-                # otherwise a non-surrendering owner could outlive the
-                # recall deadline and split ownership.
-                return [
-                    Send(
-                        src,
-                        WriteLeaseReply(msg.req_id, datum, error="lease being recalled"),
-                    )
-                ]
+            if self.table.write_pending(datum):
+                # The starvation guard: once anyone waits on the datum the
+                # owner may not renew, so the recall's deadline holds.
+                return [Send(src, WriteLeaseReply(msg.req_id, datum, error="lease being recalled"))]
             return self._grant_wlease(msg, src, now)  # renewal
+        effects = self._recall(datum, src, now)
         if self._write_blocked(datum):
             self._deferred.setdefault(datum, []).append((msg, src))
-            return []
+            return effects
         # Gate on the read holders exactly like a write would (§2): the
         # same gate, entered the same way, with a grant for an ending
         # (at once when nobody else holds a lease).  It announces the
         # datum's current version — nothing is committed.
         gate = _Gate(src, msg, (datum,), src, self._grant_from_gate, bump=0)
-        return self._enter(gate, now)
+        return effects + self._enter(gate, now)
 
     def _grant_from_gate(self, gate: _Gate, now: float) -> list[Effect]:
         """An acquisition's ending (the gate has left the lease table)."""
@@ -172,25 +148,16 @@ class WriteBackServerEngine(ServerEngine):
     def _grant_wlease(
         self, msg: WriteLeaseRequest, src: HostId, now: float
     ) -> list[Effect]:
+        """Grant or renew; no gate is waiting on the datum."""
         datum = msg.datum
         term = self.policy.term(
             datum, src, now, stats=self.stats.get(datum), file_class=self._class_of(datum)
         )
         if term <= 0:
-            return [
-                Send(
-                    src,
-                    WriteLeaseReply(
-                        msg.req_id, datum, error="zero-term policy: write lease refused"
-                    ),
-                )
-            ]
+            error = "zero-term policy: write lease refused"
+            return [Send(src, WriteLeaseReply(msg.req_id, datum, error=error))]
         self._wlease_owner[datum] = src
-        expiry = self.table.expiry_of(datum, src)
-        if expiry is not None and now < expiry:
-            self.table.extend(datum, src, now, term)
-        elif not self.table.write_pending(datum):
-            self.table.grant(datum, src, now, term)
+        self.table.grant(datum, src, now, term)
         version, payload = self.store.read_datum(datum)
         self._record_read(datum, now)
         return [
@@ -208,52 +175,46 @@ class WriteBackServerEngine(ServerEngine):
 
     # -- recall ------------------------------------------------------------------------------
 
-    def _ensure_recall(self, datum: DatumId, now: float) -> list[Effect]:
-        if datum in self._recalls:
+    def _recall(self, datum: DatumId, src: HostId, now: float) -> list[Effect]:
+        """``src`` needs ``datum``: if someone else owns it and nothing waits
+        on it yet, enter the recall gate.  Until the owner surrenders, the
+        gate holds an empty surrender (what a silent owner leaves)."""
+        owner = self._wlease_owner.get(datum)
+        if owner is None or owner == src or self.table.write_pending(datum):
             return []
-        owner = self._wlease_owner[datum]
-        recall_id = self._next_recall
-        self._next_recall += 1
-        self._recalls[datum] = recall_id
-        expiry = self.table.expiry_of(datum, owner)
-        remaining = 0.0 if expiry is None else max(0.0, expiry - now)
-        return [
-            Send(owner, RecallRequest(datum, recall_id)),
-            SetTimer(f"recall:{datum}", remaining),
-        ]
+        surrender = RecallReply(datum, 0)
+        gate = _Gate(src, surrender, (datum,), src, self._end_recall, only=owner)
+        return self._enter(gate, now)
+
+    def _approval_request(self, gate: _Gate, pending: PendingWrite) -> Message:
+        if isinstance(gate.msg, RecallReply):
+            return RecallRequest(pending.datum, pending.write_id)
+        return super()._approval_request(gate, pending)
 
     def _handle_recall_reply(
         self, msg: RecallReply, src: HostId, now: float
     ) -> list[Effect]:
-        if self._recalls.get(msg.datum) != msg.recall_id:
-            return []  # stale or duplicate recall reply
+        """The owner's surrender: its approval of the recall gate."""
         if self._wlease_owner.get(msg.datum) != src:
             return []
-        return self._end_wlease(msg.datum, msg.dirty, now, cancel_timer=True)
+        pending = self.table.approve(msg.datum, src, msg.recall_id)
+        if pending is None:
+            return []  # stale or duplicate recall reply
+        gate = self._gates[pending.write_id]
+        gate.msg = msg
+        return self._look(gate, now)
 
-    def _on_recall_deadline(self, datum_key: str, now: float) -> list[Effect]:
-        datum = next((d for d in self._recalls if str(d) == datum_key), None)
-        if datum is None or datum not in self._wlease_owner:
-            return []
-        # The owner never answered; its lease has expired and any dirty
-        # data it held is lost (the write-back failure-semantics cost).
-        return self._end_wlease(datum, None, now, cancel_timer=False)
-
-    def _end_wlease(
-        self, datum: DatumId, dirty: bytes | None, now: float, cancel_timer: bool
-    ) -> list[Effect]:
-        owner = self._wlease_owner.pop(datum, None)
-        self._recalls.pop(datum, None)
-        if owner is not None:
-            self.table.release(datum, owner)
-        effects: list[Effect] = []
-        if cancel_timer:
-            effects.append(CancelTimer(f"recall:{datum}"))
+    def _end_recall(self, gate: _Gate, now: float) -> list[Effect]:
+        """A recall's ending: release the owner and commit what it
+        surrendered.  A silent owner surrendered nothing: its dirty data
+        is lost (the write-back failure-semantics cost)."""
+        datum = gate.datums[0]
+        self.table.release(datum, self._wlease_owner.pop(datum), now)
+        dirty = gate.msg.dirty
         if dirty is not None:
             self.store.commit_file_write(datum, dirty, now)
             self._record_write(datum, now, 1)
-        effects.extend(self._flush_deferred(datum, now))
-        return effects
+        return []
 
     # -- flushes -----------------------------------------------------------------------------
 
@@ -261,35 +222,18 @@ class WriteBackServerEngine(ServerEngine):
         dedup = self._check_dedup(src, msg)
         if dedup is not None:
             return dedup
+        if msg.datum.kind is not DatumKind.FILE:
+            return [Send(src, WriteReply(msg.req_id, msg.datum, error="not a file datum"))]
         if self._wlease_owner.get(msg.datum) != src:
             return [
                 Send(src, WriteReply(msg.req_id, msg.datum, error="write lease lost"))
             ]
-        self._inflight.add((src, msg.write_seq))
         version = self.store.commit_file_write(msg.datum, msg.content, now)
         self._record_write(msg.datum, now, 1)
         self._record_commit(src, msg.write_seq, version, None)
-        # flushing demonstrates liveness; extend the lease alongside
-        if self.table.expiry_of(msg.datum, src) is not None:
-            term = self.policy.term(msg.datum, src, now, stats=self.stats.get(msg.datum))
-            self.table.extend(msg.datum, src, now, term)
         return [Send(src, WriteReply(msg.req_id, msg.datum, version=version))]
 
-    def _commit_owner_write(
-        self, msg: WriteRequest, src: HostId, now: float
-    ) -> list[Effect]:
-        flush = FlushRequest(msg.req_id, msg.datum, msg.content, write_seq=msg.write_seq)
-        return self._handle_flush(flush, src, now)
-
-    # -- helpers -------------------------------------------------------------------------------
-
-    @staticmethod
-    def _datums_of(msg: Message) -> tuple[DatumId, ...]:
-        if isinstance(msg, (ReadRequest, WriteRequest, WriteLeaseRequest)):
-            return (msg.datum,)
-        if isinstance(msg, ExtendRequest):
-            return tuple(datum for datum, _ in msg.items)
-        return ()
+    # -- introspection -------------------------------------------------------------------------
 
     def write_lease_owner(self, datum: DatumId) -> HostId | None:
         """The current write-lease owner of ``datum``, if any."""
@@ -321,21 +265,19 @@ class WriteBackClientConfig(ClientConfig):
 class WriteBackClientEngine(ClientEngine):
     """Client engine with write-lease acquisition and local writes."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    config: WriteBackClientConfig
+
+    def __init__(self, name, server, config: WriteBackClientConfig | None = None, **kwargs):
+        super().__init__(name, server, config=config or WriteBackClientConfig(), **kwargs)
         #: datum -> local-clock expiry of our write lease.
         self._wleases: dict[DatumId, float] = {}
         #: datum -> locally buffered (unflushed) contents.
         self._dirty: dict[DatumId, bytes] = {}
         self.local_writes_absorbed = 0
 
-    @property
-    def _flush_margin(self) -> float:
-        return getattr(self.config, "flush_margin", 2.0)
-
     def startup_effects(self, now: float) -> list[Effect]:
         effects = super().startup_effects(now)
-        effects.append(SetTimer("wbflush", self._flush_margin / 2))
+        effects.append(SetTimer("wbflush", self.config.flush_margin / 2))
         return effects
 
     # -- application API ------------------------------------------------------------------------
@@ -463,10 +405,10 @@ class WriteBackClientEngine(ClientEngine):
         return effects
 
     def _on_recall(self, msg: RecallRequest, now: float) -> list[Effect]:
-        if not getattr(self.config, "surrender_on_recall", True):
+        if not self.config.surrender_on_recall:
             # Leadership mode: hold the lease to its natural expiry.  This
-            # is safe — the server falls back to the recall deadline — but
-            # any dirty data will be lost, so leaders should write through.
+            # is safe — the recall gate waits the lease out — but any
+            # dirty data will be lost, so leaders should write through.
             return []
         dirty = self._dirty.pop(msg.datum, None)
         self._wleases.pop(msg.datum, None)
@@ -479,10 +421,10 @@ class WriteBackClientEngine(ClientEngine):
     def _on_flush_timer(self, now: float) -> list[Effect]:
         """Background safety flush: never let dirty data ride a lease into
         its final ``flush_margin`` seconds."""
-        effects: list[Effect] = [SetTimer("wbflush", self._flush_margin / 2)]
+        effects: list[Effect] = [SetTimer("wbflush", self.config.flush_margin / 2)]
         for datum in list(self._dirty):
             expiry = self._wleases.get(datum)
-            if expiry is None or expiry - now <= self._flush_margin:
+            if expiry is None or expiry - now <= self.config.flush_margin:
                 _, flush_effects = self.flush(datum, now)
                 effects.extend(flush_effects)
         return effects

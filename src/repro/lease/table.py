@@ -44,8 +44,7 @@ class PendingWrite:
         awaiting: holders whose approval is still outstanding.
         expiries: each awaited holder's lease expiry as of ``begin_write``
             (:meth:`LeaseTable.grant` renews no lease while the write is
-            pending — the starvation guard — so these stay accurate;
-            :meth:`LeaseTable.extend` is the one exception).
+            pending — the starvation guard — so these stay accurate).
         not_before: a server-clock time no approval can pull the deadline
             below: the last announced expiry of an installed cover, or the
             demotion barrier of a datum that just left one (nobody can be
@@ -153,26 +152,6 @@ class LeaseTable:
                 datum=str(datum), holder=holder, term=term,
             )
 
-    def extend(self, datum: DatumId, holder: HostId, now: float, term: float) -> None:
-        """Extend ``holder``'s recorded lease on ``datum`` past the
-        starvation guard: its expiry becomes ``now + term`` unless that
-        is earlier (a record that has expired but not been pruned
-        revives).
-
-        The write-back extension renews its exclusive write lease this
-        way; :meth:`grant` is the way for everyone else.  Raises
-        ``KeyError`` when there is no record.
-        """
-        if term < 0:
-            raise ValueError(f"negative lease term: {term}")
-        holders = self._by_datum[datum]
-        expires = now + term
-        if expires > holders[holder]:
-            # Only ever raised, so the min-expiry cache stays stale-low.
-            holders[holder] = expires
-        if term > self.max_term_granted:
-            self.max_term_granted = term
-
     def release(self, datum: DatumId, holder: HostId, now: float = 0.0) -> None:
         """Relinquish a lease voluntarily (client option, §4).
 
@@ -228,17 +207,20 @@ class LeaseTable:
         writer: HostId,
         now: float,
         not_before: float = float("-inf"),
+        only: HostId | None = None,
     ) -> PendingWrite:
         """Queue a write and compute whose approval it needs.
 
         The requester's own approval is implicit (it rides on the write
-        request, §3.1), so only *other* live holders are awaited.  Holders
-        with already-expired leases are ignored.  ``not_before`` is the
-        floor under the deadline for leases this table has no record of
-        (see :class:`PendingWrite`).
+        request, §3.1), so only *other* live holders are awaited — or
+        just ``only``, if given and live (a write lease's recall awaits
+        its owner alone).  Holders with already-expired leases are
+        ignored.  ``not_before`` is the floor under the deadline for
+        leases this table has no record of (see :class:`PendingWrite`).
         """
         self._prune(datum, now)
-        awaiting = self.live_holders(datum, now) - {writer}
+        live = self.live_holders(datum, now)
+        awaiting = live - {writer} if only is None else live & {only}
         holders = self._by_datum.get(datum, {})
         expiries = {holder: holders[holder] for holder in awaiting}
         write = PendingWrite(

@@ -15,7 +15,7 @@ Responsibilities (paper §2, §4, §5):
   have granted before crashing.
 
 Every wait on leases — a file write (ordinary, covered, recently
-demoted), a namespace op, a write-lease acquisition in
+demoted), a namespace op, a write-lease acquisition or recall in
 :mod:`repro.ext.writeback` — is one :class:`_Gate`: one dict, one timer
 per gate (``write:<id>``), one function (``ServerEngine._look``) that
 decides "proceed or re-arm" on every event that can change the answer.
@@ -108,12 +108,14 @@ class _Gate:
     """One request waiting on leases — the server's only kind of wait.
 
     A file write (ordinary, covered by an installed cover, or recently
-    demoted from one), a namespace op on one or two directories and a
-    write-lease acquisition (:mod:`repro.ext.writeback`) all wait for the
-    same thing, §2's write rule: every leaseholder has approved, or that
-    holder's lease has run out.  :class:`~repro.lease.table.PendingWrite`
-    is that rule for one datum; a gate is the request, its one or two
-    pending writes and what to do when the wait is over (``ending``).
+    demoted from one), a namespace op on one or two directories, and a
+    write-lease acquisition or recall (:mod:`repro.ext.writeback`) all
+    wait for the same thing, §2's write rule: every leaseholder has
+    approved, or that holder's lease has run out.  A recall awaits one
+    holder, the write lease's owner, and its surrender is the approval.
+    :class:`~repro.lease.table.PendingWrite` is that rule for one datum;
+    a gate is the request, its one or two pending writes and what to do
+    when the wait is over (``ending``).
     Gates live in ``ServerEngine._gates`` under each of their write ids,
     from the moment they enter the lease table until they proceed.
 
@@ -143,7 +145,8 @@ class _Gate:
 
     src: HostId
     #: The request as received: answered from, and (write-lease
-    #: acquisition) replayed if a write queued up behind the gate.
+    #: acquisition) replayed if a write queued up behind the gate.  A
+    #: recall holds the owner's surrender here instead.
     msg: Message
     datums: tuple[DatumId, ...]
     #: Whose approval is implicit: the requester, or ``_NS_WRITER``.
@@ -153,6 +156,9 @@ class _Gate:
     #: Added to the datum's version in the ``ApprovalRequest``: 1 for a
     #: write, 0 for an acquisition (which commits nothing itself).
     bump: int = 1
+    #: The one holder awaited (a recall's owner); None awaits every live
+    #: holder but ``writer``.
+    only: HostId | None = None
     cas: int | None = None
     #: True when entering excluded the datum's installed cover from the
     #: announcements (``InstalledFileManager.begin_write``).
@@ -553,7 +559,7 @@ class ServerEngine:
         queued ahead of it."""
         table = self.table
         gate.pendings = tuple(
-            [table.begin_write(d, gate.writer, now, not_before) for d in gate.datums]
+            [table.begin_write(d, gate.writer, now, not_before, gate.only) for d in gate.datums]
         )
         for pending in gate.pendings:
             self._gates[pending.write_id] = gate
@@ -588,12 +594,17 @@ class ServerEngine:
                         datum=str(datum), write_id=pending.write_id,
                         awaiting=len(pending.awaiting),
                     )
-                request = ApprovalRequest(
-                    datum, pending.write_id, self.store.version_of(datum) + gate.bump
-                )
+                request = self._approval_request(gate, pending)
                 effects.append(Broadcast(tuple(sorted(pending.awaiting)), request))
         effects.extend(self._look(gate, now))
         return effects
+
+    def _approval_request(self, gate: _Gate, pending: PendingWrite) -> Message:
+        """What a gate asks the holders ``pending`` awaits."""
+        datum = pending.datum
+        return ApprovalRequest(
+            datum, pending.write_id, self.store.version_of(datum) + gate.bump
+        )
 
     def _look(self, gate: _Gate, now: float) -> list[Effect]:
         """Proceed or (re-)arm — the one decision about a waiting gate,

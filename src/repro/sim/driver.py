@@ -15,6 +15,7 @@ one-server cluster is its smallest case, not a separate path.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,10 +56,14 @@ class _TimerBank:
 
     def set(self, key: str, local_delay: float) -> None:
         self.cancel(key)
+        kernel = self._host.kernel
         kernel_delay = local_delay / (1.0 + self._host.clock.drift)
-        self._handles[key] = self._host.kernel.schedule(
-            max(0.0, kernel_delay), self._fire, key
-        )
+        if local_delay > 0.0 and kernel.now + kernel_delay <= kernel.now:
+            # Too small for the kernel's clock to represent at this instant:
+            # firing at ``now`` would hand the engine the same local time and
+            # it would re-arm the same remainder forever.  Floor it at one ulp.
+            kernel_delay = math.nextafter(kernel.now, math.inf) - kernel.now
+        self._handles[key] = kernel.schedule(max(0.0, kernel_delay), self._fire, key)
 
     def cancel(self, key: str) -> None:
         handle = self._handles.pop(key, None)

@@ -42,3 +42,16 @@ def test_sharded_replicated_sweep_is_clean():
     config = dataclasses.replace(replicated_config(), shards=2)
     report = Explorer(base_seed=1, config=config, shrink=False).explore(25)
     assert report.failed == 0, report.verdicts
+
+
+@pytest.mark.parametrize("base_seed, index", [(112, 70), (207, 24), (210, 72)])
+def test_sub_ulp_timer_remainders_do_not_livelock(base_seed, index):
+    """These runs never ended while the simulator could schedule a
+    positive timer delay at the current instant: after a backward clock
+    step a replica's ``master:check`` (112/70) or a gate's inner
+    ``write:`` timer (207/24, 210/72) re-armed a remainder too small for
+    the kernel's clock, fired at the same instant, and re-armed again."""
+    outcome = Explorer(base_seed=base_seed, config=replicated_config(), shrink=False).run_index(
+        index
+    )
+    assert outcome.result.ok, outcome.result.failure_kinds

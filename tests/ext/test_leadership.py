@@ -43,6 +43,21 @@ class TestLeadership:
         assert result.ok
         assert result.latency == pytest.approx(TERM, abs=0.2)
 
+    def test_foreign_write_waits_out_the_incumbent(self):
+        """Regression: a write is a challenge too.  It used to reach the
+        incumbent as an approval request, which the incumbent's client
+        approved, so the write committed after 6 ms under a live
+        leadership lease."""
+        cluster = make()
+        datum = cluster.store.file_datum("/leader")
+        a, b, _ = cluster.clients
+        cluster.run_until_complete(a, a.acquire_write(datum), limit=30.0)
+        result = cluster.run_until_complete(b, b.write(datum, b"usurper"), limit=60.0)
+        assert result.ok
+        assert result.latency == pytest.approx(TERM, abs=0.2)
+        assert not holds(cluster, a, datum)
+        assert cluster.oracle.clean
+
     def test_renewal_refused_once_challenged(self):
         cluster = make()
         datum = cluster.store.file_datum("/leader")

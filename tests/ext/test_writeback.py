@@ -192,6 +192,51 @@ class TestRecall:
         assert sum(cluster.network.stats["c0"].sent.values()) == sent_before + 1
         assert cluster.oracle.clean
 
+    def test_batched_foreign_write_commits_after_the_surrender(self):
+        """Regression: the recall used to be triggered by a scan of
+        top-level messages, so a write batched with another op went
+        straight to an approval round the owner answered; it committed
+        while the owner held its lease and dirty data, and the owner's
+        background flush then overwrote it (final content ``a-dirty``)."""
+        def setup(store):
+            store.create_file("/data", b"v1")
+            store.create_file("/other", b"o1")
+
+        cluster = make(
+            setup_store=setup,
+            client_config=WriteBackClientConfig(rpc_timeout=1.0, max_retries=30, batching=True),
+        )
+        datum = cluster.store.file_datum("/data")
+        a, b, _ = cluster.clients
+        cluster.run_until_complete(a, a.acquire_write(datum))
+        cluster.run_until_complete(a, a.local_write(datum, b"a-dirty"))
+        write = b.write(datum, b"b-write")
+        b.read(cluster.store.file_datum("/other"))  # same instant: one batch
+        assert cluster.run_until_complete(b, write, limit=30.0).ok
+        cluster.run(until=cluster.kernel.now + 2 * TERM)  # past every flush timer
+        record = cluster.store.file_at("/data")
+        assert (record.version, record.content) == (3, b"b-write")  # a-dirty was v2
+        assert not a.engine.dirty_datums()
+        assert cluster.oracle.clean
+
+    def test_read_deferred_behind_an_acquisition_needs_no_retransmission(self):
+        """Regression: a read that waited behind an acquisition stayed
+        deferred after the grant until its retransmission recalled the
+        new owner (2.005 s with a 2-s RPC timeout); now the grant replays
+        it and the replay starts the recall."""
+        cluster = make(client_config=WriteBackClientConfig(rpc_timeout=2.0, max_retries=30))
+        datum = cluster.store.file_datum("/data")
+        a, b, c = cluster.clients
+        cluster.run_until_complete(c, c.read(datum))
+        acquire = a.acquire_write(datum)
+        read = b.read(datum)  # arrives while the acquisition awaits c
+        assert cluster.run_until_complete(a, acquire, limit=30.0).ok
+        r = cluster.run_until_complete(b, read, limit=30.0)
+        assert r.value == (1, b"v1")
+        assert b.engine.metrics.retransmissions == 0
+        assert r.latency < 0.1
+        assert cluster.oracle.clean
+
     def test_competing_acquirer_triggers_recall(self):
         cluster = make()
         datum = cluster.store.file_datum("/data")

@@ -17,6 +17,7 @@ from repro.protocol.effects import Broadcast, CancelTimer, Complete, Send, SetTi
 from repro.protocol.messages import (
     ApprovalReply,
     ApprovalRequest,
+    BatchRequest,
     ExtendGrant,
     ExtendReply,
     ExtendRequest,
@@ -46,6 +47,14 @@ def sends(effects, msg_type):
     return [e for e in effects if isinstance(e, Send) and isinstance(e.message, msg_type)]
 
 
+def recalls(effects):
+    """The recalls among ``effects``: a recall gate asks its one awaited
+    holder, the owner, with a one-destination broadcast."""
+    return [
+        e for e in effects if isinstance(e, Broadcast) and isinstance(e.message, RecallRequest)
+    ]
+
+
 class TestServerEngine:
     def test_grant_when_unshared(self):
         engine, store, datum = make_server()
@@ -61,26 +70,28 @@ class TestServerEngine:
         engine, store, datum = make_server()
         engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
         effects = engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
-        (recall,) = sends(effects, RecallRequest)
-        assert recall.dst == "c0"
-        # the read itself was deferred, a recall deadline timer armed
-        assert any(isinstance(e, SetTimer) and e.key.startswith("recall:") for e in effects)
+        # the recall is a write gate: it asks the owner alone, under its
+        # write id, and arms its write:<id> timer for the owner's expiry
+        (recall,) = recalls(effects)
+        assert recall.dsts == ("c0",)
+        assert recall.message == RecallRequest(datum, 2)  # the acquisition was 1
+        assert SetTimer("write:2", 9.0) in effects
+        assert engine.table.write_pending(datum)  # the read waits behind it
+        assert not sends(effects, ReadReply)
 
     def test_recall_reply_commits_dirty_and_flushes_readers(self):
         engine, store, datum = make_server()
         engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
         effects = engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
-        (recall,) = sends(effects, RecallRequest)
+        (recall,) = recalls(effects)
         effects = engine.handle_message(
             RecallReply(datum, recall.message.recall_id, dirty=b"buffered"), "c0", now=1.1
         )
         assert store.file_at("/f").content == b"buffered"
-        replies = sends(effects, type(effects[-1].message)) if effects else []
-        read_replies = [
-            e for e in effects if isinstance(e, Send) and e.message.__class__.__name__ == "ReadReply"
-        ]
-        assert len(read_replies) == 1
-        assert read_replies[0].message.version == 2
+        assert engine.write_lease_owner(datum) is None
+        assert CancelTimer("write:2") in effects  # the timer ends with the wait
+        (read_reply,) = sends(effects, ReadReply)
+        assert read_reply.dst == "c1" and read_reply.message.version == 2
 
     def test_stale_recall_reply_ignored(self):
         engine, store, datum = make_server()
@@ -93,13 +104,14 @@ class TestServerEngine:
         engine, store, datum = make_server()
         engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
         effects = engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
-        (recall,) = sends(effects, RecallRequest)
+        (recall,) = recalls(effects)
         assert (
             engine.handle_message(
                 RecallReply(datum, recall.message.recall_id, dirty=b"x"), "evil", 1.1
             )
             == []
         )
+        assert engine.write_lease_owner(datum) == "c0"
 
     def test_flush_requires_ownership(self):
         engine, store, datum = make_server()
@@ -133,10 +145,13 @@ class TestServerEngine:
         engine, store, datum = make_server()
         engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
         effects = engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
-        (timer,) = [e for e in effects if isinstance(e, SetTimer) and e.key.startswith("recall:")]
+        (timer,) = [e for e in effects if isinstance(e, SetTimer)]
+        assert (timer.key, timer.delay) == ("write:2", 9.0)
         effects = engine.handle_timer(timer.key, now=1.0 + timer.delay)
         assert engine.write_lease_owner(datum) is None
         assert store.file_at("/f").version == 1  # nothing committed
+        (read_reply,) = sends(effects, ReadReply)
+        assert read_reply.dst == "c1" and read_reply.message.version == 1
 
 
 class SettableTerm:
@@ -159,21 +174,16 @@ def renew_by_request(engine, datum, now):
     assert reply.message.error is None
 
 
-def renew_by_flush(engine, datum, now):
-    flush = FlushRequest(9, datum, b"flushed", write_seq=1)
-    (reply,) = sends(engine.handle_message(flush, "c0", now), WriteReply)
-    assert reply.message.error is None
-
-
 RENEWALS = [
     pytest.param(renew_by_request, id="write-lease-request"),
-    pytest.param(renew_by_flush, id="flush"),
 ]
 
 
 class TestRenewal:
-    """The owner's write lease is renewed by re-requesting it and by
-    every flush; both go through ``LeaseTable.extend``."""
+    """The owner's write lease is renewed by re-requesting it, through
+    ``LeaseTable.grant`` and so under its starvation guard.  A flush
+    renews nothing: the server would not tell the client, so a longer
+    stored expiry would only make everyone else wait longer."""
 
     @pytest.mark.parametrize("renew", RENEWALS)
     def test_renewal_extends_the_stored_expiry(self, renew):
@@ -198,6 +208,138 @@ class TestRenewal:
         renew(engine, datum, 1.0)
         assert engine.table.expiry_of(datum, "c0") == 51.0
         assert engine.crash() >= 50.0
+
+    def test_a_flush_leaves_the_stored_expiry(self):
+        engine, store, datum = make_server(term=10.0)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        flush = FlushRequest(9, datum, b"flushed", write_seq=1)
+        (reply,) = sends(engine.handle_message(flush, "c0", now=4.0), WriteReply)
+        assert reply.message.version == 2 and store.file_at("/f").content == b"flushed"
+        assert engine.table.expiry_of(datum, "c0") == 10.0
+
+    def test_renewal_refused_while_a_recall_waits(self):
+        """Once a gate waits on the datum the owner may not renew, so the
+        recall's deadline stands; the owner's flushes still commit."""
+        engine, store, datum = make_server(term=10.0)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        (recall,) = recalls(engine.handle_message(ReadRequest(2, datum), "c1", now=1.0))
+        effects = engine.handle_message(WriteLeaseRequest(3, datum), "c0", now=2.0)
+        (reply,) = sends(effects, WriteLeaseReply)
+        assert reply.message.error == "lease being recalled"
+        assert engine.table.expiry_of(datum, "c0") == 10.0
+        flush = FlushRequest(4, datum, b"flushed", write_seq=1)
+        (flushed,) = sends(engine.handle_message(flush, "c0", now=3.0), WriteReply)
+        assert flushed.message.version == 2
+        assert engine.table.expiry_of(datum, "c0") == 10.0
+        effects = engine.handle_timer(f"write:{recall.message.recall_id}", now=10.0)
+        (answer,) = sends(effects, ReadReply)
+        assert answer.dst == "c1" and answer.message.payload == b"flushed"
+
+
+class TestForeignRequests:
+    """Every request from anyone but the owner waits behind the recall —
+    whether it arrives alone, inside a batch or replayed from the deferred
+    queue — and nothing commits until the owner surrenders or its lease
+    runs out."""
+
+    def owned(self):
+        engine, store, datum = make_server(term=10.0)
+        store.create_file("/g", b"g1")
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        return engine, store, datum, store.file_datum("/g")
+
+    def test_batched_foreign_write_commits_after_the_surrender(self):
+        engine, store, datum, other = self.owned()
+        batch = BatchRequest(
+            1, (WriteRequest(2, datum, b"b-write", write_seq=1), ReadRequest(3, other))
+        )
+        effects = engine.handle_message(batch, "c1", now=1.0)
+        (recall,) = recalls(effects)
+        assert recall.dsts == ("c0",)
+        assert not sends(effects, WriteReply)
+        assert store.file_at("/f").version == 1  # the owner still holds its lease
+        surrender = RecallReply(datum, recall.message.recall_id, dirty=b"a-dirty")
+        effects = engine.handle_message(surrender, "c0", now=1.1)
+        (reply,) = sends(effects, WriteReply)
+        assert reply.dst == "c1" and reply.message.version == 3
+        assert store.file_at("/f").content == b"b-write"
+        # the owner's late flush is refused, not committed over it
+        flush = FlushRequest(9, datum, b"a-dirty", write_seq=1)
+        (refused,) = sends(engine.handle_message(flush, "c0", now=1.2), WriteReply)
+        assert refused.message.error == "write lease lost"
+        assert store.file_at("/f").content == b"b-write"
+
+    def test_foreign_write_waits_out_a_silent_owner(self):
+        engine, store, datum, _ = self.owned()
+        effects = engine.handle_message(
+            WriteRequest(2, datum, b"b-write", write_seq=1), "c1", now=1.0
+        )
+        assert not [e for e in effects if isinstance(e, Broadcast)
+                    and isinstance(e.message, ApprovalRequest)]
+        (recall,) = recalls(effects)
+        key = f"write:{recall.message.recall_id}"
+        assert SetTimer(key, 9.0) in effects
+        assert not sends(engine.handle_timer(key, now=5.0), WriteReply)  # early
+        (reply,) = sends(engine.handle_timer(key, now=10.0), WriteReply)
+        assert reply.message.version == 2 and engine.write_lease_owner(datum) is None
+
+    def test_later_requests_wait_behind_the_one_recall(self):
+        engine, store, datum, _ = self.owned()
+        first = engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
+        assert len(recalls(first)) == 1
+        assert engine.handle_message(ExtendRequest(3, ((datum, 1),)), "c2", now=1.1) == [
+            Send("c2", ExtendReply(3, (), (datum,)))
+        ]
+        assert engine.handle_message(WriteLeaseRequest(4, datum), "c3", now=1.2) == []
+
+    def test_the_recall_asks_the_owner_alone(self):
+        """A reader that approved the acquisition keeps its lease record
+        until it runs out; it has nothing to surrender, so the recall
+        neither asks nor waits for it."""
+        engine, store, datum = make_server(term=10.0)
+        engine.handle_message(ReadRequest(1, datum), "c5", now=0.0)
+        engine.handle_message(WriteLeaseRequest(2, datum), "c0", now=1.0)
+        effects = engine.handle_message(ApprovalReply(datum, 1), "c5", now=1.1)
+        assert sends(effects, WriteLeaseReply)
+        assert engine.table.live_holders(datum, 2.0) == {"c0", "c5"}
+        effects = engine.handle_message(ReadRequest(3, datum), "c1", now=2.0)
+        (recall,) = recalls(effects)
+        assert recall.dsts == ("c0",)
+        assert SetTimer(f"write:{recall.message.recall_id}", 9.1) in effects
+        effects = engine.handle_message(
+            RecallReply(datum, recall.message.recall_id, dirty=None), "c0", now=2.1
+        )
+        (answer,) = sends(effects, ReadReply)
+        assert answer.dst == "c1" and answer.message.version == 1
+
+    def test_owner_extend_of_its_owned_datum_is_denied(self):
+        engine, _, datum, _ = self.owned()
+        effects = engine.handle_message(ExtendRequest(2, ((datum, 1),)), "c0", now=1.0)
+        assert effects == [Send("c0", ExtendReply(2, (), (datum,)))]
+        assert engine.table.expiry_of(datum, "c0") == 10.0
+
+
+class TestNonFileDatums:
+    """A write lease and a flush are refused on a directory, as a write is:
+    a namespace op would never recall it."""
+
+    def test_write_lease_on_a_directory_is_refused(self):
+        engine, store, _ = make_server()
+        directory = DatumId.directory(store.namespace.parent_dir_id("/f"))
+        (reply,) = sends(
+            engine.handle_message(WriteLeaseRequest(1, directory), "c0", now=0.0),
+            WriteLeaseReply,
+        )
+        assert reply.message.error == "not a file datum"
+        assert engine.write_lease_owner(directory) is None
+
+    def test_flush_on_a_directory_is_refused(self):
+        engine, store, _ = make_server()
+        directory = DatumId.directory(store.namespace.parent_dir_id("/f"))
+        flush = FlushRequest(1, directory, b"x", write_seq=1)
+        (reply,) = sends(engine.handle_message(flush, "c0", now=0.0), WriteReply)
+        assert reply.message.error == "not a file datum"
+
 
 
 class TestAcquisitionGate:
@@ -236,16 +378,16 @@ class TestAcquisitionGate:
         (reply,) = sends(effects, WriteLeaseReply)
         assert reply.dst == "c9" and reply.message.error is None
         assert engine.write_lease_owner(datum) == "c9"
-        assert not engine.table.write_pending(datum)
-        # the third party's read went behind the gate; its retransmission
-        # recalls the new owner and the surrender answers it
-        effects = engine.handle_message(ReadRequest(3, datum), "c2", now=10.5)
-        (recall,) = sends(effects, RecallRequest)
+        # the third party's read went behind the gate; replayed at the
+        # grant, it recalls the new owner at once (no retransmission)
+        (recall,) = recalls(effects)
+        assert recall.dsts == ("c9",)
+        assert engine.table.write_pending(datum)
         effects = engine.handle_message(
-            RecallReply(datum, recall.message.recall_id, dirty=b"v2"), "c9", now=10.6
+            RecallReply(datum, recall.message.recall_id, dirty=b"v2"), "c9", now=10.1
         )
-        answers = sends(effects, ReadReply)
-        assert answers and all(a.dst == "c2" and a.message.version == 2 for a in answers)
+        (answer,) = sends(effects, ReadReply)
+        assert answer.dst == "c2" and answer.message.version == 2
 
     def test_relinquish_by_the_longest_holder_shortens_the_wait(self):
         engine, datum, _, timer = self.gated(0.0, 4.0)  # leases to 10 and 14

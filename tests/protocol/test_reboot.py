@@ -110,7 +110,7 @@ def make_writeback_server():
 
 
 def writeback_server_empty(engine) -> bool:
-    return _server_empty(engine) and not engine._wlease_owner and not engine._recalls
+    return _server_empty(engine) and not engine._wlease_owner
 
 
 def make_coverage_server():

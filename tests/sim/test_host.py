@@ -1,5 +1,7 @@
 """Tests for simulated hosts: CPU serialization, clocks, timer drift."""
 
+import math
+
 import pytest
 
 from repro.errors import HostDownError
@@ -65,6 +67,26 @@ class TestClockDriftTimers:
         (key, local_time), = fired
         assert local_time == pytest.approx(10.0)
         assert kernel.now == 20.0
+
+    def test_a_delay_below_one_ulp_still_advances_time(self):
+        """A positive delay is never scheduled at the current instant.
+        Past t = 2 a remainder under half an ulp vanishes in ``now +
+        delay``; fired at ``now``, the engine saw the same local time and
+        re-armed the same remainder forever (a replica's
+        ``master:check`` and a gate's ``write:`` timer did, after a
+        backward clock step)."""
+        from repro.sim.driver import _TimerBank
+
+        kernel = Kernel()
+        host = Host("h", kernel)
+        kernel.run(until=2.95)
+        delay = 1e-16
+        assert kernel.now + delay == kernel.now  # not representable here
+        fired = []
+        bank = _TimerBank(host, lambda key: fired.append(kernel.now))
+        bank.set("t", delay)
+        kernel.run(until=3.0)
+        assert fired == [math.nextafter(2.95, math.inf)]
 
     def test_cancelled_timer_does_not_fire(self):
         from repro.sim.driver import _TimerBank
