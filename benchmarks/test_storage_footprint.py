@@ -20,7 +20,7 @@ def deep_size(table: LeaseTable) -> int:
     gc.collect()
     seen = set()
     total = 0
-    stack = [table._by_datum, table._min_expiry]
+    stack = [table._by_datum]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:

@@ -96,13 +96,6 @@ class LeaseTable:
         #: datum -> holder -> server-clock expiry: the whole lease.
         self._by_datum: dict[DatumId, dict[HostId, float]] = {}
         self._pending: dict[DatumId, deque[PendingWrite]] = {}
-        #: Earliest expiry among each datum's leases, maintained lazily so
-        #: :meth:`_prune` can skip its holder scan while nothing can have
-        #: expired.  May run *stale-low* (a renewal or release can raise
-        #: the true minimum without updating it), which only costs one
-        #: recomputing scan — never stale-high, which would skip a prune
-        #: that has work to do.
-        self._min_expiry: dict[DatumId, float] = {}
         self._next_write_id = 1
         #: Largest term ever granted; a recovering server must delay all
         #: writes for this long (paper §2's crash-recovery rule).
@@ -128,9 +121,15 @@ class LeaseTable:
             raise LeaseDeniedError(f"write pending on {datum}; no new leases")
         if term < 0:
             raise ValueError(f"negative lease term: {term}")
-        self._prune(datum, now)
         by_datum = self._by_datum
         holders = by_datum.get(datum)
+        if holders is not None:
+            # _prune's own early exit, inlined: a grant is the hot caller.
+            for expiry in holders.values():
+                if now >= expiry:
+                    self._prune(datum, now)
+                    holders = by_datum.get(datum)
+                    break
         if holders is None:
             holders = by_datum[datum] = {}
         expiry = holders.get(holder)
@@ -141,9 +140,6 @@ class LeaseTable:
                 holders[holder] = expires
         else:
             holders[holder] = expires
-            min_expiry = self._min_expiry.get(datum)
-            if min_expiry is None or expires < min_expiry:
-                self._min_expiry[datum] = expires
         if term > self.max_term_granted:
             self.max_term_granted = term
         if self.obs.active:
@@ -163,7 +159,6 @@ class LeaseTable:
             del holders[holder]
             if not holders:
                 del self._by_datum[datum]
-                self._min_expiry.pop(datum, None)
             if self.obs.active:
                 self.obs.emit(
                     LEASE_RELEASE, now, self.owner, datum=str(datum), holder=holder
@@ -294,18 +289,21 @@ class LeaseTable:
         bound = self.max_term_granted
         self._by_datum.clear()
         self._pending.clear()
-        self._min_expiry.clear()
         self.max_term_granted = 0.0
         return bound
 
     # -- internals ----------------------------------------------------------------
 
     def _prune(self, datum: DatumId, now: float) -> int:
-        min_expiry = self._min_expiry.get(datum)
-        if min_expiry is not None and now < min_expiry:
-            return 0  # no lease can have expired: pruning would be a no-op
         holders = self._by_datum.get(datum)
         if not holders:
+            return 0
+        # A datum usually has one or two holders: looking at each expiry
+        # allocates nothing, and the common case (none has passed) ends here.
+        for expiry in holders.values():
+            if now >= expiry:
+                break
+        else:
             return 0
         dead = [h for h, expiry in holders.items() if now >= expiry]
         obs = self.obs
@@ -317,9 +315,6 @@ class LeaseTable:
                 )
         if not holders:
             del self._by_datum[datum]
-            self._min_expiry.pop(datum, None)
-        else:
-            self._min_expiry[datum] = min(holders.values())
         return len(dead)
 
     def _on_holder_gone(self, datum: DatumId, holder: HostId) -> None:

@@ -323,8 +323,11 @@ class ServerEngine:
         :attr:`recovering` and emits the ``recovery.end`` trace event —
         previously the property reported True forever once
         ``recovery_delay`` was configured, long after the window passed.
+        A closed window stays closed: a clock stepped back past
+        ``_recovering_until`` would otherwise hold writes in a queue that
+        no ``recovery`` timer replays (DESIGN §19).
         """
-        open_ = now < self._recovering_until
+        open_ = self._recovery_open and now < self._recovering_until
         if self._recovery_open and not open_:
             self._recovery_open = False
             if self.obs.active:

@@ -15,8 +15,6 @@ ServerEngine` works against it unmodified.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.shard.router import ShardRouter
 from repro.storage.file import FileData
 from repro.storage.store import FileStore
@@ -39,7 +37,8 @@ class ShardedStore:
                 f"router has {self.router.n_shards} shards, expected {n_shards}"
             )
         self.shards: list[FileStore] = [FileStore() for _ in range(n_shards)]
-        self._ids = itertools.count(1)
+        #: The next file id's number (a plain int, as in ``FileStore``).
+        self._next_id = 1
         #: path -> owning shard index, recorded at creation time (paths
         #: are bound in the owning shard's namespace only).
         self._path_shard: dict[str, int] = {}
@@ -55,7 +54,8 @@ class ShardedStore:
         now: float = 0.0,
     ) -> FileData:
         """Create a file on its hash-owned shard; returns the record."""
-        file_id = f"file:{next(self._ids)}"
+        file_id = f"file:{self._next_id}"
+        self._next_id += 1
         shard = self.router.shard_of(DatumId.file(file_id))
         self._path_shard[path] = shard
         return self.shards[shard].create_file(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.types import FileClass, Version
 
 
-@dataclass
+@dataclass(slots=True)
 class FileData:
     """One file's primary copy at the server.
 
@@ -48,7 +48,7 @@ class FileData:
         return "r" in self.mode
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryData:
     """One directory's lease-coverable metadata.
 

@@ -21,7 +21,7 @@ from repro.storage.file import DirectoryData
 from repro.types import Version
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirEntry:
     """One binding in a directory: a name mapped to a file or subdirectory."""
 
@@ -85,14 +85,26 @@ class Namespace:
             NoSuchDirectoryError: a component is missing.
             NotADirectoryError_: a component is a plain file.
         """
-        record = self._dirs[self.ROOT_ID]
-        for part in split_path(path):
+        return self._walk(split_path(path), path)
+
+    def _walk(self, parts: list[str], path: str | None = None) -> DirectoryData:
+        """Walk already-split ``parts`` to a directory record.
+
+        ``path`` names the walk in error messages; by default it is the
+        parts joined back, which is what a caller holding a split path
+        would have passed to :meth:`resolve_dir`.
+        """
+        dirs = self._dirs
+        record = dirs[self.ROOT_ID]
+        for part in parts:
             entry = record.entries.get(part)
-            if entry is None:
-                raise NoSuchDirectoryError(f"{path!r}: no component {part!r}")
-            if not entry.is_dir:
+            if entry is None or not entry.is_dir:
+                if path is None:
+                    path = "/" + "/".join(parts)
+                if entry is None:
+                    raise NoSuchDirectoryError(f"{path!r}: no component {part!r}")
                 raise NotADirectoryError_(f"{path!r}: {part!r} is a file")
-            record = self._dirs[entry.target]
+            record = dirs[entry.target]
         return record
 
     def lookup(self, path: str) -> DirEntry:
@@ -100,7 +112,7 @@ class Namespace:
         parts = split_path(path)
         if not parts:
             return DirEntry(name="/", target=self.ROOT_ID, is_dir=True)
-        parent = self.resolve_dir("/" + "/".join(parts[:-1]))
+        parent = self._walk(parts[:-1])
         entry = parent.entries.get(parts[-1])
         if entry is None:
             raise NoSuchFileError(path)
@@ -127,7 +139,7 @@ class Namespace:
         parts = split_path(path)
         if not parts:
             raise FileExistsError_("/")
-        parent = self.resolve_dir("/" + "/".join(parts[:-1]))
+        parent = self._walk(parts[:-1])
         name = parts[-1]
         if name in parent.entries:
             raise FileExistsError_(path)
@@ -147,7 +159,7 @@ class Namespace:
         parts = split_path(path)
         if not parts:
             raise ValueError("cannot bind the root")
-        parent = self.resolve_dir("/" + "/".join(parts[:-1]))
+        parent = self._walk(parts[:-1])
         name = parts[-1]
         if name in parent.entries:
             raise FileExistsError_(path)
@@ -160,7 +172,7 @@ class Namespace:
         parts = split_path(path)
         if not parts:
             raise ValueError("cannot unbind the root")
-        parent = self.resolve_dir("/" + "/".join(parts[:-1]))
+        parent = self._walk(parts[:-1])
         name = parts[-1]
         entry = parent.entries.pop(name, None)
         if entry is None:
@@ -184,8 +196,8 @@ class Namespace:
         new_parts = split_path(new)
         if not old_parts or not new_parts:
             raise ValueError("cannot rename the root")
-        src = self.resolve_dir("/" + "/".join(old_parts[:-1]))
-        dst = self.resolve_dir("/" + "/".join(new_parts[:-1]))
+        src = self._walk(old_parts[:-1])
+        dst = self._walk(new_parts[:-1])
         old_name, new_name = old_parts[-1], new_parts[-1]
         entry = src.entries.get(old_name)
         if entry is None:
@@ -206,4 +218,4 @@ class Namespace:
     def parent_dir_id(self, path: str) -> str:
         """The dir_id of ``path``'s parent directory."""
         parts = split_path(path)
-        return self.resolve_dir("/" + "/".join(parts[:-1])).dir_id
+        return self._walk(parts[:-1]).dir_id

@@ -12,8 +12,6 @@ the server engine and reattached on restart.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.errors import NoSuchFileError, PermissionDeniedError
 from repro.storage.file import FileData
 from repro.storage.namespace import Namespace
@@ -26,7 +24,9 @@ class FileStore:
     def __init__(self) -> None:
         self.namespace = Namespace()
         self._files: dict[str, FileData] = {}
-        self._ids = itertools.count(1)
+        #: The next default file id's number.  A plain int, so a store
+        #: pickles (``itertools.count`` stops pickling in Python 3.14).
+        self._next_id = 1
         #: Optional hook called as ``on_commit(datum, version)`` after every
         #: version change (file creation, file write).  The consistency
         #: oracle uses it to build the authoritative version history.
@@ -53,7 +53,8 @@ class FileStore:
                 this store's own counter.
         """
         if file_id is None:
-            file_id = f"file:{next(self._ids)}"
+            file_id = f"file:{self._next_id}"
+            self._next_id += 1
         record = FileData(
             file_id=file_id,
             content=content,

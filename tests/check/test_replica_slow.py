@@ -55,3 +55,16 @@ def test_sub_ulp_timer_remainders_do_not_livelock(base_seed, index):
         index
     )
     assert outcome.result.ok, outcome.result.failure_kinds
+
+
+@pytest.mark.parametrize("base_seed, index", [(208, 49), (210, 83), (214, 69)])
+def test_a_backward_clock_step_does_not_reopen_recovery(base_seed, index):
+    """These runs stranded a write: a replica's inner server boots with a
+    recovery window that is already closed, and its clock then stepped
+    back past that instant (in 208/49, r0 by 2.58 s at t = 1.48).  The
+    window reopened, the write was queued for a ``recovery`` timer never
+    armed, and every retransmission was swallowed as a duplicate."""
+    outcome = Explorer(base_seed=base_seed, config=replicated_config(), shrink=False).run_index(
+        index
+    )
+    assert outcome.result.ok, outcome.result.failure_kinds

@@ -3,9 +3,10 @@ pointers".
 
 The table stores a lease as one entry of its datum's ``holder -> expiry``
 dict.  Measured here at the benchmark's ``cold_read`` shape (2 holders ×
-20 000 datums), counting every byte the grants allocate: about 145 B per
-lease on CPython 3.11.  A per-lease object of any kind would cost more
-than the 15 B of headroom the gate leaves (DESIGN §2, *Per-lease cost*).
+20 000 datums), counting every byte the grants allocate: about 131 B per
+lease on CPython 3.11 and 3.12, 155 B on 3.10.  A per-lease object of
+any kind would cost more than the headroom the gate leaves (DESIGN §2,
+*Per-lease cost*).
 """
 
 import gc

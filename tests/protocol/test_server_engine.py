@@ -451,6 +451,36 @@ class TestRecovery:
         assert bus.events("recovery.hold")[0]["src"] == "c0"
         assert bus.events("recovery.end")[0]["queued"] == 1
 
+    @pytest.mark.parametrize("recovery_delay", [0.0, 5.0])
+    def test_a_closed_window_stays_closed_when_the_clock_steps_back(
+        self, recovery_delay
+    ):
+        """Boot at t, let any recovery window close, step the clock back to
+        t - 3: the write commits.  Before, ``now < _recovering_until`` held
+        again, so the write was queued for a ``recovery`` timer that was
+        never armed (a replica's inner server boots with no window) or had
+        already fired — and every retransmission was swallowed."""
+        store = FileStore()
+        store.create_file("/f", b"v1")
+        boot = 100.0
+        engine = ServerEngine(
+            "server",
+            store,
+            FixedTermPolicy(10.0),
+            config=ServerConfig(recovery_delay=recovery_delay),
+            now=boot,
+        )
+        engine.startup_effects(boot)
+        if recovery_delay:
+            engine.handle_timer("recovery", now=boot + recovery_delay)
+        datum = store.file_datum("/f")
+        effects = engine.handle_message(
+            WriteRequest(1, datum, b"v2", write_seq=1), "c0", now=boot - 3.0
+        )
+        (send,) = sends(effects, WriteReply)
+        assert send.message.version == 2
+        assert not engine.recovering
+
     def test_retransmission_during_recovery_not_duplicated(self):
         store = FileStore()
         store.create_file("/f", b"v1")

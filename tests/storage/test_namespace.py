@@ -80,6 +80,22 @@ class TestDirectories:
         with pytest.raises(NotADirectoryError_):
             ns.resolve_dir("/notadir/x")
 
+    def test_walk_errors_name_the_parent_path(self):
+        """A path is split once; a failed walk to its parent still names
+        the parent as the normalized path, and ``resolve_dir`` names the
+        path as it was given."""
+        ns = Namespace()
+        ns.mkdir("/a")
+        ns.bind("/a/f", "file:1")
+        with pytest.raises(NoSuchDirectoryError, match=r"^'/no/such': no component 'no'$"):
+            ns.mkdir("//no///such/x")
+        with pytest.raises(NotADirectoryError_, match=r"^'/a/f': 'f' is a file$"):
+            ns.rename("/a/f/x", "/a/y")
+        with pytest.raises(NotADirectoryError_, match=r"^'/a/f/x': 'f' is a file$"):
+            ns.parent_dir_id("/a/f/x/y")
+        with pytest.raises(NoSuchDirectoryError, match=r"^'/a//zz/': no component 'zz'$"):
+            ns.resolve_dir("/a//zz/")
+
 
 class TestBindings:
     def test_bind_and_lookup(self):
