@@ -14,7 +14,6 @@ Run:  python examples/document_production.py
 """
 
 from repro import (
-    FileClass,
     FixedTermPolicy,
     InstalledFileManager,
     build_cluster,

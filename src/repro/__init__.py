@@ -47,7 +47,7 @@ Package map:
 ``repro.replica``   replicated lease authority: a PaxosLease master
                     lease over the lease table
 ``repro.ext``       beyond the paper: write-back caches via write
-                    leases, adaptive lease coverage
+                    leases
 ``repro.obs``       trace-event bus, metrics registry, timing
 ``repro.check``     scenario exploration: generate, run, check, replay,
                     shrink (``python -m repro.check``)

@@ -27,7 +27,6 @@ from repro.check.generator import (
     GeneratorConfig,
     ScenarioGenerator,
     demo_clock_fault_scenario,
-    stress_scenario,
 )
 from repro.check.runner import RunResult, build_scenario_cluster, run_scenario
 from repro.check.scenario import Fault, Op, Scenario
@@ -49,5 +48,4 @@ __all__ = [
     "demo_clock_fault_scenario",
     "run_scenario",
     "shrink_scenario",
-    "stress_scenario",
 ]

@@ -14,11 +14,6 @@ function of ``(s, i)``, independent of which other scenarios were
 generated.  Replaying an exploration therefore never requires storing
 more than ``(s, i)`` — though failures are also written out as full
 scenario files.
-
-:func:`stress_scenario` reproduces the *exact* schedule of the legacy
-hand-rolled stress test (`tests/integration/test_random_stress.py`) for a
-given seed, consuming the same RNG stream in the same order, so the old
-and new paths are provably equivalent run-for-run.
 """
 
 from __future__ import annotations
@@ -358,70 +353,6 @@ def adversarial_config(kind: str, eviction: str = "lru") -> GeneratorConfig:
         )
     raise ValueError(
         f"unknown adversarial kind {kind!r} (have: {', '.join(ADVERSARIAL_KINDS)})"
-    )
-
-
-def stress_scenario(
-    seed: int,
-    n_clients: int = 4,
-    n_files: int = 4,
-    duration: float = 120.0,
-    op_rate: float = 2.0,
-    loss_rate: float = 0.0,
-    faults: bool = False,
-    term: float = 5.0,
-) -> Scenario:
-    """The legacy random-stress schedule for ``seed``, as a Scenario.
-
-    Consumes ``random.Random(seed)`` in exactly the order the hand-rolled
-    generator in ``tests/integration/test_random_stress.py`` did — per-
-    client Poisson op streams first, then crash windows, partitions and
-    the server crash — so driving the result through
-    :func:`~repro.check.runner.run_scenario` replays the identical
-    simulation (same kernel event order, same network statistics).
-    """
-    rng = random.Random(seed)
-    ops = []
-    for client in range(n_clients):
-        t = 0.0
-        while t < duration:
-            t += rng.expovariate(op_rate)
-            file_index = rng.choice(range(n_files))
-            kind = "write" if rng.random() < 0.2 else "read"
-            ops.append(Op(at=t, client=client, kind=kind, file=file_index))
-    fault_events = []
-    if faults:
-        for _ in range(3):
-            victim = rng.randrange(n_clients)
-            start = rng.uniform(5.0, duration - 20.0)
-            fault_events.append(
-                Fault("crash", at=start, host=client_host(victim), duration=rng.uniform(2.0, 10.0))
-            )
-        for _ in range(2):
-            victim = rng.randrange(n_clients)
-            start = rng.uniform(5.0, duration - 20.0)
-            fault_events.append(
-                Fault(
-                    "partition",
-                    at=start,
-                    hosts=(client_host(victim),),
-                    duration=rng.uniform(2.0, 8.0),
-                )
-            )
-        fault_events.append(
-            Fault("crash", at=rng.uniform(20.0, 60.0), host="server", duration=2.0)
-        )
-    return Scenario(
-        name=f"stress-{seed}",
-        seed=seed,
-        n_clients=n_clients,
-        n_files=n_files,
-        duration=duration,
-        drain=60.0,
-        term=term,
-        loss_rate=loss_rate,
-        ops=tuple(ops),
-        faults=tuple(fault_events),
     )
 
 

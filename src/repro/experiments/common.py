@@ -6,6 +6,7 @@ import functools
 import math
 from typing import Any, Callable, Iterable
 
+from repro.errors import StorageError
 from repro.parallel import ordered_map
 from repro.sim.driver import Cluster, build_cluster
 from repro.storage.store import FileStore
@@ -160,29 +161,16 @@ def cluster_for_trace(
     datum_holder: dict[str, DatumId] = {}
 
     def setup(store: FileStore) -> None:
-        dirs = sorted(
-            {p.rsplit("/", 1)[0] for p in paths if p.rsplit("/", 1)[0] not in ("", "/")}
-        )
-        made = set()
-        for d in dirs:
-            parts = d.strip("/").split("/")
-            for i in range(1, len(parts) + 1):
-                sub = "/" + "/".join(parts[:i])
-                if sub not in made:
-                    try:
-                        store.namespace.mkdir(sub)
-                    except Exception:
-                        pass
-                    made.add(sub)
+        for d in sorted({p.rsplit("/", 1)[0] for p in paths} - {""}):
+            store.namespace.makedirs(d)
         for path, file_class in sorted(paths.items()):
             try:
-                store.namespace.resolve_dir(path)
-                datum_holder[path] = DatumId.directory(
-                    store.namespace.resolve_dir(path).dir_id
-                )
-                continue  # the path is a directory touched by lookups
-            except Exception:
+                dir_id = store.namespace.resolve_dir(path).dir_id
+            except StorageError:
                 pass
+            else:  # the path is a directory touched by lookups
+                datum_holder[path] = DatumId.directory(dir_id)
+                continue
             record = store.create_file(path, b"content", file_class=file_class)
             datum = DatumId.file(record.file_id)
             datum_holder[path] = datum

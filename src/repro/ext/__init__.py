@@ -7,13 +7,8 @@
   one flush); the server recalls the lease when anyone else touches the
   datum; an unreachable owner delays others at most one term, at the
   documented cost that unflushed writes can be lost.
-* :mod:`repro.ext.coverage` — §7's "adaptive policies that vary the
-  coverage ... of leases": the server promotes hot read-only files into
-  installed covers and demotes them when writes appear, with generation-
-  bumped cover ids and write barriers keeping both transitions safe.
 """
 
-from repro.ext.coverage import AdaptiveCoverageServerEngine, CoveragePolicy
 from repro.ext.writeback import (
     WriteBackClientEngine,
     WriteBackServerEngine,
@@ -26,6 +21,4 @@ __all__ = [
     "WriteBackClientEngine",
     "WriteBackSimClient",
     "build_writeback_cluster",
-    "AdaptiveCoverageServerEngine",
-    "CoveragePolicy",
 ]

@@ -17,12 +17,13 @@ implosion).  Instead:
 :class:`InstalledFileManager` is the server-side bookkeeping; the client
 side is :meth:`repro.lease.holder.LeaseSet.extend_cover`.
 
+Which files are installed, and under which cover, is configuration set
+before the server starts (:meth:`InstalledFileManager.register`).
+
 The delayed update is not a separate wait in the server: the expiry
 :meth:`InstalledFileManager.begin_write` returns (plus the announce
 grace) becomes the ``not_before`` of an ordinary write gate
-(``repro.protocol.server._Gate``), and so does
-:meth:`InstalledFileManager.demotion_barrier` for a datum that just left
-a cover — both are "leases the table has no record of".
+(``repro.protocol.server._Gate``) — "leases the table has no record of".
 """
 
 from __future__ import annotations
@@ -45,15 +46,11 @@ class InstalledFileManager:
         self.term = term
         self._members: dict[str, set[DatumId]] = {}
         self._cover_of: dict[DatumId, str] = {}
-        #: Cover *generation*: demoting a datum bumps its cover's
+        #: Cover *generation*: finishing an update bumps its cover's
         #: generation, which changes the announced (versioned) cover id.
         #: Clients treat cover ids as opaque, so holdings riding the old id
-        #: simply stop being extended and lapse within one term — the only
-        #: sound way to shrink coverage without contacting every client.
+        #: simply stop being extended and lapse within one term.
         self._generation: dict[str, int] = {}
-        #: Datums recently demoted: server-clock time until which writes
-        #: must still honor possibly-outstanding cover leases.
-        self._demoted_until: dict[DatumId, float] = {}
         #: Covers currently withheld from announcements (update in progress),
         #: mapped to the number of in-flight writes on their datums.
         self._excluded: dict[str, int] = {}
@@ -66,11 +63,11 @@ class InstalledFileManager:
         Which files are installed, under which cover and at which cover
         generation is durable configuration and is carried over.  The
         announcement bookkeeping — what was last announced, which covers
-        an update had withheld, demotion barriers — is volatile and starts
-        clean: safe, because recovery delays every write past any
-        pre-crash lease, and necessary, because a write in flight at the
-        crash will never call :meth:`finish_write` and would otherwise
-        keep its cover out of the announcements for good.
+        an update had withheld — is volatile and starts clean: safe,
+        because recovery delays every write past any pre-crash lease, and
+        necessary, because a write in flight at the crash will never call
+        :meth:`finish_write` and would otherwise keep its cover out of the
+        announcements for good.
         """
         manager = InstalledFileManager(self.announce_period, self.term)
         for cover, members in self._members.items():
@@ -88,37 +85,6 @@ class InstalledFileManager:
             self._members[old].discard(datum)
         self._members.setdefault(cover, set()).add(datum)
         self._cover_of[datum] = cover
-
-    def unregister(self, datum: DatumId) -> str | None:
-        """Remove ``datum`` from its cover (coverage demotion, §7).
-
-        Bumps the cover's generation: the previously announced (versioned)
-        cover id is never announced again, so every client's holdings
-        under it — including the remaining members', which re-ride the new
-        id at their next fetch — lapse within one term.  Writes to the
-        demoted datum must wait out :meth:`demotion_barrier`.
-
-        Returns:
-            The base cover it was removed from, or None if not covered.
-        """
-        cover = self._cover_of.pop(datum, None)
-        if cover is None:
-            return None
-        self._demoted_until[datum] = self._announced_expiry.get(cover, 0.0)
-        self._generation[cover] = self._generation.get(cover, 1) + 1
-        members = self._members.get(cover)
-        if members is not None:
-            members.discard(datum)
-            if not members:
-                del self._members[cover]
-                self._excluded.pop(cover, None)
-                self._announced_expiry.pop(cover, None)
-        return cover
-
-    def demotion_barrier(self, datum: DatumId) -> float:
-        """Server-clock time until which a recently demoted datum may
-        still be covered by an old announcement at some client."""
-        return self._demoted_until.get(datum, 0.0)
 
     def versioned_id(self, cover: str) -> str:
         """The announced id of a cover: the base name, suffixed with the

@@ -57,11 +57,11 @@ class TermPolicy(Protocol):
 def reads_stats(policy: TermPolicy) -> bool:
     """True when ``policy.term`` may look at its ``stats`` argument.
 
-    A server keeps per-datum statistics only for a policy (or an engine
-    class) that reads them.  A policy states it with a ``reads_stats``
-    attribute; one that does not is assumed to read them, since keeping
-    statistics nobody reads costs memory, while withholding them from a
-    policy that reads them would change its terms.
+    A server keeps per-datum statistics only for a policy that reads
+    them.  A policy states it with a ``reads_stats`` attribute; one that
+    does not is assumed to read them, since keeping statistics nobody
+    reads costs memory, while withholding them from a policy that reads
+    them would change its terms.
     """
     return getattr(policy, "reads_stats", True)
 

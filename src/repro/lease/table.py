@@ -46,9 +46,8 @@ class PendingWrite:
             (:meth:`LeaseTable.grant` renews no lease while the write is
             pending — the starvation guard — so these stay accurate).
         not_before: a server-clock time no approval can pull the deadline
-            below: the last announced expiry of an installed cover, or the
-            demotion barrier of a datum that just left one (nobody can be
-            asked, so those leases are only ever waited out).  Never
+            below: the last announced expiry of an installed cover (nobody
+            can be asked, so those leases are only ever waited out).  Never
             lowered once set.
     """
 

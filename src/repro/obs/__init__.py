@@ -11,8 +11,6 @@ nervous system.  This package provides it, dependency-free:
   stream with a bounded replay buffer and JSON Lines export.
 * :mod:`repro.obs.registry` — :class:`Registry` of counters/histograms
   with ``span``/``timed`` hooks for hot paths, also JSONL-exportable.
-* :mod:`repro.obs.adapter` — folds the event stream into registries and
-  into plot-ready time series for the experiments harness.
 
 Both runtimes speak it: the simulator (kernel, network, drivers) and the
 asyncio nodes thread one bus through the shared sans-io engines, so a
@@ -23,13 +21,6 @@ no-op-cheap when off: instrumentation sites guard on ``bus.active`` (or a
 """
 
 from repro.obs import events
-from repro.obs.adapter import (
-    attach_registry,
-    bucket_series,
-    counts_by_type,
-    events_of_host,
-    server_message_load,
-)
 from repro.obs.bus import NULL_BUS, TraceBus, read_jsonl
 from repro.obs.registry import Counter, Histogram, Registry
 
@@ -41,9 +32,4 @@ __all__ = [
     "Counter",
     "Histogram",
     "events",
-    "attach_registry",
-    "counts_by_type",
-    "events_of_host",
-    "server_message_load",
-    "bucket_series",
 ]

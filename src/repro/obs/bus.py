@@ -3,9 +3,9 @@
 A :class:`TraceBus` is the spine of the observability layer: every
 instrumented subsystem (kernel, network, lease table, protocol engines,
 runtime nodes, oracle) emits typed events onto one bus, and consumers —
-a bounded in-memory buffer, ad-hoc subscribers, a metrics adapter —
-observe the same stream regardless of whether the system is running
-under the simulator or the asyncio runtime.
+a bounded in-memory buffer, ad-hoc subscribers — observe the same
+stream regardless of whether the system is running under the simulator
+or the asyncio runtime.
 
 Cost discipline: observability must be free when nobody is watching.
 Emission sites guard with ``bus.active`` (a plain attribute) before

@@ -101,8 +101,8 @@ class ExtendGrant:
 
     ``payload`` is None when the client's cached version is still current
     (the common case — this is what makes extension cheap).  ``cover``
-    migrates the holding onto an installed cover lease when the datum was
-    promoted since the client last fetched it (§4/§7).
+    migrates the holding onto an installed cover lease when the datum
+    joined a cover since the client last fetched it (§4).
     """
 
     datum: DatumId

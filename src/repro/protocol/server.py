@@ -14,11 +14,11 @@ Responsibilities (paper §2, §4, §5):
 * recover from a crash by delaying all writes for the maximum term it may
   have granted before crashing.
 
-Every wait on leases — a file write (ordinary, covered, recently
-demoted), a namespace op, a write-lease acquisition or recall in
-:mod:`repro.ext.writeback` — is one :class:`_Gate`: one dict, one timer
-per gate (``write:<id>``), one function (``ServerEngine._look``) that
-decides "proceed or re-arm" on every event that can change the answer.
+Every wait on leases — a file write (ordinary or covered), a namespace
+op, a write-lease acquisition or recall in :mod:`repro.ext.writeback` —
+is one :class:`_Gate`: one dict, one timer per gate (``write:<id>``),
+one function (``ServerEngine._look``) that decides "proceed or re-arm"
+on every event that can change the answer.
 The rule and why it is safe are in the ``_Gate`` docstring.  Recovery is
 the exception: it holds requests outside the lease table and replays
 them, so reads and new grants resume at once after a restart.
@@ -107,11 +107,11 @@ _NS_WRITER: HostId = "\x00namespace"
 class _Gate:
     """One request waiting on leases — the server's only kind of wait.
 
-    A file write (ordinary, covered by an installed cover, or recently
-    demoted from one), a namespace op on one or two directories, and a
-    write-lease acquisition or recall (:mod:`repro.ext.writeback`) all
-    wait for the same thing, §2's write rule: every leaseholder has
-    approved, or that holder's lease has run out.  A recall awaits one
+    A file write (ordinary, or covered by an installed cover), a
+    namespace op on one or two directories, and a write-lease
+    acquisition or recall (:mod:`repro.ext.writeback`) all wait for the
+    same thing, §2's write rule: every leaseholder has approved, or that
+    holder's lease has run out.  A recall awaits one
     holder, the write lease's owner, and its surrender is the approval.
     :class:`~repro.lease.table.PendingWrite` is that rule for one datum;
     a gate is the request, its one or two pending writes and what to do
@@ -182,13 +182,9 @@ class ServerEngine:
     """The file server's protocol state machine.
 
     Per-datum access statistics (:class:`DatumStats`) are kept only when
-    something reads them: the term policy (:func:`reads_stats`) or the
-    engine class, through ``reads_stats``.  Otherwise ``stats`` stays
-    empty and recording one costs a flag test.
+    the term policy reads them (:func:`reads_stats`).  Otherwise ``stats``
+    stays empty and recording one costs a flag test.
     """
-
-    #: True for an engine class that reads ``stats`` itself.
-    reads_stats = False
 
     def __init__(
         self,
@@ -210,7 +206,7 @@ class ServerEngine:
         self.obs = obs or NULL_BUS
         self.table = LeaseTable(obs=self.obs, owner=name)
         self.stats: dict[DatumId, DatumStats] = {}
-        self._keeps_stats = self.reads_stats or reads_stats(policy)
+        self._keeps_stats = reads_stats(policy)
         self.known_clients: set[HostId] = set()
         self._recovering_until = now + self.config.recovery_delay
         #: Last authoritative answer to "is the recovery window open?";
@@ -494,25 +490,14 @@ class ServerEngine:
             return []
         self._inflight.add((src, msg.write_seq))
         not_before = -inf
-        if self.installed is not None:
-            if self.installed.cover_of(datum) is not None:
-                # Delayed update (§4): the cover leaves the announcements
-                # and the write waits out the last one.  Per-client leases
-                # from before a promotion (§7) are in the table and are
-                # called back like any other.
-                gate.covered = True
-                not_before = (
-                    self.installed.begin_write(datum, now) + self.config.announce_grace
-                )
-            else:
-                # Recently demoted (§7): an old cover announcement may
-                # still be honored at some client; wait it out.
-                not_before = self.installed.demotion_barrier(datum)
-                if not_before > now and self.obs.active:
-                    self.obs.emit(
-                        WRITE_DEFER, now, self.name,
-                        datum=str(datum), src=src, reason="demotion_barrier",
-                    )
+        installed = self.installed
+        if installed is not None and installed.cover_of(datum) is not None:
+            # Delayed update (§4): the cover leaves the announcements and
+            # the write waits out the last one.  Per-client leases from
+            # before the datum joined its cover are in the table and are
+            # called back like any other.
+            gate.covered = True
+            not_before = installed.begin_write(datum, now) + self.config.announce_grace
         return self._enter(gate, now, not_before)
 
     def _commit_file_write(self, gate: _Gate, now: float) -> list[Effect]:

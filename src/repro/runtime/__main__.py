@@ -151,13 +151,7 @@ def _seed_store(specs: list[str]) -> FileStore:
     store = FileStore()
     for spec in specs:
         path, _, content = spec.partition("=")
-        parts = [p for p in path.split("/") if p][:-1]
-        for depth in range(1, len(parts) + 1):
-            prefix = "/" + "/".join(parts[:depth])
-            try:
-                store.namespace.resolve_dir(prefix)
-            except Exception:
-                store.namespace.mkdir(prefix)
+        store.namespace.makedirs(path.rsplit("/", 1)[0] or "/")
         store.create_file(path, content.encode("utf-8"))
     return store
 

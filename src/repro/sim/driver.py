@@ -580,13 +580,7 @@ def install_tree(
 
     Returns a mapping from path to file datum.
     """
-    parts = [p for p in directory.split("/") if p]
-    for depth in range(1, len(parts) + 1):
-        prefix = "/" + "/".join(parts[:depth])
-        try:
-            store.namespace.resolve_dir(prefix)
-        except Exception:
-            store.namespace.mkdir(prefix)
+    store.namespace.makedirs(directory)
     cover = f"cover:{directory}"
     datums = {}
     for name, content in files.items():

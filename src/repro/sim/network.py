@@ -98,7 +98,6 @@ class Network:
         self.kernel = kernel
         self.params = params or NetworkParams()
         self.hosts: dict[HostId, Host] = {}
-        self.groups: dict[str, set[HostId]] = {}
         self.stats: dict[HostId, MessageStats] = {}
         self._link_filters: list[LinkFilter] = []
         self.dropped = 0
@@ -121,15 +120,6 @@ class Network:
             raise SimulationError(f"duplicate host name {host.name!r}")
         self.hosts[host.name] = host
         self.stats[host.name] = MessageStats()
-
-    def join_group(self, group: str, host: HostId) -> None:
-        """Add ``host`` to multicast group ``group`` (created on demand)."""
-        self._require_host(host)
-        self.groups.setdefault(group, set()).add(host)
-
-    def leave_group(self, group: str, host: HostId) -> None:
-        """Remove ``host`` from ``group``; missing membership is ignored."""
-        self.groups.get(group, set()).discard(host)
 
     # -- fault hooks ------------------------------------------------------------
 
@@ -167,31 +157,17 @@ class Network:
             return
         self._send(sender, src, (dst,), payload, kind)
 
-    def multicast(self, src: HostId, group: str, payload: Any, kind: str = "msg") -> int:
-        """Send one message to every member of ``group`` except the sender.
-
-        One send-side ``m_proc`` regardless of fan-out (the V host-group
-        model); each recipient pays its own receive-side ``m_proc``.
-
-        Returns:
-            The number of recipients targeted (before loss/partition).
-        """
-        sender = self._require_host(src)
-        if not sender.up:
-            return 0
-        members = [m for m in self.groups.get(group, ()) if m != src]
-        return self._send(sender, src, members, payload, kind)
-
     def multisend(
         self, src: HostId, dsts: Iterable[HostId], payload: Any, kind: str = "msg"
     ) -> int:
-        """Multicast to an explicit recipient list (no named group).
+        """Multicast one message to an explicit recipient list.
 
-        Same cost model as :meth:`multicast`: one send-side ``m_proc``
-        regardless of fan-out.  The sender is excluded if listed.
+        One send-side ``m_proc`` regardless of fan-out (the V host-group
+        model); each recipient pays its own receive-side ``m_proc``.  The
+        sender is excluded if listed.
 
         Returns:
-            The number of recipients targeted.
+            The number of recipients targeted (before loss/partition).
         """
         sender = self._require_host(src)
         if not sender.up:
@@ -209,8 +185,8 @@ class Network:
         """Charge one send-side ``m_proc`` and put a copy on the wire per leg.
 
         The message counts as sent (and the sender's CPU is charged) even
-        with an empty recipient list — a multicast to an empty group is
-        still a send on the V model this reproduces.
+        with an empty recipient list — a multicast to nobody is still a
+        send on the V model this reproduces.
         """
         kernel = self.kernel
         params = self.params

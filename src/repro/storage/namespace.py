@@ -143,12 +143,37 @@ class Namespace:
         name = parts[-1]
         if name in parent.entries:
             raise FileExistsError_(path)
+        return self._add_dir(parent, name).dir_id
+
+    def makedirs(self, path: str) -> str:
+        """Create ``path`` and each missing directory above it, in prefix
+        order (``mkdir -p``); returns the dir_id of ``path``.
+
+        Directories that exist are reused as they are.
+
+        Raises:
+            NotADirectoryError_: a component is a plain file.
+        """
+        dirs = self._dirs
+        record = dirs[self.ROOT_ID]
+        for part in split_path(path):
+            entry = record.entries.get(part)
+            if entry is None:
+                record = self._add_dir(record, part)
+            elif entry.is_dir:
+                record = dirs[entry.target]
+            else:
+                raise NotADirectoryError_(f"{path!r}: {part!r} is a file")
+        return record.dir_id
+
+    def _add_dir(self, parent: DirectoryData, name: str) -> DirectoryData:
+        """Bind a new, empty directory ``name`` under ``parent``."""
         dir_id = f"dir:{self._next_dir_id}"
         self._next_dir_id += 1
-        self._dirs[dir_id] = DirectoryData(dir_id=dir_id)
+        record = self._dirs[dir_id] = DirectoryData(dir_id=dir_id)
         parent.entries[name] = DirEntry(name=name, target=dir_id, is_dir=True)
         self._bump(parent)
-        return dir_id
+        return record
 
     def bind(self, path: str, file_id: str) -> str:
         """Bind ``path`` to a file; returns the parent's dir_id.

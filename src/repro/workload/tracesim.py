@@ -179,16 +179,3 @@ def simulate_trace(
         total_read_delay=total_read_delay,
         total_write_delay=total_write_delay,
     )
-
-
-def sweep_terms(
-    records: list[TraceRecord],
-    terms: list[float],
-    params: SystemParams,
-    batch_extensions: bool = True,
-) -> list[TraceSimResult]:
-    """Replay the trace at each term (the Figure 1 x-axis sweep)."""
-    return [
-        simulate_trace(records, term, params, batch_extensions=batch_extensions)
-        for term in terms
-    ]

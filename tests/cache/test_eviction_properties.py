@@ -1,6 +1,5 @@
 """Hypothesis properties of the eviction score and the cache+policy pair."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

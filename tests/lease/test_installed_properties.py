@@ -14,7 +14,6 @@ DATUMS = [DatumId.file(f"f{i}") for i in range(4)]
     ops=st.lists(
         st.one_of(
             st.tuples(st.just("register"), st.sampled_from(DATUMS)),
-            st.tuples(st.just("unregister"), st.sampled_from(DATUMS)),
             st.tuples(st.just("write"), st.sampled_from(DATUMS)),
             st.tuples(st.just("announce"), st.none()),
         ),
@@ -23,7 +22,7 @@ DATUMS = [DatumId.file(f"f{i}") for i in range(4)]
 )
 def test_announced_ids_never_resurrect(ops):
     """Once a versioned cover id stops being announced because of an
-    update or a demotion, it must never be announced again — that is the
+    update, it must never be announced again — that is the
     whole safety argument for generation bumps."""
     mgr = InstalledFileManager(announce_period=1.0, term=5.0)
     now = 0.0
@@ -35,13 +34,7 @@ def test_announced_ids_never_resurrect(ops):
         now += 1.0
         if op == "register":
             if mgr.cover_of(datum) is None and not mgr.write_pending(datum):
-                before = mgr.cover_of(datum)
                 mgr.register("cover:main", datum)
-        elif op == "unregister":
-            if mgr.cover_of(datum) is not None and not mgr.write_pending(datum):
-                old_id = mgr.cover_of(datum)
-                mgr.unregister(datum)
-                retired.add(old_id)
         elif op == "write":
             if mgr.cover_of(datum) is not None and datum not in in_flight:
                 old_id = mgr.cover_of(datum)

@@ -8,6 +8,7 @@ both streams with the same payload fields.  Only the meaning of ``ts``
 differs (virtual vs wall-clock seconds).
 """
 
+from repro.experiments.common import CONSISTENCY_KINDS
 from repro.lease.policy import FixedTermPolicy
 from repro.obs import TraceBus, events
 from repro.sim.driver import build_cluster
@@ -28,8 +29,9 @@ EXPECTED_COMMON = {
 }
 
 
-def sim_trace() -> list[dict]:
-    """Run the scenario under the simulator; return the event stream."""
+def sim_run():
+    """Run the scenario under the simulator; return the cluster and its
+    event stream."""
     bus = TraceBus(capacity=None)
 
     def setup(store: FileStore) -> None:
@@ -44,7 +46,12 @@ def sim_trace() -> list[dict]:
     cluster.run_until_complete(a, a.read(datum))  # cached: local hit
     cluster.run_until_complete(b, b.write(datum, b"v2"), limit=60.0)
     cluster.run_until_complete(a, a.read(datum), limit=60.0)
-    return bus.events()
+    return cluster, bus.events()
+
+
+def sim_trace() -> list[dict]:
+    """Run the scenario under the simulator; return the event stream."""
+    return sim_run()[1]
 
 
 def asyncio_trace() -> list[dict]:
@@ -114,3 +121,22 @@ class TestSchemaParity:
         bus.export_jsonl(path)
         for event in read_jsonl(path):
             events.validate(event)
+
+
+class TestTraceAgreesWithNetwork:
+    def test_server_consistency_load_from_the_trace(self):
+        """The paper's server consistency load counted from ``net.*``
+        events equals the network's own accounting exactly."""
+        cluster, trace = sim_run()
+        expected = cluster.network.stats["server"].handled(CONSISTENCY_KINDS)
+        assert expected > 0
+        got = sum(
+            1
+            for e in trace
+            if (
+                (e["type"] == events.NET_SEND and e["src"] == "server")
+                or (e["type"] == events.NET_RECV and e["dst"] == "server")
+            )
+            and e["kind"] in CONSISTENCY_KINDS
+        )
+        assert got == expected

@@ -21,7 +21,6 @@ import pytest
 
 from repro.baselines.locks import DfsLockServerEngine
 from repro.baselines.ttl import TtlServerEngine
-from repro.ext.coverage import AdaptiveCoverageServerEngine
 from repro.ext.writeback import WriteBackClientEngine, WriteBackServerEngine
 from repro.lease.installed import InstalledFileManager
 from repro.analytic import v_params
@@ -81,7 +80,7 @@ def _server_empty(engine) -> bool:
         or engine._recovery_queue
         or engine._write_dedup
         or engine._inflight
-        or engine.stats  # kept only where read: the coverage server here
+        or engine.stats
         or engine.known_clients
     )
 
@@ -111,16 +110,6 @@ def make_writeback_server():
 
 def writeback_server_empty(engine) -> bool:
     return _server_empty(engine) and not engine._wlease_owner
-
-
-def make_coverage_server():
-    """Built without a manager; forty readers get /doc promoted."""
-    engine = AdaptiveCoverageServerEngine("server", _store(), FixedTermPolicy(TERM))
-    for i in range(40):
-        engine.handle_message(ReadRequest(i, _doc(engine)), f"c{i}", 0.0)
-    engine.handle_timer("coverage", 1.0)
-    assert engine.promotions == 1
-    return engine
 
 
 class _Locks(DfsLockServerEngine):
@@ -248,16 +237,6 @@ CASES = [
     pytest.param(
         Case(make_writeback_server, recovery_delay, (TERM, TERM), writeback_server_empty),
         id="WriteBackServerEngine",
-    ),
-    pytest.param(
-        # Promotions chain from boot to boot through InstalledFileManager.fresh.
-        Case(
-            make_coverage_server,
-            lambda e: (recovery_delay(e), e.covered_datums() == {_doc(e)}),
-            ((TERM, True), (TERM, True)),
-            _server_empty,
-        ),
-        id="AdaptiveCoverageServerEngine",
     ),
     pytest.param(
         # The crash bound is the breakable minimum the table recorded.

@@ -658,9 +658,9 @@ class TestInstalled:
         assert new_cover in broadcast.message.covers
 
 
-    def promoted(self, term):
-        """c0 takes an ordinary lease at t=0; at t=1 the datum is promoted
-        into a cover (§7) that is announced at once, to t=11."""
+    def joined_cover(self, term):
+        """c0 takes an ordinary lease at t=0; at t=1 the datum joins a
+        cover that is announced at once, to t=11."""
         store = FileStore()
         store.create_file("/f", b"v1")
         installed = InstalledFileManager(announce_period=5.0, term=10.0)
@@ -675,11 +675,11 @@ class TestInstalled:
 
     def test_covered_write_calls_back_prepromotion_holders(self):
         """A covered write is an ordinary write with a floor under its
-        deadline: leases from before the promotion are in the table, so
-        their holders are asked instead of only waited out — and no
-        approval lets it commit before the cover's last announcement, plus
-        grace, has run out."""
-        engine, store, datum, cover_end = self.promoted(term=30.0)
+        deadline: leases from before the datum joined its cover are in the
+        table, so their holders are asked instead of only waited out — and
+        no approval lets it commit before the cover's last announcement,
+        plus grace, has run out."""
+        engine, store, datum, cover_end = self.joined_cover(term=30.0)
         effects = engine.handle_message(
             WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0
         )
@@ -695,7 +695,7 @@ class TestInstalled:
         assert sends(effects, WriteReply)[0].message.version == 2
 
     def test_covered_write_commits_on_last_approval_after_cover_ran_out(self):
-        engine, store, datum, cover_end = self.promoted(term=30.0)
+        engine, store, datum, cover_end = self.joined_cover(term=30.0)
         engine.handle_message(WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0)
         effects = engine.handle_message(
             ApprovalReply(datum, 1), "c0", now=cover_end + 1.0
@@ -703,8 +703,9 @@ class TestInstalled:
         assert sends(effects, WriteReply)[0].message.version == 2
 
     def test_covered_and_ordinary_write_share_one_queue(self):
-        """Promotion while a write is pending: the covered write that
-        follows queues behind it and both commit in arrival order."""
+        """A datum joins a cover while a write is pending: the covered
+        write that follows queues behind it and both commit in arrival
+        order."""
         store = FileStore()
         store.create_file("/f", b"v1")
         installed = InstalledFileManager(announce_period=5.0, term=10.0)
@@ -773,15 +774,6 @@ class TestEarlyTimerFirings:
         )
         return engine, effects, 10.0 + engine.config.announce_grace, WriteReply
 
-    def wait_demoted_write():
-        engine, store, datum = TestInstalled().make_installed()
-        engine.startup_effects(0.0)
-        engine.installed.unregister(datum)  # announced to t=10 under the old id
-        effects = engine.handle_message(
-            WriteRequest(1, datum, b"bin-v2", write_seq=1), "c0", now=1.0
-        )
-        return engine, effects, 10.0, WriteReply
-
     def wait_write_lease():
         from repro.ext.writeback import WriteBackServerEngine
 
@@ -795,9 +787,8 @@ class TestEarlyTimerFirings:
 
     @pytest.mark.parametrize(
         "start",
-        [wait_file_write, wait_rename, wait_covered_write, wait_demoted_write,
-         wait_write_lease],
-        ids=["file-write", "rename", "covered-write", "demoted-write", "write-lease"],
+        [wait_file_write, wait_rename, wait_covered_write, wait_write_lease],
+        ids=["file-write", "rename", "covered-write", "write-lease"],
     )
     def test_wait_rearms_when_fired_early(self, start):
         engine, effects, deadline, reply_type = start()

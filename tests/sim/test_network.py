@@ -102,9 +102,6 @@ class TestMulticastTiming:
         """Multicast + n replies completes in 2*m_prop + (n+3)*m_proc (paper §3.1)."""
         for n in (1, 3, 9):
             kernel, net, hosts = make_net(n_clients=n)
-            for i in range(n):
-                net.join_group("holders", f"c{i}")
-
             replies = []
             for i in range(n):
                 name = f"c{i}"
@@ -114,7 +111,7 @@ class TestMulticastTiming:
             hosts["server"].set_handler(
                 lambda payload, src: replies.append(kernel.now)
             )
-            sent = net.multicast("server", "holders", "approve?")
+            sent = net.multisend("server", [f"c{i}" for i in range(n)], "approve?")
             kernel.run()
             assert sent == n
             assert len(replies) == n
@@ -122,31 +119,18 @@ class TestMulticastTiming:
 
     def test_multicast_excludes_sender(self):
         kernel, net, hosts = make_net(n_clients=1)
-        net.join_group("g", "server")
-        net.join_group("g", "c0")
         seen = []
         hosts["c0"].set_handler(lambda payload, src: seen.append(payload))
         hosts["server"].set_handler(lambda payload, src: seen.append("SERVER-GOT-OWN"))
-        net.multicast("server", "g", "x")
+        assert net.multisend("server", ["server", "c0"], "x") == 1
         kernel.run()
         assert seen == ["x"]
 
     def test_multicast_to_empty_group(self):
         kernel, net, hosts = make_net()
-        assert net.multicast("server", "nobody", "x") == 0
+        assert net.multisend("server", [], "x") == 0
         kernel.run()
-
-    def test_leave_group(self):
-        kernel, net, hosts = make_net(n_clients=2)
-        net.join_group("g", "c0")
-        net.join_group("g", "c1")
-        net.leave_group("g", "c1")
-        seen = []
-        hosts["c0"].set_handler(lambda payload, src: seen.append("c0"))
-        hosts["c1"].set_handler(lambda payload, src: seen.append("c1"))
-        net.multicast("server", "g", "x")
-        kernel.run()
-        assert seen == ["c0"]
+        assert net.stats["server"].sent["msg"] == 1  # still a send (V model)
 
 
 class TestFailures:

@@ -80,6 +80,30 @@ class TestDirectories:
         with pytest.raises(NotADirectoryError_):
             ns.resolve_dir("/notadir/x")
 
+    def test_makedirs_is_mkdir_p(self):
+        """``makedirs`` creates each missing prefix in order, exactly as
+        successive ``mkdir`` calls would (same ids, same versions), reuses
+        what exists, and refuses to walk through a file."""
+        ns, by_hand = Namespace(), Namespace()
+        ns.mkdir("/usr")
+        by_hand.mkdir("/usr")
+        assert ns.makedirs("/usr/local/bin") == ns.resolve_dir("/usr/local/bin").dir_id
+        by_hand.mkdir("/usr/local")
+        by_hand.mkdir("/usr/local/bin")
+        for path in ("/", "/usr", "/usr/local", "/usr/local/bin"):
+            made, expected = ns.resolve_dir(path), by_hand.resolve_dir(path)
+            assert (made.dir_id, made.version) == (expected.dir_id, expected.version)
+
+        versions = {d: ns.dir_version(d) for d in ("dir:/", "dir:1", "dir:2")}
+        assert ns.makedirs("/usr/local") == "dir:2"
+        assert ns.makedirs("/") == Namespace.ROOT_ID
+        assert {d: ns.dir_version(d) for d in versions} == versions
+
+        ns.bind("/usr/f", "file:1")
+        with pytest.raises(NotADirectoryError_, match=r"'f' is a file"):
+            ns.makedirs("/usr/f/x")
+        assert ns.lookup("/usr/f").target == "file:1"
+
     def test_walk_errors_name_the_parent_path(self):
         """A path is split once; a failed walk to its parent still names
         the parent as the normalized path, and ``resolve_dir`` names the
