@@ -13,28 +13,17 @@ stops announcing the cover and waits one term.
 Run:  python examples/document_production.py
 """
 
-from repro import (
-    FixedTermPolicy,
-    InstalledFileManager,
-    build_cluster,
-    install_tree,
-)
+from repro import FixedTermPolicy, build_cluster, install_tree
 
 TERM = 10.0
-ANNOUNCE_PERIOD = 4.0
 
 
 def main() -> None:
-    installed = InstalledFileManager(announce_period=ANNOUNCE_PERIOD, term=TERM)
     datums = {}
 
     def setup(store):
-        datums.update(
-            install_tree(store, installed, "/bin", {"latex": b"latex-3.0"})
-        )
-        datums.update(
-            install_tree(store, installed, "/lib/tex", {"article.sty": b"style-v1"})
-        )
+        datums.update(install_tree(store, "/bin", {"latex": b"latex-3.0"}))
+        datums.update(install_tree(store, "/lib/tex", {"article.sty": b"style-v1"}))
         store.namespace.mkdir("/home")
         store.create_file("/home/thesis.tex", b"\\chapter{Leases}")
         datums["/home/thesis.tex"] = store.file_datum("/home/thesis.tex")
@@ -43,7 +32,7 @@ def main() -> None:
         n_clients=4,
         policy=FixedTermPolicy(TERM),
         setup_store=setup,
-        installed=installed,
+        cover_term=TERM,
     )
     latex = datums["/bin/latex"]
     style = datums["/lib/tex/article.sty"]

@@ -39,8 +39,9 @@ class TtlServerEngine:
     """A server that hands out TTL hints and never coordinates writes.
 
     Duck-compatible with :class:`~repro.protocol.server.ServerEngine` so the
-    standard simulation driver can host it.  The ``policy`` supplies the
-    TTL (its term for the datum).
+    standard simulation driver can host it (NFS announces no covers, so
+    ``installed`` is ignored).  The ``policy`` supplies the TTL (its term
+    for the datum).
     """
 
     def __init__(
@@ -50,7 +51,6 @@ class TtlServerEngine:
         self.store = store
         self.policy = policy
         self.config = config
-        self.installed = installed  # unused: no announcements in NFS
         self.obs = obs  # accepted for driver compatibility; TTL emits nothing
         self._write_dedup: dict[tuple[HostId, int], tuple[int, str | None]] = {}
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.analytic import alpha, alpha_unicast, break_even_term, v_params
 from repro.experiments.common import consistency_messages, render_table
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import AdaptiveTermPolicy, FixedTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.sim.driver import build_cluster, install_tree
@@ -80,30 +79,14 @@ class InstalledResult:
 def _installed_scenario(use_covers: bool, n_clients: int = 8) -> InstalledResult:
     """N clients re-read two installed binaries for a while; then one
     client updates a binary."""
-    installed = None
-    if use_covers:
-        installed = InstalledFileManager(announce_period=4.0, term=10.0)
     datums: dict[str, DatumId] = {}
-
-    def setup(store):
-        files = {"latex": b"v1", "cc": b"v1"}
-        if use_covers:
-            datums.update(install_tree(store, installed, "/bin", files))
-        else:
-            store.namespace.mkdir("/bin")
-            from repro.types import FileClass
-
-            for name, content in files.items():
-                record = store.create_file(
-                    f"/bin/{name}", content, file_class=FileClass.INSTALLED
-                )
-                datums[f"/bin/{name}"] = DatumId.file(record.file_id)
-
     cluster = build_cluster(
         n_clients=n_clients,
         policy=FixedTermPolicy(10.0),
-        setup_store=setup,
-        installed=installed,
+        setup_store=lambda store: datums.update(
+            install_tree(store, "/bin", {"latex": b"v1", "cc": b"v1"})
+        ),
+        cover_term=10.0 if use_covers else None,
     )
     latex = datums["/bin/latex"]
     cc = datums["/bin/cc"]

@@ -144,7 +144,6 @@ def cluster_for_trace(
     trace: list[TraceRecord],
     n_clients: int,
     policy,
-    installed=None,
     client_config=None,
     use_multicast: bool = True,
     seed: int = 0,
@@ -172,17 +171,12 @@ def cluster_for_trace(
                 datum_holder[path] = DatumId.directory(dir_id)
                 continue
             record = store.create_file(path, b"content", file_class=file_class)
-            datum = DatumId.file(record.file_id)
-            datum_holder[path] = datum
-            if installed is not None and file_class is FileClass.INSTALLED:
-                cover = "cover:" + path.rsplit("/", 1)[0]
-                installed.register(cover, datum)
+            datum_holder[path] = DatumId.file(record.file_id)
 
     cluster = build_cluster(
         n_clients=n_clients,
         policy=policy,
         setup_store=setup,
-        installed=installed,
         client_config=client_config,
         use_multicast=use_multicast,
         seed=seed,

@@ -17,8 +17,9 @@ implosion).  Instead:
 :class:`InstalledFileManager` is the server-side bookkeeping; the client
 side is :meth:`repro.lease.holder.LeaseSet.extend_cover`.
 
-Which files are installed, and under which cover, is configuration set
-before the server starts (:meth:`InstalledFileManager.register`).
+Which files are installed, and under which cover, is fixed when the
+manager is built (:func:`installed_covers`); the announce period is the
+server's (``ServerConfig.announce_period``).
 
 The delayed update is not a separate wait in the server: the expiry
 :meth:`InstalledFileManager.begin_write` returns (plus the announce
@@ -28,24 +29,42 @@ grace) becomes the ``not_before`` of an ordinary write gate
 
 from __future__ import annotations
 
-from repro.types import DatumId
+from collections.abc import Iterable, Mapping
+
+from repro.storage.store import FileStore
+from repro.types import DatumId, FileClass
+
+
+def installed_covers(store: FileStore) -> dict[str, set[DatumId]]:
+    """The store's installed files, one cover per parent directory: the
+    files of ``/bin`` under ``cover:/bin``."""
+    covers: dict[str, set[DatumId]] = {}
+    namespace = store.namespace
+    walk = [("", namespace.ROOT_ID)]
+    while walk:
+        path, dir_id = walk.pop()
+        for entry in namespace.dir_of(dir_id).entries.values():
+            if entry.is_dir:
+                walk.append((f"{path}/{entry.name}", entry.target))
+            elif store.file(entry.target).file_class is FileClass.INSTALLED:
+                covers.setdefault(f"cover:{path}", set()).add(DatumId.file(entry.target))
+    return covers
 
 
 class InstalledFileManager:
-    """Server-side state for multicast-extended cover leases."""
+    """Server-side state for multicast-extended cover leases: ``covers``
+    (cover name -> its datums, fixed for good; ValueError for a datum in
+    two) announced with ``term``."""
 
-    def __init__(self, announce_period: float = 5.0, term: float = 10.0):
-        if announce_period <= 0:
-            raise ValueError(f"announce period must be positive: {announce_period}")
-        if term <= announce_period:
-            raise ValueError(
-                f"term ({term}) must exceed the announce period "
-                f"({announce_period}) or covers lapse between announcements"
-            )
-        self.announce_period = announce_period
+    def __init__(self, covers: Mapping[str, Iterable[DatumId]], term: float = 10.0):
         self.term = term
-        self._members: dict[str, set[DatumId]] = {}
+        self._members = {cover: frozenset(datums) for cover, datums in covers.items()}
         self._cover_of: dict[DatumId, str] = {}
+        for cover, members in self._members.items():
+            for datum in members:
+                other = self._cover_of.setdefault(datum, cover)
+                if other != cover:
+                    raise ValueError(f"{datum} is under two covers: {other} and {cover}")
         #: Cover *generation*: finishing an update bumps its cover's
         #: generation, which changes the announced (versioned) cover id.
         #: Clients treat cover ids as opaque, so holdings riding the old id
@@ -54,7 +73,8 @@ class InstalledFileManager:
         #: Covers currently withheld from announcements (update in progress),
         #: mapped to the number of in-flight writes on their datums.
         self._excluded: dict[str, int] = {}
-        #: Server-clock expiry of the most recent announcement, per cover.
+        #: Server-clock expiry of the most recent announcement, per cover
+        #: base name (a generation bump does not reset it).
         self._announced_expiry: dict[str, float] = {}
 
     def fresh(self) -> "InstalledFileManager":
@@ -69,22 +89,11 @@ class InstalledFileManager:
         :meth:`finish_write` and would otherwise keep its cover out of the
         announcements for good.
         """
-        manager = InstalledFileManager(self.announce_period, self.term)
-        for cover, members in self._members.items():
-            for datum in members:
-                manager.register(cover, datum)
+        manager = InstalledFileManager(self._members, self.term)
         manager._generation = dict(self._generation)
         return manager
 
     # -- membership ------------------------------------------------------------
-
-    def register(self, cover: str, datum: DatumId) -> None:
-        """Place ``datum`` under cover lease ``cover``."""
-        old = self._cover_of.get(datum)
-        if old is not None and old != cover:
-            self._members[old].discard(datum)
-        self._members.setdefault(cover, set()).add(datum)
-        self._cover_of[datum] = cover
 
     def versioned_id(self, cover: str) -> str:
         """The announced id of a cover: the base name, suffixed with the
@@ -98,13 +107,18 @@ class InstalledFileManager:
         base = self._cover_of.get(datum)
         return None if base is None else self.versioned_id(base)
 
-    def members(self, cover: str) -> set[DatumId]:
-        """Datums under ``cover``."""
-        return set(self._members.get(cover, ()))
-
     def covers(self) -> set[str]:
         """All cover ids, active or excluded."""
         return set(self._members)
+
+    def covered_grant(self, datum: DatumId, now: float) -> tuple[float, str] | None:
+        """(What remains of the last announcement of ``datum``'s cover, its
+        announced id), or None for a datum under no cover."""
+        base = self._cover_of.get(datum)
+        if base is None:
+            return None
+        term = self._announced_expiry.get(base, now) - now
+        return max(0.0, term), self.versioned_id(base)
 
     # -- announcements -------------------------------------------------------------
 

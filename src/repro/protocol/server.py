@@ -200,6 +200,11 @@ class ServerEngine:
         self.store = store
         self.policy = policy
         self.config = config or ServerConfig()
+        if installed is not None and not 0 < self.config.announce_period < installed.term:
+            raise ValueError(
+                f"cover term ({installed.term}) must exceed a positive announce period "
+                f"({self.config.announce_period}) or covers lapse between announcements"
+            )
         self.installed = installed
         #: Trace bus for ``write.*``/``recovery.*`` events; shared with the
         #: lease table (``lease.*``).  NULL_BUS when tracing is off.
@@ -456,11 +461,9 @@ class ServerEngine:
         and the lease table.
         """
         if self.installed is not None:
-            cover = self.installed.cover_of(datum)
-            if cover is not None:
-                expiry = self.installed._announced_expiry.get(cover)
-                term = max(0.0, expiry - now) if expiry is not None else 0.0
-                return term, cover
+            covered = self.installed.covered_grant(datum, now)
+            if covered is not None:
+                return covered
         file_class = self._class_of(datum)
         term = self.policy.term(
             datum, src, now, stats=self.stats.get(datum), file_class=file_class
@@ -493,8 +496,8 @@ class ServerEngine:
         installed = self.installed
         if installed is not None and installed.cover_of(datum) is not None:
             # Delayed update (§4): the cover leaves the announcements and
-            # the write waits out the last one.  Per-client leases from
-            # before the datum joined its cover are in the table and are
+            # the write waits out the last one.  A per-client lease a
+            # subclass recorded on the datum is in the table and is
             # called back like any other.
             gate.covered = True
             not_before = installed.begin_write(datum, now) + self.config.announce_grace

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.clock.system import MonotonicClock
-from repro.lease.installed import InstalledFileManager
+from repro.lease.installed import InstalledFileManager, installed_covers
 from repro.lease.policy import FixedTermPolicy, TermPolicy
 from repro.protocol.client import ClientConfig, ClientEngine
 from repro.protocol.server import ServerConfig, ServerEngine
@@ -95,7 +95,7 @@ async def build_cluster(
     server_config: ServerConfig | None = None,
     client_config: ClientConfig | None = None,
     replica_config: ReplicaConfig | None = None,
-    installed: InstalledFileManager | None = None,
+    cover_term: float | None = None,
     setup_store: Callable[[FileStore | ShardedStore], None] | None = None,
     obs=None,
 ) -> Cluster:
@@ -108,7 +108,8 @@ async def build_cluster(
         replica_config: template each replica's ``hosts`` and ``index``
             are filled into; by default the simulator's
             :func:`~repro.sim.driver.replica_template`.
-        installed: installed-files manager of the one authority node.
+        cover_term: term of the one authority node's installed-file
+            covers, as in :func:`repro.sim.driver.build_cluster`.
         setup_store: populates the store before any node starts.
         obs: optional :class:`~repro.obs.bus.TraceBus` for every node,
             transport and the oracle.
@@ -126,11 +127,14 @@ async def build_cluster(
             f"replicas need the hub: a {fabric} server cannot reach its peer replicas"
         )
     policy = policy or FixedTermPolicy(10.0)
-    template = replica_template(topology, policy, installed, client_config, server_config)
+    template = replica_template(topology, policy, cover_term, client_config, server_config)
     clock = MonotonicClock()
     store, router, shard_stores, oracle = checked_store(
         topology, setup_store, WallKernel(clock), obs=obs
     )
+    installed = None
+    if cover_term is not None:
+        installed = InstalledFileManager(installed_covers(store), cover_term)
     hub = InMemoryHub(obs=obs, clock=clock) if fabric == "hub" else None
 
     cluster = Cluster(topology, [], [], store, oracle, clock, router, hub, obs)

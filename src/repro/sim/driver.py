@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.lease.installed import InstalledFileManager
+from repro.lease.installed import InstalledFileManager, installed_covers
 from repro.lease.policy import FixedTermPolicy, TermPolicy, longest_finite_term
 from repro.obs.events import TIMER_FIRE
 from repro.protocol.client import REBOOT_ID_STEP, ClientConfig, ClientEngine
@@ -383,7 +383,7 @@ def build_cluster(
     network_params: NetworkParams | None = None,
     client_config: ClientConfig | None = None,
     server_config: ServerConfig | None = None,
-    installed: InstalledFileManager | None = None,
+    cover_term: float | None = None,
     use_multicast: bool = True,
     seed: int = 0,
     strict_oracle: bool = True,
@@ -420,8 +420,9 @@ def build_cluster(
         server_config: config of every server engine; under replication
             its ``recovery_delay`` is ignored (the handoff wait-out
             subsumes crash recovery).
-        installed: optional installed-files manager (register datums on it
-            after the store is set up, or pass a preconfigured one).
+        cover_term: when set, the store's installed files are served
+            under multicast-extended covers of this term, one per parent
+            directory (:func:`~repro.lease.installed.installed_covers`).
         use_multicast: False fans approvals/announcements out as unicasts
             (the paper's footnote-6 ablation).
         strict_oracle: raise on the first stale read (set False in clock-
@@ -447,7 +448,7 @@ def build_cluster(
     topology = Topology(shards=shards, replicas=replicas, clients=n_clients)
     policy = policy or FixedTermPolicy(10.0)
     template = replica_template(
-        topology, policy, installed, client_config, server_config, master_term
+        topology, policy, cover_term, client_config, server_config, master_term
     )
     if template is not None and server_engine_factory is not None:
         raise ValueError("replicas build their own inner server engine")
@@ -457,6 +458,9 @@ def build_cluster(
     store, router, shard_stores, oracle = checked_store(
         topology, setup_store, kernel, strict=strict_oracle, obs=obs
     )
+    installed = None
+    if cover_term is not None:
+        installed = InstalledFileManager(installed_covers(store), cover_term)
 
     offset, drift = server_clock_params
     server_cls = server_engine_factory or ServerEngine
@@ -518,7 +522,7 @@ def build_cluster(
 def replica_template(
     topology: Topology,
     policy: TermPolicy,
-    installed: InstalledFileManager | None = None,
+    cover_term: float | None = None,
     client_config: ClientConfig | None = None,
     server_config: ServerConfig | None = None,
     master_term: float = 2.0,
@@ -530,7 +534,7 @@ def replica_template(
         ValueError: installed files on more than one authority node, or an
             unbounded term policy under replication.
     """
-    if installed is not None and topology.shards * topology.replicas > 1:
+    if cover_term is not None and topology.shards * topology.replicas > 1:
         raise ValueError(
             "installed files need a single authority node (shards=1, replicas=1)"
         )
@@ -569,24 +573,19 @@ def checked_store(topology: Topology, setup_store, kernel, strict=True, obs=None
 
 
 def install_tree(
-    store: FileStore,
-    installed: InstalledFileManager,
-    directory: str,
-    files: dict[str, bytes],
+    store: FileStore, directory: str, files: dict[str, bytes]
 ) -> dict[str, DatumId]:
-    """Create ``directory`` full of installed files under one cover lease.
+    """Create ``directory`` full of installed files: one cover lease's
+    worth under ``cover_term``.
 
     Intermediate directories are created as needed.
 
     Returns a mapping from path to file datum.
     """
     store.namespace.makedirs(directory)
-    cover = f"cover:{directory}"
     datums = {}
     for name, content in files.items():
         path = f"{directory}/{name}"
         record = store.create_file(path, content, file_class=FileClass.INSTALLED)
-        datum = DatumId.file(record.file_id)
-        installed.register(cover, datum)
-        datums[path] = datum
+        datums[path] = DatumId.file(record.file_id)
     return datums

@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.client import ClientConfig
+from repro.protocol.server import ServerConfig
 from repro.sim.driver import build_cluster, install_tree
 from repro.sim.network import NetworkParams
 from repro.types import DatumId
@@ -23,13 +23,10 @@ N_CLIENTS = 5
 
 
 def build(seed: int, loss_rate: float = 0.0):
-    installed = InstalledFileManager(announce_period=4.0, term=10.0)
     datums: dict[str, DatumId] = {}
 
     def setup(store):
-        datums.update(
-            install_tree(store, installed, "/bin", {"cc": b"cc", "ld": b"ld"})
-        )
+        datums.update(install_tree(store, "/bin", {"cc": b"cc", "ld": b"ld"}))
         store.namespace.mkdir("/home")
         for i in range(3):
             store.create_file(f"/home/user{i}.txt", b"init")
@@ -40,7 +37,8 @@ def build(seed: int, loss_rate: float = 0.0):
         n_clients=N_CLIENTS,
         policy=FixedTermPolicy(8.0),
         setup_store=setup,
-        installed=installed,
+        server_config=ServerConfig(announce_period=5.0),
+        cover_term=10.0,
         network_params=NetworkParams(loss_rate=loss_rate),
         client_config=ClientConfig(rpc_timeout=0.5, write_timeout=2.0, max_retries=60),
         seed=seed,

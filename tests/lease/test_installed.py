@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.lease.installed import InstalledFileManager
-from repro.types import DatumId
+from repro.lease.installed import InstalledFileManager, installed_covers
+from repro.lease.policy import FixedTermPolicy
+from repro.protocol.server import ServerConfig, ServerEngine
+from repro.storage.store import FileStore
+from repro.types import DatumId, FileClass
 
 LS = DatumId.file("bin/ls")
 CC = DatumId.file("bin/cc")
@@ -11,36 +14,73 @@ HDR = DatumId.file("include/stdio.h")
 
 
 def make_manager():
-    mgr = InstalledFileManager(announce_period=5.0, term=10.0)
-    mgr.register("cover:bin", LS)
-    mgr.register("cover:bin", CC)
-    mgr.register("cover:include", HDR)
-    return mgr
+    return InstalledFileManager({"cover:bin": [LS, CC], "cover:include": [HDR]}, term=10.0)
+
+
+def serve(period, term):
+    """A server announcing every ``period`` covers of ``term``."""
+    return ServerEngine(
+        "server",
+        FileStore(),
+        FixedTermPolicy(10.0),
+        config=ServerConfig(announce_period=period),
+        installed=InstalledFileManager({"cover:bin": [LS]}, term=term),
+    )
 
 
 class TestConstruction:
+    """The announce period is the server's, so the server refuses a
+    period and cover term under which covers would lapse."""
+
     def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            InstalledFileManager(announce_period=0.0, term=10.0)
+        with pytest.raises(ValueError, match="positive announce period"):
+            serve(period=0.0, term=10.0)
 
     def test_rejects_term_not_exceeding_period(self):
-        with pytest.raises(ValueError):
-            InstalledFileManager(announce_period=5.0, term=5.0)
+        for period, term in ((5.0, 5.0), (12.0, 10.0)):  # the second lapses 2 s in 12
+            with pytest.raises(ValueError, match="must exceed"):
+                serve(period, term)
+        assert serve(period=5.0, term=10.0).installed.term == 10.0
 
 
 class TestMembership:
     def test_register_and_lookup(self):
         mgr = make_manager()
         assert mgr.cover_of(LS) == "cover:bin"
+        assert mgr.cover_of(CC) == "cover:bin"
         assert mgr.cover_of(DatumId.file("unknown")) is None
-        assert mgr.members("cover:bin") == {LS, CC}
         assert mgr.covers() == {"cover:bin", "cover:include"}
 
-    def test_reregister_moves_cover(self):
+    def test_datum_in_two_covers_refused(self):
+        """Membership is fixed at construction: a datum cannot be under
+        two covers, nor move between them."""
+        with pytest.raises(ValueError, match="two covers"):
+            InstalledFileManager({"cover:bin": [LS, CC], "cover:include": [HDR, LS]})
+
+    def test_fresh_keeps_membership_and_generations(self):
         mgr = make_manager()
-        mgr.register("cover:include", LS)
-        assert mgr.cover_of(LS) == "cover:include"
-        assert LS not in mgr.members("cover:bin")
+        mgr.begin_write(LS, now=0.0)
+        mgr.finish_write(LS)
+        fresh = mgr.fresh()
+        assert fresh.covers() == mgr.covers()
+        assert [fresh.cover_of(d) for d in (LS, CC, HDR)] == [
+            "cover:bin#g2", "cover:bin#g2", "cover:include"
+        ]
+
+    def test_installed_covers_group_by_parent_directory(self):
+        store = FileStore()
+        for directory in ("/bin", "/usr/include/sys", "/home"):
+            store.namespace.makedirs(directory)
+        installed = {}
+        for path in ("/bin/ls", "/bin/cc", "/usr/include/sys/types.h", "/top"):
+            record = store.create_file(path, file_class=FileClass.INSTALLED)
+            installed[path] = DatumId.file(record.file_id)
+        store.create_file("/home/doc", b"user file")
+        assert installed_covers(store) == {
+            "cover:/bin": {installed["/bin/ls"], installed["/bin/cc"]},
+            "cover:/usr/include/sys": {installed["/usr/include/sys/types.h"]},
+            "cover:": {installed["/top"]},
+        }
 
 
 class TestAnnouncements:

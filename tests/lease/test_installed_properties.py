@@ -7,13 +7,13 @@ from repro.lease.installed import InstalledFileManager
 from repro.types import DatumId
 
 DATUMS = [DatumId.file(f"f{i}") for i in range(4)]
+COVERS = {"cover:a": DATUMS[:2], "cover:b": DATUMS[2:]}
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     ops=st.lists(
         st.one_of(
-            st.tuples(st.just("register"), st.sampled_from(DATUMS)),
             st.tuples(st.just("write"), st.sampled_from(DATUMS)),
             st.tuples(st.just("announce"), st.none()),
         ),
@@ -24,7 +24,7 @@ def test_announced_ids_never_resurrect(ops):
     """Once a versioned cover id stops being announced because of an
     update, it must never be announced again — that is the
     whole safety argument for generation bumps."""
-    mgr = InstalledFileManager(announce_period=1.0, term=5.0)
+    mgr = InstalledFileManager(COVERS, term=5.0)
     now = 0.0
     retired: set[str] = set()
     in_flight: dict = {}
@@ -32,11 +32,8 @@ def test_announced_ids_never_resurrect(ops):
 
     for op, datum in ops:
         now += 1.0
-        if op == "register":
-            if mgr.cover_of(datum) is None and not mgr.write_pending(datum):
-                mgr.register("cover:main", datum)
-        elif op == "write":
-            if mgr.cover_of(datum) is not None and datum not in in_flight:
+        if op == "write":
+            if datum not in in_flight:
                 old_id = mgr.cover_of(datum)
                 mgr.begin_write(datum, now)
                 in_flight[datum] = old_id
@@ -54,9 +51,8 @@ def test_announced_ids_never_resurrect(ops):
 
 
 def test_generation_strictly_increases():
-    mgr = InstalledFileManager(announce_period=1.0, term=5.0)
+    mgr = InstalledFileManager(COVERS, term=5.0)
     datum = DATUMS[0]
-    mgr.register("cover:x", datum)
     seen = set()
     for _ in range(5):
         cover_id = mgr.cover_of(datum)

@@ -87,9 +87,10 @@ def _server_empty(engine) -> bool:
 
 def make_server():
     store = _store()
-    installed = InstalledFileManager(announce_period=1.0, term=COVER_TERM)
-    installed.register("cover:/bin", store.file_datum("/bin/cat"))
-    engine = ServerEngine("server", store, FixedTermPolicy(TERM), installed=installed)
+    installed = InstalledFileManager({"cover:/bin": [store.file_datum("/bin/cat")]}, COVER_TERM)
+    engine = ServerEngine(
+        "server", store, FixedTermPolicy(TERM), ServerConfig(announce_period=1.0), installed
+    )
     _lease_then_wait(engine)
     # A covered write withholds its cover from the announcements.
     engine.handle_message(WriteRequest(3, _cat(engine), b"cat2", write_seq=2), "c1", 0.2)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.lease.installed import InstalledFileManager
+from repro.baselines.locks import DfsLockServerEngine
+from repro.ext.writeback import WriteBackServerEngine
+from repro.lease.installed import InstalledFileManager, installed_covers
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.effects import Broadcast, CancelTimer, Send, SetTimer
 from repro.protocol.messages import (
@@ -14,6 +16,8 @@ from repro.protocol.messages import (
     NamespaceRequest,
     ReadReply,
     ReadRequest,
+    RecallReply,
+    RecallRequest,
     RelinquishRequest,
     WriteLeaseReply,
     WriteLeaseRequest,
@@ -360,7 +364,7 @@ class TestRecovery:
         assert engine.crash() == 0.0  # nothing granted since
 
     def test_crash_bound_covers_the_installed_term(self):
-        installed = InstalledFileManager(announce_period=5.0, term=45.0)
+        installed = InstalledFileManager({}, term=45.0)
         engine, _ = make_engine(term=30.0, installed=installed)
         assert engine.crash() == 45.0  # announced to all, recorded for none
 
@@ -572,17 +576,15 @@ class TestNamespace:
 
 
 class TestInstalled:
-    def make_installed(self):
+    def make_installed(self, engine_cls=ServerEngine, term=10.0):
+        """``/bin/latex`` under ``cover:/bin``, announced with term 10
+        every 5 s; ``term`` is the policy's, for per-client leases."""
         store = FileStore()
         store.namespace.mkdir("/bin")
         record = store.create_file("/bin/latex", b"bin-v1", file_class=FileClass.INSTALLED)
-        installed = InstalledFileManager(announce_period=5.0, term=10.0)
-        datum = DatumId.file(record.file_id)
-        installed.register("cover:/bin", datum)
-        engine = ServerEngine(
-            "server", store, FixedTermPolicy(10.0), installed=installed
-        )
-        return engine, store, datum
+        installed = InstalledFileManager(installed_covers(store), term=10.0)
+        engine = engine_cls("server", store, FixedTermPolicy(term), installed=installed)
+        return engine, store, DatumId.file(record.file_id)
 
     def test_startup_announces_and_rearms(self):
         engine, store, datum = self.make_installed()
@@ -658,28 +660,27 @@ class TestInstalled:
         assert new_cover in broadcast.message.covers
 
 
-    def joined_cover(self, term):
-        """c0 takes an ordinary lease at t=0; at t=1 the datum joins a
-        cover that is announced at once, to t=11."""
-        store = FileStore()
-        store.create_file("/f", b"v1")
-        installed = InstalledFileManager(announce_period=5.0, term=10.0)
-        engine = ServerEngine(
-            "server", store, FixedTermPolicy(term), installed=installed
-        )
-        datum = store.file_datum("/f")
-        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
-        installed.register("cover:auto", datum)
-        engine.handle_timer("announce", now=1.0)
-        return engine, store, datum, 11.0 + engine.config.announce_grace
+    def recorded_under_cover(self):
+        """c0 reads at t=0 and gets a 30 s per-client lease the table
+        records: the DFS-lock engine with equal lock times (correct
+        leasing) records every grant, covered or not.  The cover is
+        announced at t=0, to t=10."""
 
-    def test_covered_write_calls_back_prepromotion_holders(self):
+        class Locks(DfsLockServerEngine):
+            lock_min_time = lock_hold_time = 30.0
+
+        engine, store, datum = self.make_installed(Locks)
+        engine.startup_effects(0.0)
+        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
+        return engine, store, datum, 10.0 + engine.config.announce_grace
+
+    def test_covered_write_calls_back_recorded_holders(self):
         """A covered write is an ordinary write with a floor under its
-        deadline: leases from before the datum joined its cover are in the
-        table, so their holders are asked instead of only waited out — and
-        no approval lets it commit before the cover's last announcement,
+        deadline: per-client leases on the datum are in the table, so
+        their holders are asked instead of only waited out — and no
+        approval lets it commit before the cover's last announcement,
         plus grace, has run out."""
-        engine, store, datum, cover_end = self.joined_cover(term=30.0)
+        engine, store, datum, cover_end = self.recorded_under_cover()
         effects = engine.handle_message(
             WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0
         )
@@ -690,12 +691,12 @@ class TestInstalled:
         # the approval pulls the deadline in to the cover's end, not below
         effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=3.0)
         assert effects == [SetTimer("write:1", pytest.approx(cover_end - 3.0))]
-        assert store.file_at("/f").version == 1
+        assert store.file_at("/bin/latex").version == 1
         effects = engine.handle_timer("write:1", now=cover_end)
         assert sends(effects, WriteReply)[0].message.version == 2
 
     def test_covered_write_commits_on_last_approval_after_cover_ran_out(self):
-        engine, store, datum, cover_end = self.joined_cover(term=30.0)
+        engine, store, datum, cover_end = self.recorded_under_cover()
         engine.handle_message(WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0)
         effects = engine.handle_message(
             ApprovalReply(datum, 1), "c0", now=cover_end + 1.0
@@ -703,35 +704,50 @@ class TestInstalled:
         assert sends(effects, WriteReply)[0].message.version == 2
 
     def test_covered_and_ordinary_write_share_one_queue(self):
-        """A datum joins a cover while a write is pending: the covered
-        write that follows queues behind it and both commit in arrival
-        order."""
-        store = FileStore()
-        store.create_file("/f", b"v1")
-        installed = InstalledFileManager(announce_period=5.0, term=10.0)
-        engine = ServerEngine(
-            "server", store, FixedTermPolicy(10.0), installed=installed
+        """A write lease's recall is an ordinary gate on a covered datum:
+        the covered write that sets it off queues behind it, and both
+        commit in arrival order — the owner's surrendered bytes, then the
+        write's, once the cover's last announcement has run out."""
+        engine, store, datum = self.make_installed(WriteBackServerEngine, term=30.0)
+        engine.startup_effects(0.0)  # cover announced to t=10
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.5)
+        effects = engine.handle_message(
+            WriteRequest(2, datum, b"B", write_seq=1), "c1", now=2.0
         )
-        datum = store.file_datum("/f")
-        engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
-        engine.handle_message(WriteRequest(2, datum, b"A", write_seq=1), "c1", now=1.0)
-        installed.register("cover:auto", datum)
-        engine.handle_timer("announce", now=1.5)  # cover announced to t=11.5
-        assert (
-            engine.handle_message(WriteRequest(3, datum, b"B", write_seq=1), "c2", now=2.0)
-            == []
+        (recall,) = [e for e in effects if isinstance(e, Broadcast)]
+        assert recall.dsts == ("c0",) and isinstance(recall.message, RecallRequest)
+        effects = engine.handle_message(
+            RecallReply(datum, recall.message.recall_id, dirty=b"A"), "c0", now=3.0
         )
-        effects = engine.handle_message(ApprovalReply(datum, 1), "c0", now=3.0)
-        assert sends(effects, WriteReply)[0].message.version == 2
-        (broadcast,) = [e for e in effects if isinstance(e, Broadcast)]
-        assert broadcast.message.write_id == 2  # B asks c0 in its turn
+        assert store.file_at("/bin/latex").content == b"A"
+        assert not sends(effects, WriteReply)
         (timer,) = timers(effects)
-        assert 3.0 + timer.delay == pytest.approx(11.5 + engine.config.announce_grace)
-        assert engine.handle_message(ApprovalReply(datum, 2), "c0", now=3.1) == []
+        assert 3.0 + timer.delay == pytest.approx(10.0 + engine.config.announce_grace)
         effects = engine.handle_timer(timer.key, now=3.0 + timer.delay)
         assert sends(effects, WriteReply)[0].message.version == 3
-        assert store.file_at("/f").content == b"B"
-        assert not installed.write_pending(datum)
+        assert store.file_at("/bin/latex").content == b"B"
+        assert not engine.installed.write_pending(datum)
+
+    def test_read_after_an_update_gets_the_resumed_announcement(self):
+        """The announced expiry is the cover's, whatever its generation:
+        a read after an update, under the bumped id, gets the rest of the
+        announcement that resumed the cover — not a zero term."""
+        engine, store, datum = self.make_installed()
+        engine.startup_effects(0.0)  # announced to t=10
+        (reply,) = sends(engine.handle_message(ReadRequest(1, datum), "c0", now=1.0))
+        assert (reply.message.term, reply.message.cover) == (pytest.approx(9.0), "cover:/bin")
+        effects = engine.handle_message(
+            WriteRequest(2, datum, b"v2", write_seq=1), "c1", now=2.0
+        )
+        (timer,) = timers(effects)
+        engine.handle_timer("announce", now=5.0)
+        engine.handle_timer("announce", now=10.0)
+        effects = engine.handle_timer(timer.key, now=2.0 + timer.delay)
+        assert 2.0 + timer.delay == pytest.approx(10.05)
+        assert sends(effects, WriteReply)[0].message.version == 2
+        engine.handle_timer("announce", now=15.0)  # announced to t=25
+        (reply,) = sends(engine.handle_message(ReadRequest(3, datum), "c0", now=16.0))
+        assert (reply.message.term, reply.message.cover) == (pytest.approx(9.0), "cover:/bin#g2")
 
 
 class TestEarlyTimerFirings:

@@ -5,7 +5,6 @@ import asyncio
 import pytest
 
 from repro.check.scenario import Scenario
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy, InfiniteTermPolicy
 from repro.protocol.client import ClientConfig, ClientEngine
 from repro.protocol.server import ServerConfig, ServerEngine
@@ -162,10 +161,9 @@ class TestRejectedCombinations:
             asyncio.run(build_cluster(Topology(), fabric="carrier-pigeon"))
 
     def test_installed_files_need_a_single_authority_node(self):
-        installed = InstalledFileManager(announce_period=1.0, term=5.0)
         for topology in (Topology(shards=2), Topology(replicas=3)):
             with pytest.raises(ValueError, match="installed"):
-                asyncio.run(build_cluster(topology, installed=installed))
+                asyncio.run(build_cluster(topology, cover_term=10.0))
 
     def test_unbounded_policy_is_refused_under_replication(self):
         with pytest.raises(ValueError, match="finite"):

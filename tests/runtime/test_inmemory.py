@@ -9,7 +9,6 @@ import asyncio
 import pytest
 
 from repro.errors import ReproError
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
 from repro.obs.bus import TraceBus
 from repro.obs.events import APPROVAL_REQUEST
@@ -171,7 +170,6 @@ class TestTimers:
 
 class TestInstalledFiles:
     def test_announcements_keep_covers_alive(self):
-        installed = InstalledFileManager(announce_period=0.2, term=0.5)
         datums = {}
 
         async def scenario(cluster):
@@ -186,8 +184,8 @@ class TestInstalledFiles:
             scenario,
             clients=1,
             client_config=ClientConfig(epsilon=0.01, announce_delay_bound=0.05),
-            installed=installed,
+            cover_term=0.5,
             setup_store=lambda store: datums.update(
-                install_tree(store, installed, "/bin", {"latex": b"v1"})
+                install_tree(store, "/bin", {"latex": b"v1"})
             ),
         )

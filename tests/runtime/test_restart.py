@@ -10,12 +10,11 @@ previous incarnation has provably expired (§2's crash rule).
 import asyncio
 import dataclasses
 
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig
 from repro.topology import Topology
-from repro.types import DatumId, FileClass
+from repro.types import FileClass
 
 from tests.runtime import create_doc, run_cluster
 
@@ -119,12 +118,9 @@ class TestServerRestart:
         the cover is never announced again and every read under it is
         deferred for good."""
 
-        installed = InstalledFileManager(announce_period=0.1, term=0.2)
-
         def setup(store):
             store.namespace.mkdir("/bin")
-            record = store.create_file("/bin/cat", b"v1", file_class=FileClass.INSTALLED)
-            installed.register("cover:/bin", DatumId.file(record.file_id))
+            store.create_file("/bin/cat", b"v1", file_class=FileClass.INSTALLED)
 
         async def scenario(cluster):
             server, datum = cluster.server, cluster.store.file_datum("/bin/cat")
@@ -147,6 +143,6 @@ class TestServerRestart:
             term=0.2,
             server_config=ServerConfig(epsilon=0.01, announce_period=0.1),
             client_config=dataclasses.replace(CLIENT_CONFIG, write_timeout=0.4),
-            installed=installed,
+            cover_term=0.2,
             setup_store=setup,
         )

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.check.scenario import Scenario
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import FixedTermPolicy, InfiniteTermPolicy
 from repro.protocol.client import ClientConfig
 from repro.protocol.server import ServerConfig, ServerEngine
@@ -99,10 +98,9 @@ class TestRejectedCombinations:
     """What the nodes cannot honour is refused, not silently dropped."""
 
     def test_installed_files_need_a_single_authority_node(self):
-        installed = InstalledFileManager(announce_period=1.0, term=5.0)
         for shape in ({"shards": 2}, {"replicas": 3}):
             with pytest.raises(ValueError, match="installed"):
-                build_cluster(1, installed=installed, **shape)
+                build_cluster(1, cover_term=10.0, **shape)
 
     def test_substitute_engine_is_refused_under_replication(self):
         with pytest.raises(ValueError, match="engine"):

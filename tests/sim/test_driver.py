@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analytic.params import V_PARAMS
-from repro.lease.installed import InstalledFileManager
 from repro.lease.policy import InfiniteTermPolicy, ZeroTermPolicy
 from repro.protocol.client import ClientConfig
+from repro.protocol.server import ServerConfig
 from repro.sim.driver import build_cluster, install_tree
 from repro.sim.network import NetworkParams
 from repro.storage.store import FileStore
@@ -173,21 +173,16 @@ class TestNamespaceOps:
 
 class TestInstalledFiles:
     def make_installed_cluster(self, n_clients=3):
-        installed = InstalledFileManager(announce_period=4.0, term=10.0)
         holder = {}
 
         def setup(store: FileStore) -> None:
-            holder.update(
-                install_tree(
-                    store,
-                    installed,
-                    "/bin",
-                    {"latex": b"latex-v1", "cc": b"cc-v1"},
-                )
-            )
+            holder.update(install_tree(store, "/bin", {"latex": b"latex-v1", "cc": b"cc-v1"}))
 
         cluster = build_cluster(
-            n_clients=n_clients, setup_store=setup, installed=installed
+            n_clients=n_clients,
+            setup_store=setup,
+            server_config=ServerConfig(announce_period=5.0),
+            cover_term=10.0,
         )
         return cluster, holder
 
