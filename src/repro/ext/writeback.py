@@ -284,15 +284,15 @@ class WriteBackClientEngine(ClientEngine):
 
     def acquire_write(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
         """Acquire (or renew) an exclusive write lease on ``datum``."""
-        op = self._new_op("wlease", datum, now)
+        op_id = self._new_op()
         entry = self.cache.peek(datum)
         cached = entry.version if entry is not None and entry.valid else None
         msg = WriteLeaseRequest(self._next_req, datum, cached_version=cached)
         self._next_req += 1
         effects = self._send_request(
-            msg, {datum: [op.op_id]}, now, self.config.write_timeout, track_datums=False
+            msg, {datum: [op_id]}, now, self.config.write_timeout, track_datums=False
         )
-        return op.op_id, effects
+        return op_id, effects
 
     def holds_write_lease(self, datum: DatumId, now: float) -> bool:
         """True while we may buffer writes to ``datum`` locally."""
@@ -322,14 +322,14 @@ class WriteBackClientEngine(ClientEngine):
         if content is None:
             op_id = self._take_op_id()
             return op_id, [Complete(op_id, ok=True, value=None)]
-        op = self._new_op("flush", datum, now)
+        op_id = self._new_op()
         msg = FlushRequest(self._next_req, datum, content, write_seq=self._next_write_seq)
         self._next_req += 1
         self._next_write_seq += 1
         effects = self._send_request(
-            msg, {datum: [op.op_id]}, now, self.config.write_timeout, track_datums=False
+            msg, {datum: [op_id]}, now, self.config.write_timeout, track_datums=False
         )
-        return op.op_id, effects
+        return op_id, effects
 
     def dirty_datums(self) -> set[DatumId]:
         """Datums with locally buffered, unflushed writes."""
@@ -393,7 +393,7 @@ class WriteBackClientEngine(ClientEngine):
             self.cache.put(msg.datum, msg.version, msg.payload, lease_req=req.req_id)
         entry = self.cache.peek(msg.datum)
         for op_id in op_ids:
-            self._ops.pop(op_id, None)
+            self._ops.discard(op_id)
             effects.append(
                 Complete(
                     op_id,

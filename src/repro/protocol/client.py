@@ -120,16 +120,6 @@ class ClientConfig:
 
 
 @dataclass
-class _OpCtx:
-    """One application-visible operation in flight."""
-
-    op_id: int
-    kind: str  # "read" | "write" | "ns"
-    datum: DatumId | None
-    submitted_local: float
-
-
-@dataclass
 class _ReqCtx:
     """One outstanding RPC (may serve several operations)."""
 
@@ -212,7 +202,8 @@ class ClientEngine:
         self.temp = TempFileStore()
         self.metrics = ClientMetrics()
         self.id_base = id_base
-        self._ops: dict[int, _OpCtx] = {}
+        #: Ids of the application operations still waiting for an answer.
+        self._ops: set[int] = set()
         self._requests: dict[int, _ReqCtx] = {}
         #: datum -> req_id of the in-flight read/extend covering it.
         self._datum_req: dict[DatumId, int] = {}
@@ -270,9 +261,9 @@ class ClientEngine:
     def read(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
         """Read a datum; completes locally when lease and copy are valid.
 
-        The hit is decided before an op context exists: a lease-valid read
-        returns its lone :class:`Complete` having consumed an op id and
-        nothing else; only a miss is entered in ``_ops``.
+        The hit is decided first: a lease-valid read returns its lone
+        :class:`Complete` having consumed an op id and nothing else; only
+        a miss is entered in ``_ops``.
         """
         # No local hit while a write of ours on the datum awaits its reply:
         # the server exempts the *writer* from approval-based invalidation,
@@ -299,7 +290,7 @@ class ClientEngine:
                 the write with a ``cas mismatch`` error if the datum has
                 moved past it (lost race with a concurrent writer).
         """
-        op = self._new_op("write", datum, now)
+        op_id = self._new_op()
         self.metrics.writes += 1
         # The write request carries this client's *implicit approval* (§3.1),
         # and granting approval invalidates the local copy (§2).  Without
@@ -312,22 +303,22 @@ class ClientEngine:
         self._next_req += 1
         self._next_write_seq += 1
         effects = self._send_request(
-            msg, {datum: [op.op_id]}, now, self.config.write_timeout, track_datums=False
+            msg, {datum: [op_id]}, now, self.config.write_timeout, track_datums=False
         )
-        return op.op_id, effects
+        return op_id, effects
 
     def namespace_op(self, op_name: str, args: tuple, now: float) -> tuple[int, list[Effect]]:
         """Submit a namespace mutation (bind/unbind/rename/mkdir)."""
-        op = self._new_op("ns", None, now)
+        op_id = self._new_op()
         msg = NamespaceRequest(
             self._next_req, op_name, args, write_seq=self._next_write_seq
         )
         self._next_req += 1
         self._next_write_seq += 1
         effects = self._send_request(
-            msg, {}, now, self.config.write_timeout, op_ids=[op.op_id], track_datums=False
+            msg, {}, now, self.config.write_timeout, op_ids=[op_id], track_datums=False
         )
-        return op.op_id, effects
+        return op_id, effects
 
     def write_temp(self, path: str, content: bytes) -> None:
         """Write a temporary file locally; never touches the server."""
@@ -396,7 +387,7 @@ class ClientEngine:
 
     def _fetch(self, datum: DatumId, now: float) -> tuple[int, list[Effect]]:
         """A read that missed: obtain a fresh lease (and data if needed)."""
-        op_id = self._new_op("read", datum, now).op_id
+        op_id = self._new_op()
         self.metrics.reads += 1
         in_flight = self._datum_req.get(datum)
         if in_flight is not None:
@@ -592,8 +583,8 @@ class ClientEngine:
             # the admission rule apply: an approval that overtook it wins.
             self.cache.put(msg.datum, msg.version, req.message.content)
         for op_id in op_ids:
-            op = self._ops.pop(op_id, None)
-            if op is not None:
+            if op_id in self._ops:
+                self._ops.remove(op_id)
                 effects.append(Complete(op_id, ok=True, value=msg.version))
         return effects
 
@@ -607,8 +598,8 @@ class ClientEngine:
             effects.extend(self._fail_ops(op_ids, msg.error))
             return effects
         for op_id in op_ids:
-            op = self._ops.pop(op_id, None)
-            if op is not None:
+            if op_id in self._ops:
+                self._ops.remove(op_id)
                 effects.append(Complete(op_id, ok=True, value=msg.result))
         return effects
 
@@ -781,14 +772,14 @@ class ClientEngine:
         return effects
 
     def _complete_read(self, op_id: int, version: int, payload: object) -> Complete:
-        self._ops.pop(op_id, None)
+        self._ops.discard(op_id)
         return Complete(op_id, ok=True, value=(version, payload))
 
     def _fail_ops(self, op_ids: list[int], error: str) -> list[Effect]:
         effects: list[Effect] = []
         for op_id in op_ids:
-            op = self._ops.pop(op_id, None)
-            if op is not None:
+            if op_id in self._ops:
+                self._ops.remove(op_id)
                 effects.append(Complete(op_id, ok=False, error=error))
         return effects
 
@@ -817,12 +808,12 @@ class ClientEngine:
         self._next_op += 1
         return op_id
 
-    def _new_op(self, kind: str, datum: DatumId | None, now: float) -> _OpCtx:
+    def _new_op(self) -> int:
         """Enter an operation that has to wait into ``_ops``; one finished
         on the spot takes only its id (:meth:`_take_op_id`)."""
-        op = _OpCtx(op_id=self._take_op_id(), kind=kind, datum=datum, submitted_local=now)
-        self._ops[op.op_id] = op
-        return op
+        op_id = self._take_op_id()
+        self._ops.add(op_id)
+        return op_id
 
     # -- introspection ---------------------------------------------------------------------
 

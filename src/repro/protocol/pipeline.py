@@ -9,8 +9,9 @@ already give that timer the semantics we need:
 
 * the simulator's kernel orders events by ``(time, seq)``, so a
   zero-delay timer fires after every other event at the same instant;
-* asyncio's ``call_later(0)`` fires on the next loop iteration, after
-  every task step scheduled in the current one.
+* an asyncio node (``repro.runtime.node``) fires a zero-delay timer in a
+  later loop iteration than the one that armed it, after every task step
+  and callback scheduled in that iteration.
 
 Either way, all requests issued "at the same time" leave in one
 :class:`~repro.protocol.messages.BatchRequest` frame — no driver

@@ -3,13 +3,25 @@
 A node owns an engine, a transport and a clock.  Inbound messages and
 timer firings are dispatched on the event loop (engines are synchronous,
 so a single-threaded loop serializes them for free); effects are executed
-as they are emitted: ``SetTimer`` becomes ``loop.call_later`` (re-arming
-replaces), ``Complete`` resolves the Future a waiting client call holds
-(an operation the engine finishes on the spot never gets one), and a send
-runs ``transport.send`` on the spot, to its first suspension point.
-Every stock transport finishes there, so a sent message costs no
-Task and no extra loop iteration; only a send that really waits (chaos
-delay) is finished by a Task, which the node tracks until ``close()``.
+as they are emitted: ``SetTimer`` records a deadline in the node's own
+timer heap (re-arming replaces), ``Complete`` resolves the Future a
+waiting client call holds (an operation the engine finishes on the spot
+never gets one), and a send runs ``transport.send`` on the spot, to its
+first suspension point.  Every stock transport finishes there, so a sent
+message costs no Task and no extra loop iteration; only a send that
+really waits (chaos delay) is finished by a Task, which the node tracks
+until ``close()``.
+
+An engine timer is a deadline, not a loop handle.  The node keeps
+``_timers`` (key -> its heap entry, live keys only) and one
+``(deadline, seq, key)`` heap with lazy cancellation, compacted once dead
+entries outnumber live ones: the structure of the simulator's kernel.
+The loop holds a handle only for the earliest deadline, armed when a new
+deadline is earlier than every handle already armed; a ``CancelTimer``
+never touches the loop, and a wake that finds nothing due re-arms for the
+heap's head.  A wake fires the due keys in ``(deadline, seq)`` order; a
+timer armed during a wake, a zero-delay one included, fires in a later
+loop iteration, after every task step scheduled in the current one.
 
 A server node drives whatever authority engine it is given — a
 :class:`~repro.protocol.server.ServerEngine` (:class:`LeaseServerNode`
@@ -25,7 +37,9 @@ from __future__ import annotations
 
 import asyncio
 import collections.abc
+import math
 import random
+from heapq import heapify, heappop, heappush
 from typing import Any
 
 from repro.clock.system import MonotonicClock
@@ -41,6 +55,9 @@ from repro.protocol.server import ServerConfig, ServerEngine
 from repro.runtime.transport import Transport
 from repro.storage.store import FileStore
 from repro.types import DatumId, HostId
+
+#: Dead heap entries below which dead weight is cheaper than a rebuild.
+_COMPACT_MIN = 64
 
 
 class _Started(collections.abc.Coroutine):
@@ -83,7 +100,14 @@ class _EngineNode:
         #: here with the same schemas the simulator uses, and hands the bus
         #: to its engine, which emits the protocol-level events itself.
         self.obs = obs or NULL_BUS
-        self._timers: dict[str, asyncio.TimerHandle] = {}
+        #: key -> its ``(deadline, seq, key)`` heap entry; live keys only.
+        self._timers: dict[str, tuple[float, int, str]] = {}
+        self._heap: list[tuple[float, int, str]] = []
+        self._seq = 0
+        #: Armed loop handles, latest first to fire on top: each was armed
+        #: earlier than all before it, so they fire in reverse order.
+        self._wakes: list[asyncio.TimerHandle] = []
+        self._wake_at = math.inf  # deadline of ``_wakes[-1]``
         # The loop is resolved lazily (see `_loop`): binding it here via the
         # deprecated get_event_loop() would capture the wrong loop when a
         # node is constructed before asyncio.run().
@@ -125,7 +149,6 @@ class _EngineNode:
         self._run_effects(engine.handle_message(message, src, now))
 
     def _on_timer(self, key: str) -> None:
-        self._timers.pop(key, None)
         engine = self.engine
         if engine is None:
             return
@@ -187,21 +210,90 @@ class _EngineNode:
                 dst=dst, kind=kind, reason=type(exc).__name__,
             )
 
+    # -- timers -----------------------------------------------------------------------
+
     def _set_timer(self, key: str, delay: float) -> None:
-        self._cancel_timer(key)
-        self._timers[key] = self._loop.call_later(
-            max(0.0, delay), self._on_timer, key
-        )
+        loop = self._bound_loop or self._loop  # the property, inlined
+        deadline = loop.time() + (delay if delay > 0.0 else 0.0)
+        entry = (deadline, self._seq, key)
+        self._seq += 1
+        timers = self._timers
+        replaced = key in timers
+        timers[key] = entry
+        heappush(self._heap, entry)
+        if replaced:
+            self._compact_if_sparse()
+        if deadline < self._wake_at:
+            self._wakes.append(loop.call_at(deadline, self._wake))
+            self._wake_at = deadline
 
     def _cancel_timer(self, key: str) -> None:
-        handle = self._timers.pop(key, None)
-        if handle is not None:
+        if self._timers.pop(key, None) is not None:
+            self._compact_if_sparse()
+
+    def _compact_if_sparse(self) -> None:
+        """Drop dead heap entries once they outnumber live ones (past a
+        floor), so timer churn runs in O(live) memory."""
+        heap, timers = self._heap, self._timers
+        dead = len(heap) - len(timers)
+        if dead > _COMPACT_MIN and dead > len(timers):
+            heap[:] = [e for e in heap if timers.get(e[2]) is e]
+            heapify(heap)
+
+    def _wake(self) -> None:
+        """The earliest armed handle fired: run every key due by its deadline.
+
+        That deadline precedes the start of this loop iteration (to within
+        the monotonic clock's resolution), and a timer armed in this
+        iteration has a deadline no earlier than its start; so "due by the
+        handle's deadline" leaves such a timer for a later iteration, as
+        ``call_later(0)`` would.
+        """
+        wakes, due_by = self._wakes, self._wake_at
+        wakes.pop()
+        self._wake_at = wakes[-1].when() if wakes else math.inf
+        heap, timers = self._heap, self._timers
+        # Take the due entries out first: one armed by a firing below goes
+        # into the heap and so waits for a later wake.
+        due = []
+        while heap and heap[0][0] <= due_by:
+            entry = heappop(heap)
+            if timers.get(entry[2]) is entry:
+                due.append(entry)
+        for entry in due:
+            key = entry[2]
+            if timers.get(key) is entry:  # not cancelled or re-armed since
+                del timers[key]
+                try:
+                    self._on_timer(key)
+                except (SystemExit, KeyboardInterrupt):
+                    raise
+                except BaseException as exc:  # as the loop treats a callback
+                    self._loop.call_exception_handler({
+                        "message": f"Exception in timer {key!r} of {self.name}",
+                        "exception": exc,
+                    })
+        while heap and timers.get(heap[0][2]) is not heap[0]:
+            heappop(heap)  # dead: no wake for a cancelled timer
+        if heap:
+            # Past due already (the loop ran late): one wake takes them all.
+            deadline = max(heap[0][0], self._loop.time())
+            if deadline < self._wake_at:
+                wakes.append(self._loop.call_at(deadline, self._wake))
+                self._wake_at = deadline
+
+    def _drop_timers(self) -> None:
+        """Forget every timer and disarm every loop handle."""
+        self._timers.clear()
+        self._heap.clear()
+        for handle in self._wakes:
             handle.cancel()
+        self._wakes.clear()
+        self._wake_at = math.inf
 
     async def close(self) -> None:
-        """Cancel timers, reap in-flight sends, and close the transport."""
-        for key in list(self._timers):
-            self._cancel_timer(key)
+        """Drop timers, reap in-flight sends, and close the transport."""
+        self._drop_timers()
         for task in self._send_tasks:  # only those still waiting are in it
             task.cancel()
         await asyncio.gather(*self._send_tasks, return_exceptions=True)
@@ -242,8 +334,7 @@ class _ServerNode(_EngineNode):
         """
         if self.engine is not None:
             self._crashed, self.engine = self.engine, None
-        for key in list(self._timers):
-            self._cancel_timer(key)
+        self._drop_timers()
 
     def restart(self) -> None:
         """Reboot, killing first if alive: the dropped engine's next

@@ -67,6 +67,21 @@ def count_tasks() -> list:
     return created
 
 
+def count_loop_timers() -> list:
+    """Record every loop timer (``call_at``; ``call_later`` goes through
+    it) the running loop is asked for from now on."""
+    loop = asyncio.get_running_loop()
+    created = []
+    call_at = loop.call_at
+
+    def counting(when, callback, *args, **kwargs):
+        created.append(call_at(when, callback, *args, **kwargs))
+        return created[-1]
+
+    loop.call_at = counting
+    return created
+
+
 def count_futures() -> list:
     """Record every Future the running loop is asked for from now on."""
     loop = asyncio.get_running_loop()
@@ -109,6 +124,24 @@ class TestHopBudget:
                 assert await client.read(datum) == (1, b"v1")
             assert client.engine.metrics.read_requests == ROUND_TRIPS + 1
             assert created == []
+
+        on_cluster(scenario, fabric)
+
+    @pytest.mark.parametrize("fabric", ["tcp", "hub"])
+    def test_a_round_trip_arms_no_loop_timer(self, fabric):
+        """Each read arms and cancels an ``rpc:`` timer.  A node keeps engine
+        timers as deadlines in its own heap and holds a loop handle only
+        for the earliest, so 200 of them cost the loop no timer at all
+        (the design this replaced armed one ``TimerHandle`` per read)."""
+
+        async def scenario(cluster):
+            datum, client = cluster.store.file_datum("/doc"), cluster.client(0)
+            await client.read(datum)
+            created = count_loop_timers()
+            for _ in range(ROUND_TRIPS):
+                assert await client.read(datum) == (1, b"v1")
+            assert client.engine.metrics.read_requests == ROUND_TRIPS + 1
+            assert len(created) <= 2 * len(cluster.servers + cluster.clients), created
 
         on_cluster(scenario, fabric)
 

@@ -99,13 +99,31 @@ class TestServerRestart:
         config = dataclasses.replace(SERVER_CONFIG, recovery_delay=0.4)
         on_cluster(scenario, term=0.2, server_config=config)
 
-    def test_restart_cancels_stale_timers(self):
+    def test_no_timer_of_the_old_incarnation_reaches_the_new_one(self):
+        """The first incarnation waits out a reader's lease on its
+        ``write:`` timer when the crash comes.  The next incarnation never
+        sees that timer: it fires only its own ``recovery`` timer, then
+        commits the retransmitted write."""
+
         async def scenario(cluster):
             server, datum = cluster.server, cluster.store.file_datum("/doc")
-            await cluster.client(0).read(datum)
-            before = dict(server._timers)
+            a, b = cluster.clients
+            await a.read(datum)  # a 0.4 s lease the write has to wait out
+            await a.close()  # so no approval ever comes back
+            write = asyncio.ensure_future(b.write(datum, b"v2"))
+            await asyncio.sleep(0.05)
+            assert server.status()["pending_writes"] == 1
             server.restart()
-            assert all(handle.cancelled() for handle in before.values())
+            fired, handle_timer = [], server.engine.handle_timer
+
+            def recording(key, now):
+                fired.append(key)
+                return handle_timer(key, now)
+
+            server.engine.handle_timer = recording
+            assert await asyncio.wait_for(write, 5.0) == 2
+            await asyncio.sleep(0.1)  # well past the old wait-out's deadline
+            assert fired == ["recovery"]
 
         on_cluster(scenario, term=0.4)
 
