@@ -48,7 +48,7 @@ Package map:
                     lease over the lease table
 ``repro.ext``       beyond the paper: write-back caches via write
                     leases
-``repro.obs``       trace-event bus, metrics registry, timing
+``repro.obs``       trace-event bus and counter registry
 ``repro.check``     scenario exploration: generate, run, check, replay,
                     shrink (``python -m repro.check``)
 ``repro.parallel``  ``ProcessPoolExecutor`` fan-out for sweeps and

@@ -1,6 +1,7 @@
 """Baseline consistency protocols from the paper's related work (§6).
 
-Two of the baselines are *degenerate lease terms* and need no new code:
+Every baseline is the lease server (§6 treats them as degenerate leases).
+Two are *degenerate lease terms* and need no new code:
 
 * **check-on-use** (Sprite between opens, RFS, the Andrew prototype) —
   ``ZeroTermPolicy``: every read checks with the server;
@@ -9,18 +10,20 @@ Two of the baselines are *degenerate lease terms* and need no new code:
   forever (or, in Andrew's actual behaviour, the server proceeds and the
   client reads stale data until it polls).
 
-Two have genuinely different protocols, implemented here as alternate
-server engines behind the same driver interface:
+Two are the lease server with one ``_grant`` override, which changes what
+a grant promises and nothing else:
 
-* :mod:`repro.baselines.ttl` — **NFS-style TTL hints**: the server stamps
-  replies with a time-to-live and *never* waits for or notifies anyone.
-  Fast and simple, but reads can be stale for up to a TTL after any write.
-* :mod:`repro.baselines.locks` — **Xerox DFS breakable locks**: a lock
-  carries a minimum time before it may be broken; the server honors only
-  that minimum, while clients keep trusting the lock and are not reliably
-  notified of breaks.  Trusting clients read stale data; distrusting
-  clients must check every read — the paper's point that the scheme
-  "degenerates to leasing with a term of zero".
+* :mod:`repro.baselines.ttl` — **NFS-style TTL hints**: a grant returns
+  the policy's term and records nothing, so the server never waits for or
+  notifies anyone.  Fast and simple, but reads can be stale for up to a
+  TTL after any write.
+* :mod:`repro.baselines.locks` — **Xerox DFS breakable locks**: a grant
+  records the lock's minimum time before it may be broken and advertises
+  a longer hold; the server honours only the minimum, while clients keep
+  trusting the lock and are not notified of breaks.  Trusting clients
+  read stale data; distrusting clients must check every read — the
+  paper's point that the scheme "degenerates to leasing with a term of
+  zero".
 
 :mod:`repro.baselines.comparison` runs one shared workload under every
 protocol and tabulates consistency traffic, delay, staleness, and

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.baselines.locks import make_dfs_lock_cluster
-from repro.baselines.ttl import make_ttl_cluster
+from repro.baselines.locks import DfsLockServerEngine
+from repro.baselines.ttl import TtlServerEngine
 from repro.experiments.common import CONSISTENCY_KINDS, render_table
 from repro.lease.policy import FixedTermPolicy, InfiniteTermPolicy, ZeroTermPolicy
 from repro.protocol.client import ClientConfig
+from repro.protocol.server import ServerEngine
 from repro.sim.driver import Cluster, build_cluster
 from repro.storage.store import FileStore
 
@@ -26,6 +26,17 @@ N_CLIENTS = 6
 N_FILES = 3
 DURATION = 120.0
 PARTITION = (40.0, 25.0)  # isolate c0 for 25 s starting at t=40
+
+#: Every §6 protocol as a lease server: (name, term policy, server engine).
+#: TTL hints and DFS locks differ from leasing only in ``_grant``; DFS
+#: locks' defaults are the 2 s minimum and 10 s hold.
+PROTOCOLS = (
+    ("leases (10 s)", FixedTermPolicy(10.0), ServerEngine),
+    ("check-on-use (term 0)", ZeroTermPolicy(), ServerEngine),
+    ("callbacks (term inf)", InfiniteTermPolicy(), ServerEngine),
+    ("NFS TTL (10 s)", FixedTermPolicy(10.0), TtlServerEngine),
+    ("DFS locks (min 2 s / hold 10 s)", FixedTermPolicy(2.0), DfsLockServerEngine),
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,7 @@ def _setup(store: FileStore) -> None:
         store.create_file(f"/file{i}", b"init")
 
 
-def _drive(cluster: Cluster, seed: int) -> ProtocolOutcome | None:
+def _drive(name: str, cluster: Cluster, seed: int) -> ProtocolOutcome:
     """Schedule the standard workload, run, and collect metrics."""
     rng = random.Random(seed)
     datums = [cluster.store.file_datum(f"/file{i}") for i in range(N_FILES)]
@@ -96,7 +107,7 @@ def _drive(cluster: Cluster, seed: int) -> ProtocolOutcome | None:
     ]
     ok_writes = [w for w in write_results if w.ok]
     return ProtocolOutcome(
-        protocol="",
+        protocol=name,
         consistency_msgs=cluster.network.stats["server"].handled(CONSISTENCY_KINDS),
         mean_read_latency=sum(r.latency for r in ok_reads) / len(ok_reads),
         stale_reads=len(cluster.oracle.violations),
@@ -109,75 +120,25 @@ def _drive(cluster: Cluster, seed: int) -> ProtocolOutcome | None:
     )
 
 
-def _with_name(outcome: ProtocolOutcome, name: str) -> ProtocolOutcome:
-    from dataclasses import replace
-
-    return replace(outcome, protocol=name)
-
-
 def compare_protocols(seed: int = 0) -> list[ProtocolOutcome]:
     """Run the standard workload under every protocol."""
     client_config = ClientConfig(rpc_timeout=1.0, write_timeout=5.0, max_retries=10)
-    builders: list[tuple[str, Callable[[], Cluster]]] = [
-        (
-            "leases (10 s)",
-            lambda: build_cluster(
+    return [
+        _drive(
+            name,
+            build_cluster(
                 n_clients=N_CLIENTS,
-                policy=FixedTermPolicy(10.0),
+                policy=policy,
+                server_engine_factory=engine,
                 setup_store=_setup,
                 client_config=client_config,
                 strict_oracle=False,
                 seed=seed,
             ),
-        ),
-        (
-            "check-on-use (term 0)",
-            lambda: build_cluster(
-                n_clients=N_CLIENTS,
-                policy=ZeroTermPolicy(),
-                setup_store=_setup,
-                client_config=client_config,
-                strict_oracle=False,
-                seed=seed,
-            ),
-        ),
-        (
-            "callbacks (term inf)",
-            lambda: build_cluster(
-                n_clients=N_CLIENTS,
-                policy=InfiniteTermPolicy(),
-                setup_store=_setup,
-                client_config=client_config,
-                strict_oracle=False,
-                seed=seed,
-            ),
-        ),
-        (
-            "NFS TTL (10 s)",
-            lambda: make_ttl_cluster(
-                ttl=10.0,
-                n_clients=N_CLIENTS,
-                setup_store=_setup,
-                client_config=client_config,
-                seed=seed,
-            ),
-        ),
-        (
-            "DFS locks (min 2 s / hold 10 s)",
-            lambda: make_dfs_lock_cluster(
-                min_time=2.0,
-                hold_time=10.0,
-                n_clients=N_CLIENTS,
-                setup_store=_setup,
-                client_config=client_config,
-                seed=seed,
-            ),
-        ),
+            seed,
+        )
+        for name, policy, engine in PROTOCOLS
     ]
-    outcomes = []
-    for name, builder in builders:
-        outcomes.append(_with_name(_drive(builder(), seed), name))
-    return outcomes
 
 
 def render(outcomes: list[ProtocolOutcome] | None = None) -> str:

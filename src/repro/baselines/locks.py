@@ -33,15 +33,13 @@ class DfsLockServerEngine(ServerEngine):
     """
 
     #: Configured via make_dfs_lock_cluster (the driver's engine factory
-    #: passes only the standard arguments).
+    #: passes only the standard arguments); the defaults are the lock
+    #: ``compare_protocols`` measures.
     lock_min_time: float = 2.0
     lock_hold_time: float = 10.0
 
     def _grant(self, datum: DatumId, src: HostId, now: float) -> tuple[float, str | None]:
         """Record the breakable minimum; advertise the full hold time."""
-        if self.table.write_pending(datum):
-            # inherited callers check first; keep the parent's invariant
-            return super()._grant(datum, src, now)
         self.table.grant(datum, src, now, self.lock_min_time)
         return self.lock_hold_time, None
 

@@ -209,11 +209,11 @@ class WriteBackServerEngine(ServerEngine):
         surrendered.  A silent owner surrendered nothing: its dirty data
         is lost (the write-back failure-semantics cost)."""
         datum = gate.datums[0]
-        self.table.release(datum, self._wlease_owner.pop(datum), now)
+        owner = self._wlease_owner.pop(datum)
+        self.table.release(datum, owner, now)
         dirty = gate.msg.dirty
         if dirty is not None:
-            self.store.commit_file_write(datum, dirty, now)
-            self._record_write(datum, now, 1)
+            self._commit(datum, dirty, owner, now, 1)
         return []
 
     # -- flushes -----------------------------------------------------------------------------
@@ -228,8 +228,7 @@ class WriteBackServerEngine(ServerEngine):
             return [
                 Send(src, WriteReply(msg.req_id, msg.datum, error="write lease lost"))
             ]
-        version = self.store.commit_file_write(msg.datum, msg.content, now)
-        self._record_write(msg.datum, now, 1)
+        version = self._commit(msg.datum, msg.content, src, now, 1)
         self._record_commit(src, msg.write_seq, version, None)
         return [Send(src, WriteReply(msg.req_id, msg.datum, version=version))]
 

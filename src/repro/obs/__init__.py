@@ -1,4 +1,4 @@
-"""Unified observability layer: trace events, metrics, timing.
+"""Unified observability layer: trace events and counters.
 
 The paper's claims are quantitative — server consistency load, lease-added
 delay, storage cost versus term — so the reproduction needs its own
@@ -9,8 +9,7 @@ nervous system.  This package provides it, dependency-free:
   retransmissions, timer fires, network sends/drops) and its schemas.
 * :mod:`repro.obs.bus` — :class:`TraceBus`, a process-local pub/sub event
   stream with a bounded replay buffer and JSON Lines export.
-* :mod:`repro.obs.registry` — :class:`Registry` of counters/histograms
-  with ``span``/``timed`` hooks for hot paths, also JSONL-exportable.
+* :mod:`repro.obs.registry` — :class:`Registry` of named counters.
 
 Both runtimes speak it: the simulator (kernel, network, drivers) and the
 asyncio nodes thread one bus through the shared sans-io engines, so a
@@ -22,7 +21,7 @@ no-op-cheap when off: instrumentation sites guard on ``bus.active`` (or a
 
 from repro.obs import events
 from repro.obs.bus import NULL_BUS, TraceBus, read_jsonl
-from repro.obs.registry import Counter, Histogram, Registry
+from repro.obs.registry import Counter, Registry
 
 __all__ = [
     "TraceBus",
@@ -30,6 +29,5 @@ __all__ = [
     "read_jsonl",
     "Registry",
     "Counter",
-    "Histogram",
     "events",
 ]

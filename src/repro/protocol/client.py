@@ -92,8 +92,8 @@ class ClientConfig:
             instant into :class:`~repro.protocol.messages.BatchRequest`
             frames (see :mod:`repro.protocol.pipeline`).  Off by default:
             disabled, the wire traffic is bit-for-bit identical to the
-            pre-pipeline protocol.
-        max_batch: most ops per batched frame.
+            pre-pipeline protocol.  A frame holds at most
+            :data:`~repro.protocol.pipeline.MAX_BATCH` ops.
         anticipatory: renew leases before they expire (§4).
         anticipate_margin: how long before expiry the anticipatory renewal
             fires, and the period of its timer.
@@ -112,7 +112,6 @@ class ClientConfig:
     write_timeout: float = 45.0
     max_retries: int = 8
     batching: bool = False
-    max_batch: int = 64
     anticipatory: bool = False
     anticipate_margin: float = 2.0
     cache_capacity: int = 4096
@@ -214,7 +213,7 @@ class ClientEngine:
         self._next_req = id_base + 1
         self._next_write_seq = id_base + 1
         self._pipeline = (
-            BatchPipeline(self._take_req_id, self.config.max_batch)
+            BatchPipeline(self._take_req_id)
             if self.config.batching
             else None
         )

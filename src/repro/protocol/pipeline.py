@@ -40,6 +40,9 @@ from repro.protocol.messages import (
 #: Engine timer key that flushes the pipeline.
 FLUSH_TIMER = "pipeline.flush"
 
+#: Most ops in one batched frame (a client's pipeline).
+MAX_BATCH = 64
+
 #: Everything a client sends is batchable; server-bound pushes that some
 #: subclass might emit stay unbatched by default.
 _BATCHABLE = (
@@ -61,7 +64,7 @@ class BatchPipeline:
     that timer fires.
     """
 
-    def __init__(self, next_id: Callable[[], int], max_batch: int = 64):
+    def __init__(self, next_id: Callable[[], int], max_batch: int = MAX_BATCH):
         """Args:
             next_id: allocator for batch ids (the engine's req-id counter,
                 so batch ids never collide with inner op ids).

@@ -72,6 +72,11 @@ from repro.storage.store import FileStore
 from repro.types import DatumId, DatumKind, FileClass, HostId
 
 
+#: Extra delay added to an installed file's delayed update, for announce
+#: delivery and queueing slack (see DESIGN.md §6).
+ANNOUNCE_GRACE = 0.05
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Server tuning knobs.
@@ -83,8 +88,6 @@ class ServerConfig:
             granted, on its own clock.  Kept because callers construct it
             (``benchmarks/stack``, the replica engine's copy).
         announce_period: seconds between installed-cover multicasts.
-        announce_grace: extra delay added to installed delayed updates to
-            cover announce delivery/queueing slack (see DESIGN.md §6).
         recovery_delay: how long to defer writes after boot;
             :meth:`ServerEngine.reboot` raises it to the crash bound.
         sweep_period: how often expired lease records are reclaimed.
@@ -92,7 +95,6 @@ class ServerConfig:
 
     epsilon: float = 0.1
     announce_period: float = 5.0
-    announce_grace: float = 0.05
     recovery_delay: float = 0.0
     sweep_period: float = 30.0
 
@@ -500,21 +502,31 @@ class ServerEngine:
             # subclass recorded on the datum is in the table and is
             # called back like any other.
             gate.covered = True
-            not_before = installed.begin_write(datum, now) + self.config.announce_grace
+            not_before = installed.begin_write(datum, now) + ANNOUNCE_GRACE
         return self._enter(gate, now, not_before)
 
     def _commit_file_write(self, gate: _Gate, now: float) -> list[Effect]:
         """A file write's ending: commit and answer the writer."""
         msg = gate.msg
-        version = self.store.commit_file_write(msg.datum, msg.content, now)
+        version = self._commit(msg.datum, msg.content, gate.src, now, gate.sharing)
+        self._record_commit(gate.src, msg.write_seq, version, None)
+        return [Send(gate.src, WriteReply(msg.req_id, msg.datum, version=version))]
+
+    def _commit(
+        self, datum: DatumId, content: bytes, writer: HostId, now: float, sharing: int
+    ) -> int:
+        """The one commit step of every file write — a write's ending and,
+        in :mod:`repro.ext.writeback`, a flush and a recall's surrender:
+        store the bytes, trace ``write.commit``, count the write in the
+        datum's statistics.  Returns the new version."""
+        version = self.store.commit_file_write(datum, content, now)
         if self.obs.active:
             self.obs.emit(
                 WRITE_COMMIT, now, self.name,
-                datum=str(msg.datum), writer=gate.src, version=version,
+                datum=str(datum), writer=writer, version=version,
             )
-        self._record_write(msg.datum, now, gate.sharing)
-        self._record_commit(gate.src, msg.write_seq, version, None)
-        return [Send(gate.src, WriteReply(msg.req_id, msg.datum, version=version))]
+        self._record_write(datum, now, sharing)
+        return version
 
     def _cas_reject(self, gate: _Gate, now: float) -> list[Effect] | None:
         """Reject a stale CAS write; None when the write may proceed.

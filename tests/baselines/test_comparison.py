@@ -2,12 +2,39 @@
 
 import pytest
 
-from repro.baselines import compare_protocols, render
+from repro.baselines import ProtocolOutcome, compare_protocols, render
+
+#: ``compare_protocols(seed=0)``, row by row: the comparison moves only by
+#: a deliberate re-pin.  Fields: protocol, consistency msgs, mean read
+#: latency, stale reads, reads checked, writes completed, writes
+#: submitted, mean write latency.
+GOLDEN_SEED_0 = [
+    ProtocolOutcome(
+        "leases (10 s)", 905, 0.017874014633702966, 0, 624, 88, 88, 0.8493646738999133
+    ),
+    ProtocolOutcome(
+        "check-on-use (term 0)", 1244, 0.0854438720213594, 0, 630, 88, 88, 0.797994545454553
+    ),
+    ProtocolOutcome(
+        "callbacks (term inf)", 1350, 0.0007046002956461467, 0, 252, 27, 88, 0.006857777777779241
+    ),
+    ProtocolOutcome(
+        "NFS TTL (10 s)", 168, 0.1200388554350155, 268, 640, 88, 88, 0.797994545454553
+    ),
+    ProtocolOutcome(
+        "DFS locks (min 2 s / hold 10 s)",
+        436, 0.0021500583798723175, 158, 624, 88, 88, 0.8000165909091049,
+    ),
+]
 
 
 @pytest.fixture(scope="module")
 def outcomes():
     return {o.protocol: o for o in compare_protocols(seed=0)}
+
+
+def test_seed_0_outcomes_are_pinned(outcomes):
+    assert list(outcomes.values()) == GOLDEN_SEED_0
 
 
 class TestGuarantees:

@@ -11,7 +11,7 @@ from repro.ext.writeback import (
 )
 from repro.lease.policy import FixedTermPolicy
 from repro.obs.bus import TraceBus
-from repro.obs.events import LOCAL_HIT
+from repro.obs.events import LOCAL_HIT, WRITE_COMMIT
 from repro.protocol.client import ClientEngine
 from repro.protocol.effects import Broadcast, CancelTimer, Complete, Send, SetTimer
 from repro.protocol.messages import (
@@ -36,10 +36,10 @@ from repro.storage.store import FileStore
 from repro.types import DatumId
 
 
-def make_server(term=10.0):
+def make_server(term=10.0, obs=None):
     store = FileStore()
     store.create_file("/f", b"v1")
-    engine = WriteBackServerEngine("server", store, FixedTermPolicy(term))
+    engine = WriteBackServerEngine("server", store, FixedTermPolicy(term), obs=obs)
     return engine, store, store.file_datum("/f")
 
 
@@ -152,6 +152,37 @@ class TestServerEngine:
         assert store.file_at("/f").version == 1  # nothing committed
         (read_reply,) = sends(effects, ReadReply)
         assert read_reply.dst == "c1" and read_reply.message.version == 1
+
+
+class TestCommitTrace:
+    """A flush and a recall's surrender commit through the server's one
+    commit step, so the trace sees them like an ordinary write."""
+
+    def test_every_commit_is_one_write_commit_event(self):
+        bus = TraceBus(capacity=None)
+        engine, store, datum = make_server(obs=bus)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(FlushRequest(2, datum, b"v2", write_seq=1), "c0", now=1.0)
+        (recall,) = recalls(engine.handle_message(ReadRequest(3, datum), "c1", now=2.0))
+        engine.handle_message(
+            RecallReply(datum, recall.message.recall_id, dirty=b"v3"), "c0", now=2.1
+        )
+        engine.handle_message(WriteRequest(4, datum, b"v4", write_seq=1), "c1", now=3.0)
+        assert store.file_at("/f").version == 4
+        assert [(e["writer"], e["version"]) for e in bus.events(WRITE_COMMIT)] == [
+            ("c0", 2),  # the flush
+            ("c0", 3),  # the surrender: the owner's bytes
+            ("c1", 4),  # an ordinary write
+        ]
+
+    def test_a_silent_owner_commits_nothing_and_traces_nothing(self):
+        bus = TraceBus(capacity=None)
+        engine, store, datum = make_server(obs=bus)
+        engine.handle_message(WriteLeaseRequest(1, datum), "c0", now=0.0)
+        engine.handle_message(ReadRequest(2, datum), "c1", now=1.0)
+        engine.handle_timer("write:2", now=10.0)
+        assert store.file_at("/f").version == 1
+        assert bus.events(WRITE_COMMIT) == []
 
 
 class SettableTerm:

@@ -5,10 +5,10 @@ incarnation.
 forward exactly what survives a crash:
 
 * a server (every ``ServerEngine`` subclass) — its crash bound as
-  ``recovery_delay`` (§2) and its installed-file membership;
+  ``recovery_delay`` (§2) and its installed-file membership; the TTL
+  baseline records no grant, so its bound is 0;
 * a replica — the restart join delay (the diskless rule);
-* a client — its id space, stepped by ``REBOOT_ID_STEP``;
-* the TTL baseline — nothing.
+* a client — its id space, stepped by ``REBOOT_ID_STEP``.
 
 Every table, queue, lease and cache starts empty, and a second reboot
 with no grants in between keeps the largest bound.
@@ -245,7 +245,8 @@ CASES = [
         id="DfsLockServerEngine",
     ),
     pytest.param(
-        Case(make_ttl_server, lambda e: None, (None, None), lambda e: not e._write_dedup),
+        # A TTL is a hint: nothing was promised, so nothing is waited out.
+        Case(make_ttl_server, recovery_delay, (0.0, 0.0), _server_empty),
         id="TtlServerEngine",
     ),
     pytest.param(

@@ -24,7 +24,7 @@ from repro.protocol.messages import (
     WriteReply,
     WriteRequest,
 )
-from repro.protocol.server import ServerConfig, ServerEngine
+from repro.protocol.server import ANNOUNCE_GRACE, ServerConfig, ServerEngine
 from repro.storage.store import FileStore
 from repro.types import DatumId, FileClass
 
@@ -611,7 +611,7 @@ class TestInstalled:
         )
         (timer,) = [e for e in effects if isinstance(e, SetTimer)]
         assert timer.key.startswith("write:")
-        assert timer.delay == pytest.approx(10.0 - 2.0 + engine.config.announce_grace)
+        assert timer.delay == pytest.approx(10.0 - 2.0 + ANNOUNCE_GRACE)
         effects = engine.handle_timer(timer.key, now=2.0 + timer.delay)
         (send,) = sends(effects, WriteReply)
         assert send.message.version == 2
@@ -672,7 +672,7 @@ class TestInstalled:
         engine, store, datum = self.make_installed(Locks)
         engine.startup_effects(0.0)
         engine.handle_message(ReadRequest(1, datum), "c0", now=0.0)
-        return engine, store, datum, 10.0 + engine.config.announce_grace
+        return engine, store, datum, 10.0 + ANNOUNCE_GRACE
 
     def test_covered_write_calls_back_recorded_holders(self):
         """A covered write is an ordinary write with a floor under its
@@ -722,7 +722,7 @@ class TestInstalled:
         assert store.file_at("/bin/latex").content == b"A"
         assert not sends(effects, WriteReply)
         (timer,) = timers(effects)
-        assert 3.0 + timer.delay == pytest.approx(10.0 + engine.config.announce_grace)
+        assert 3.0 + timer.delay == pytest.approx(10.0 + ANNOUNCE_GRACE)
         effects = engine.handle_timer(timer.key, now=3.0 + timer.delay)
         assert sends(effects, WriteReply)[0].message.version == 3
         assert store.file_at("/bin/latex").content == b"B"
@@ -788,7 +788,7 @@ class TestEarlyTimerFirings:
         effects = engine.handle_message(
             WriteRequest(1, datum, b"bin-v2", write_seq=1), "c0", now=1.0
         )
-        return engine, effects, 10.0 + engine.config.announce_grace, WriteReply
+        return engine, effects, 10.0 + ANNOUNCE_GRACE, WriteReply
 
     def wait_write_lease():
         from repro.ext.writeback import WriteBackServerEngine

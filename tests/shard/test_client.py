@@ -79,7 +79,7 @@ class TestBatchSplitting:
     def test_one_batch_per_shard_order_preserved(self):
         """Ops issued in one instant split into one BatchRequest per shard,
         preserving per-file submission order inside each."""
-        config = ClientConfig(batching=True, max_batch=64)
+        config = ClientConfig(batching=True)
         engine = ShardedClientEngine("c0", HOSTS, config=config)
         datum_a, datum_b = datums_on_shards(engine.router, 1, 3)
 
